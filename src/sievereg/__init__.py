@@ -9,7 +9,7 @@ bounds (independent and beta-mixing) against simulation.
 """
 
 from .basis import (BasisSpec, BasisSystem, ConfigurationError, build_basis,
-                    evaluate, evaluate_gradient, spec_with_size)
+                    spec_with_size)
 from .concentration import (GramDeviationGenerator, RademacherGenerator,
                             TailBoundInput, ZeroGenerator, empirical_tail,
                             mixing_bound, tropp_bound)
@@ -18,10 +18,10 @@ from .daubechies import (CascadeError, ScalingFamily, load_family,
 from .estimator import (FitResult, OracleProjection, fit, holder_kink,
                         l2_error, project_oracle, smooth_trig, sup_error,
                         named_target)
-from .gram import (DmsBound, EmpiricalLebesgue, GramSummary, NumericError,
-                   dms_bound, empirical_gram, empirical_gram_matrix,
-                   gram_deviation, identifiability_gap, lambda_constant,
-                   lebesgue_constant_empirical,
+from .gram import (DmsBound, EmpiricalLebesgue, GramFactor, GramSummary,
+                   NumericError, dms_bound, empirical_gram,
+                   empirical_gram_matrix, gram_deviation, identifiability_gap,
+                   lambda_constant, lebesgue_constant_empirical,
                    lebesgue_constant_theoretical, theoretical_gram,
                    zeta_constant)
 from .inference import (FunctionalReport, FunctionalSpec, confidence_interval,

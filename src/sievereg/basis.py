@@ -365,7 +365,7 @@ class BasisSystem:
             raise ValueError(
                 f"points have dimension {pts.shape[1]}, basis has {self.spec.dim}"
             )
-        if np.any(pts < 0.0) or np.any(pts > 1.0):
+        if not np.all((pts >= 0.0) & (pts <= 1.0)):
             raise ValueError("evaluation points must lie in [0, 1]^d")
         return pts, squeeze
 
@@ -422,14 +422,6 @@ def build_basis(spec, weight_box=None, tab_depth=DEFAULT_TAB_DEPTH):
     """Construct the BasisSystem for `spec` (tabulating wavelets on demand)."""
     uni = _Univariate(spec, tab_depth)
     return BasisSystem(spec, uni, weight_box=weight_box)
-
-
-def evaluate(basis, x):
-    return basis.evaluate(x)
-
-
-def evaluate_gradient(basis, x):
-    return basis.evaluate_gradient(x)
 
 
 def spec_with_size(spec, size_1d):

@@ -11,6 +11,7 @@ import argparse
 import configparser
 import os
 import sys
+from operator import ge, gt, itemgetter, le
 
 import numpy as np
 
@@ -48,6 +49,38 @@ _DGP_KEYS = {"regressor": (False, str), "rho": (False, float),
              "df": (False, float), "scale": (False, float),
              "h0": (False, str), "p": (False, float), "dim": (False, int)}
 
+# command -> [acceptance] key -> (parser, summary value, passes(value, threshold))
+_ACCEPTANCE = {
+    "rate-study": {
+        "slope_sup_min": (float, itemgetter("slope_sup"), ge),
+        "slope_sup_max": (float, itemgetter("slope_sup"), le),
+        "slope_l2_min": (float, itemgetter("slope_l2"), ge),
+        "slope_l2_max": (float, itemgetter("slope_l2"), le),
+    },
+    "coverage-study": {
+        "coverage_min": (float, itemgetter("coverage"), ge),
+        "coverage_max": (float, itemgetter("coverage"), le),
+        "ks_alpha": (float, itemgetter("ks_pvalue"), gt),
+    },
+    "stability-study": {
+        "max_median_lebesgue": (
+            float,
+            lambda summary: max(m["lebesgue_empirical"]
+                                for m in summary["medians"]),
+            le),
+    },
+    "concentration-study": {
+        "max_violations": (int, itemgetter("violations"), le),
+    },
+}
+
+
+def _acceptance_section(command):
+    """Schema entry of the optional [acceptance] section, from the table."""
+    table = _ACCEPTANCE[command]
+    return {key: (False, parse) for key, (parse, _, _) in table.items()}, False
+
+
 _SCHEMAS = {
     "fit": {
         "fit": ({"data": (True, str), "grid": (False, int)}, True),
@@ -59,10 +92,7 @@ _SCHEMAS = {
                    "krule_p": (False, float), "threads": (False, int)}, True),
         "dgp": (_DGP_KEYS, False),
         "basis": (_BASIS_KEYS, True),
-        "acceptance": ({"slope_sup_min": (False, float),
-                        "slope_sup_max": (False, float),
-                        "slope_l2_min": (False, float),
-                        "slope_l2_max": (False, float)}, False),
+        "acceptance": _acceptance_section("rate-study"),
     },
     "coverage-study": {
         "study": ({"reps": (True, int), "n": (True, int),
@@ -73,9 +103,7 @@ _SCHEMAS = {
                         "weight": (False, str)}, True),
         "dgp": (_DGP_KEYS, False),
         "basis": (_BASIS_KEYS, True),
-        "acceptance": ({"coverage_min": (False, float),
-                        "coverage_max": (False, float),
-                        "ks_alpha": (False, float)}, False),
+        "acceptance": _acceptance_section("coverage-study"),
     },
     "stability-study": {
         "study": ({"reps": (True, int), "k_grid": (True, str),
@@ -85,7 +113,7 @@ _SCHEMAS = {
         "basis": (_BASIS_KEYS, True),
         "basis2": (_BASIS_KEYS, False),
         "basis3": (_BASIS_KEYS, False),
-        "acceptance": ({"max_median_lebesgue": (False, float)}, False),
+        "acceptance": _acceptance_section("stability-study"),
     },
     "concentration-study": {
         "study": ({"reps": (True, int), "t_max": (True, float),
@@ -94,7 +122,7 @@ _SCHEMAS = {
                        "regressor": (False, str), "rho": (False, float),
                        "q": (False, int)}, True),
         "basis": (_BASIS_KEYS, False),
-        "acceptance": ({"max_violations": (False, int)}, False),
+        "acceptance": _acceptance_section("concentration-study"),
     },
     "gram-report": {
         "gram": ({"density": (False, str), "amplitude": (False, float),
@@ -208,6 +236,11 @@ def _cmd_fit(cfg, out_dir, args):
             f"{spec.dim} regressors + 1 response")
     x = np.column_stack([table[c] for c in names[:-1]])
     y = np.asarray(table[names[-1]], dtype=float)
+    bad = ~(np.all(np.isfinite(x), axis=1) & np.isfinite(y))
+    if np.any(bad):
+        raise ConfigurationError(
+            f"config key `data`: data row {int(np.argmax(bad)) + 1} has an "
+            f"empty or non-finite cell")
     basis = build_basis(spec)
     result = fit_ls(basis, x, y)
     os.makedirs(out_dir, exist_ok=True)
@@ -230,6 +263,16 @@ def _cmd_fit(cfg, out_dir, args):
                          ("rank", result.rank),
                          ("residual rms", fmt(summary["residual_rms"]))])
     return 0
+
+
+def _acceptance(command, cfg, summary):
+    """Evaluate the config's [acceptance] thresholds into summary["acceptance"]."""
+    checks = {}
+    for key, threshold in cfg.get("acceptance", {}).items():
+        _, value, passes = _ACCEPTANCE[command][key]
+        checks[key] = bool(passes(value(summary), threshold))
+    summary["acceptance"] = checks
+    return checks
 
 
 def _check(checks):
@@ -255,14 +298,7 @@ def _cmd_rate_study(cfg, out_dir, args):
     )
     report = rate_study(config)
     summary = report.summary
-    acc = cfg.get("acceptance", {})
-    checks = {}
-    for key, side in (("slope_sup_min", "slope_sup"), ("slope_sup_max", "slope_sup"),
-                      ("slope_l2_min", "slope_l2"), ("slope_l2_max", "slope_l2")):
-        if key in acc:
-            val = summary[side]
-            checks[key] = val >= acc[key] if key.endswith("min") else val <= acc[key]
-    summary["acceptance"] = {k: bool(v) for k, v in checks.items()}
+    checks = _acceptance("rate-study", cfg, summary)
     report.config = {"seed": config.seed, "reps": config.reps,
                      "krule_c": config.krule_c,
                      "synthetic_oracle": config.synthetic_oracle}
@@ -295,15 +331,7 @@ def _cmd_coverage_study(cfg, out_dir, args):
     )
     report = coverage_study(config)
     summary = report.summary
-    acc = cfg.get("acceptance", {})
-    checks = {}
-    if "coverage_min" in acc:
-        checks["coverage_min"] = summary["coverage"] >= acc["coverage_min"]
-    if "coverage_max" in acc:
-        checks["coverage_max"] = summary["coverage"] <= acc["coverage_max"]
-    if "ks_alpha" in acc:
-        checks["ks_alpha"] = summary["ks_pvalue"] > acc["ks_alpha"]
-    summary["acceptance"] = {k: bool(v) for k, v in checks.items()}
+    checks = _acceptance("coverage-study", cfg, summary)
     report.config = {"seed": config.seed, "reps": config.reps, "n": config.n,
                      "functional": functional.kind}
     write_report(report, out_dir)
@@ -337,12 +365,7 @@ def _cmd_stability_study(cfg, out_dir, args):
     )
     report = stability_study(config)
     summary = report.summary
-    acc = cfg.get("acceptance", {})
-    checks = {}
-    if "max_median_lebesgue" in acc:
-        worst = max(m["lebesgue_empirical"] for m in summary["medians"])
-        checks["max_median_lebesgue"] = worst <= acc["max_median_lebesgue"]
-    summary["acceptance"] = {k: bool(v) for k, v in checks.items()}
+    checks = _acceptance("stability-study", cfg, summary)
     report.config = {"seed": config.seed, "reps": config.reps}
     write_report(report, out_dir)
     rows = [(f"{m['family']} K={m['k']} n={m['n']}",
@@ -397,13 +420,9 @@ def _cmd_concentration_study(cfg, out_dir, args):
         ok = f <= bound + 3.0 * s
         violations += int(not ok)
         rows.append((t, bound, f, s, tail.reps))
-    acc = cfg.get("acceptance", {})
-    checks = {}
-    if "max_violations" in acc:
-        checks["max_violations"] = violations <= acc["max_violations"]
     summary = {"generator": kind, "n": n, "reps": tail.reps, "q": q,
-               "mixing": mixing, "violations": violations,
-               "acceptance": {k: bool(v) for k, v in checks.items()}}
+               "mixing": mixing, "violations": violations}
+    checks = _acceptance("concentration-study", cfg, summary)
     report = StudyReport(kind="concentration", summary=summary, rows=rows,
                          columns=["t", "bound", "freq", "se", "reps"],
                          config={"seed": seed})

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gram import inverse_sqrt
+from .gram import GramFactor, zeta_constant
 from .simulate import regressor_paths, RegressorSpec
 
 
@@ -126,15 +126,15 @@ class GramDeviationGenerator:
     """
 
     def __init__(self, basis, gram, n, regressor=None, zeta=None, lam=None):
-        from .gram import zeta_constant, lambda_constant
         self.basis = basis
         self.n = n
         self.k = basis.size
         self.d1 = self.d2 = self.k
         self.regressor = regressor if regressor is not None else RegressorSpec()
-        self.white = inverse_sqrt(gram)
+        factor = GramFactor(gram)
+        self.white = factor.inv_sqrt()
         zeta = zeta_constant(basis) if zeta is None else zeta
-        lam = lambda_constant(gram) if lam is None else lam
+        lam = factor.lam if lam is None else lam
         envelope = zeta * zeta * lam * lam + 1.0
         self.input = TailBoundInput(
             d1=self.k, d2=self.k, n=n,

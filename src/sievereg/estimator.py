@@ -9,17 +9,12 @@ an approximation part and a noise part.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .quadrature import basis_quadrature
-
-
-def _design(basis, x):
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x.reshape(-1, 1)
-    return x, basis.evaluate(x)
+from .gram import GramFactor
+from .quadrature import basis_quadrature, points_2d
 
 
 @dataclass
@@ -27,9 +22,9 @@ class FitResult:
     """Series LS solution: coefficients, residuals, and rank diagnostics.
 
     `predict` evaluates the fitted function (0 outside the weighting
-    region).  `cond` is the condition number of the design; `dev` is filled
-    with the whitened Gram deviation when the caller supplied the
-    theoretical Gram.
+    region).  `cond` is the condition number of the design; `design` is the
+    (n, K) matrix of the weighted basis at the sample points, which
+    inference reuses instead of evaluating it again.
     """
 
     basis: object
@@ -38,8 +33,12 @@ class FitResult:
     rank: int
     rank_deficient: bool
     cond: float
-    dev: float = np.nan
-    x: np.ndarray = field(repr=False, default=None)
+    design: np.ndarray = field(repr=False, default=None)
+
+    @cached_property
+    def gram_factor(self):
+        """GramFactor of the empirical Gram B'B/n of the design."""
+        return GramFactor(self.design.T @ self.design / self.design.shape[0])
 
     def predict(self, pts):
         vals = self.basis.evaluate(pts)
@@ -49,21 +48,22 @@ class FitResult:
         return self.predict(pts)
 
 
-def fit(basis, x, y, gram=None):
-    """Least-squares fit of y on the weighted basis at the points x."""
+def fit(basis, x, y):
+    """Least-squares fit of y on the weighted basis at the points x.
+
+    Raises ValueError when a response is NaN or infinite.
+    """
     y = np.asarray(y, dtype=float)
-    x, design = _design(basis, x)
+    if not np.all(np.isfinite(y)):
+        raise ValueError("responses must be finite")
+    design = basis.evaluate(points_2d(x))
     k = basis.size
     coeffs, _, rank, svals = np.linalg.lstsq(design, y, rcond=k * np.finfo(float).eps)
     residuals = y - design @ coeffs
     cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else np.inf
-    dev = np.nan
-    if gram is not None:
-        from .gram import gram_deviation
-        dev = gram_deviation(gram, design.T @ design / x.shape[0])
     return FitResult(basis=basis, coeffs=coeffs, residuals=residuals,
                      rank=int(rank), rank_deficient=rank < k, cond=cond,
-                     dev=dev, x=x)
+                     design=design)
 
 
 @dataclass
@@ -86,9 +86,7 @@ class OracleProjection:
 
 def project_oracle(basis, x, h0):
     """Fit the noiseless responses h0(X_i); the simulation bias oracle."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x.reshape(-1, 1)
+    x = points_2d(x)
     return OracleProjection(fit=fit(basis, x, h0(x)), target=h0)
 
 
@@ -118,9 +116,7 @@ def l2_error(f, g, density, basis=None, quad=None):
 # smoothness p at the interior kink, which the rate studies target.
 
 def smooth_trig(pts):
-    pts = np.asarray(pts, dtype=float)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
+    pts = points_2d(pts)
     return np.sum(np.sin(2.0 * np.pi * pts) + 0.3 * np.cos(5.0 * pts), axis=1)
 
 
@@ -135,9 +131,7 @@ def holder_kink(p, center=0.5):
         raise ValueError("smoothness p must be positive")
 
     def target(pts):
-        pts = np.asarray(pts, dtype=float)
-        if pts.ndim == 1:
-            pts = pts.reshape(-1, 1)
+        pts = points_2d(pts)
         u = pts - center
         core = np.abs(u) ** p
         if float(p).is_integer():

@@ -16,13 +16,57 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import basis_quadrature, sup_grid, weighted_basis_gram
-
-_EIG_REL_TOL = 1e4  # multiples of machine eps, times K * lambda_max
+from .quadrature import (basis_quadrature, points_2d, sup_grid,
+                         weighted_basis_gram)
 
 
 class NumericError(RuntimeError):
     """A numeric precondition failed (singular Gram, degenerate input)."""
+
+
+class GramFactor:
+    """One symmetric eigendecomposition of a Gram matrix, shared by its users.
+
+    Eigenvalues at or below the rank tolerance K * eps * max(lambda_max, 0)
+    count as zero: `solve` pseudo-inverts over them and flags it, and
+    `inv_sqrt` refuses them.
+    """
+
+    def __init__(self, mat):
+        mat = np.asarray(mat, dtype=float)
+        self.evals, self.evecs = np.linalg.eigh(0.5 * (mat + mat.T))
+        self.tol = mat.shape[0] * np.finfo(float).eps * max(float(self.evals[-1]), 0.0)
+
+    @property
+    def lam(self):
+        """[lambda_min]^{-1/2}; infinite when the matrix is singular."""
+        lam_min = float(self.evals[0])
+        return np.inf if lam_min <= 0.0 else 1.0 / np.sqrt(lam_min)
+
+    def solve(self, rhs):
+        """(solution, rank_deficient_flag) of mat @ x = rhs, pseudo-inverting."""
+        keep = self.evals > self.tol
+        inv = np.where(keep, 1.0 / np.where(keep, self.evals, 1.0), 0.0)
+        rhs = np.asarray(rhs, dtype=float)
+        squeeze = rhs.ndim == 1
+        if squeeze:
+            rhs = rhs[:, None]
+        sol = self.evecs @ (inv[:, None] * (self.evecs.T @ rhs))
+        return (sol[:, 0] if squeeze else sol), bool(np.any(~keep))
+
+    def inv_sqrt(self):
+        """Symmetric mat^{-1/2}; NumericError when mat is not invertible."""
+        if self.evals[0] <= self.tol:
+            raise NumericError("theoretical Gram not invertible")
+        return (self.evecs / np.sqrt(self.evals)) @ self.evecs.T
+
+    def deviation(self, gram_emp):
+        """Spectral norm of G^{-1/2} G_emp G^{-1/2} - I for this factor's G."""
+        w = self.inv_sqrt()
+        m = w @ gram_emp @ w
+        m = 0.5 * (m + m.T)
+        evals = np.linalg.eigvalsh(m - np.eye(m.shape[0]))
+        return float(np.max(np.abs(evals)))
 
 
 @dataclass
@@ -61,34 +105,14 @@ def theoretical_gram(basis, density, quad=None):
 
 
 def empirical_gram_matrix(basis, x):
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x.reshape(-1, 1)
+    x = points_2d(x)
     vals = basis.evaluate(x)
     return vals.T @ vals / x.shape[0]
 
 
-def inverse_sqrt(gram):
-    """Symmetric G^{-1/2} via eigendecomposition.
-
-    Raises NumericError("theoretical Gram not invertible") when the smallest
-    eigenvalue is at or below the rank tolerance.
-    """
-    evals, evecs = np.linalg.eigh(0.5 * (gram + gram.T))
-    k = gram.shape[0]
-    tol = k * np.finfo(float).eps * max(evals[-1], 0.0)
-    if evals[0] <= tol:
-        raise NumericError("theoretical Gram not invertible")
-    return (evecs / np.sqrt(evals)) @ evecs.T
-
-
 def gram_deviation(gram, gram_emp):
     """Spectral norm of G^{-1/2} G_emp G^{-1/2} - I."""
-    w = inverse_sqrt(gram)
-    m = w @ gram_emp @ w
-    m = 0.5 * (m + m.T)
-    evals = np.linalg.eigvalsh(m - np.eye(m.shape[0]))
-    return float(np.max(np.abs(evals)))
+    return GramFactor(gram).deviation(gram_emp)
 
 
 def zeta_constant(basis, grid=None):
@@ -104,10 +128,7 @@ def zeta_constant(basis, grid=None):
 
 def lambda_constant(gram):
     """[lambda_min(G)]^{-1/2}; infinite when G is singular."""
-    lam_min = float(np.linalg.eigvalsh(0.5 * (gram + gram.T))[0])
-    if lam_min <= 0.0:
-        return np.inf
-    return 1.0 / np.sqrt(lam_min)
+    return GramFactor(gram).lam
 
 
 def half_bandwidth(mat, rel_tol=1e-12):
@@ -121,17 +142,15 @@ def half_bandwidth(mat, rel_tol=1e-12):
 
 def empirical_gram(basis, x, gram, grid=None):
     """GramSummary for a sample, given the theoretical Gram."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x.reshape(-1, 1)
+    x = points_2d(x)
     gram_emp = empirical_gram_matrix(basis, x)
-    dev = gram_deviation(gram, gram_emp)
+    factor = GramFactor(gram)
     return GramSummary(
         gram=gram,
         gram_emp=gram_emp,
-        dev=dev,
+        dev=factor.deviation(gram_emp),
         zeta=zeta_constant(basis, grid=grid),
-        lam=lambda_constant(gram),
+        lam=factor.lam,
         bandwidth=half_bandwidth(gram),
         n=x.shape[0],
     )
@@ -145,25 +164,6 @@ def identifiability_gap(basis, x, gram):
     whitened empirical Gram minus the identity.
     """
     return gram_deviation(gram, empirical_gram_matrix(basis, x))
-
-
-def _solve_psd(mat, rhs):
-    """Solve with the symmetric eigendecomposition, pseudo-inverting.
-
-    Returns (solution, rank_deficient_flag); singular values below
-    K * eps * max are treated as zero.
-    """
-    evals, evecs = np.linalg.eigh(0.5 * (mat + mat.T))
-    k = mat.shape[0]
-    tol = k * np.finfo(float).eps * max(float(evals[-1]), 0.0)
-    keep = evals > tol
-    inv = np.where(keep, 1.0 / np.where(keep, evals, 1.0), 0.0)
-    rhs = np.asarray(rhs, dtype=float)
-    squeeze = rhs.ndim == 1
-    if squeeze:
-        rhs = rhs[:, None]
-    sol = evecs @ (inv[:, None] * (evecs.T @ rhs))
-    return (sol[:, 0] if squeeze else sol), bool(np.any(~keep))
 
 
 def lebesgue_constant_theoretical(basis, density, quad=None, grid=None,
@@ -181,7 +181,7 @@ def lebesgue_constant_theoretical(basis, density, quad=None, grid=None,
     gram = weighted_basis_gram(basis, quad, point_weight=density)
     vals_q = basis.evaluate(quad.nodes)          # (Q, K)
     wq = quad.weights * density(quad.nodes)      # (Q,)
-    kernel_half, _ = _solve_psd(gram, vals_q.T)  # (K, Q)
+    kernel_half, _ = GramFactor(gram).solve(vals_q.T)  # (K, Q)
     best = 0.0
     for start in range(0, grid.shape[0], chunk):
         bx = basis.evaluate(grid[start:start + chunk])   # (c, K)
@@ -203,14 +203,11 @@ def lebesgue_constant_empirical(basis, x, grid=None, chunk=512):
     sum_i |b(x)' (B'B)^- b(X_i)|; the result takes the sup over the grid.
     A rank-deficient design switches to the pseudo-inverse and is flagged.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x.reshape(-1, 1)
+    x = points_2d(x)
     if grid is None:
         grid = sup_grid(basis)
     vals = basis.evaluate(x)                       # (n, K)
-    btb = vals.T @ vals
-    half, flagged = _solve_psd(btb, vals.T)        # (K, n)
+    half, flagged = GramFactor(vals.T @ vals).solve(vals.T)   # (K, n)
     best = 0.0
     for start in range(0, grid.shape[0], chunk):
         bx = basis.evaluate(grid[start:start + chunk])
@@ -250,7 +247,7 @@ def dms_bound(mat, band):
             f"band violation: nonzero entry at offset {np.max(np.abs(i - j))} "
             f"> band/2 = {band // 2}"
         )
-    evals = np.linalg.eigvalsh(0.5 * (mat + mat.T))
+    evals = GramFactor(mat).evals
     if evals[0] <= 0.0:
         raise NumericError("matrix is not positive definite")
     kappa = float(evals[-1] / evals[0])

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm
 
-from .gram import NumericError
+from .gram import GramFactor, NumericError
 from .quadrature import basis_quadrature
 
 EXP_CLAMP = 50.0
@@ -112,9 +112,8 @@ def riesz_representer(gram, deriv):
     Solves Gram * c = deriv; a singular Gram falls back to the
     pseudo-inverse and flags the result.
     """
-    from .gram import _solve_psd
     deriv = np.asarray(deriv, dtype=float)
-    coeffs, flagged = _solve_psd(np.asarray(gram, dtype=float), deriv)
+    coeffs, flagged = GramFactor(gram).solve(deriv)
     norm_sq = float(deriv @ coeffs)
     return coeffs, max(norm_sq, 0.0), flagged
 
@@ -128,10 +127,8 @@ def sieve_variance_plugin(fit_result, deriv):
     residuals = fit_result.residuals
     if not np.any(residuals != 0.0):
         raise NumericError("degenerate variance: all residuals are zero")
-    design = fit_result.basis.evaluate(fit_result.x)
-    n = design.shape[0]
-    coeffs, _, _ = riesz_representer(design.T @ design / n, deriv)
-    v_hat = design @ coeffs
+    coeffs, _ = fit_result.gram_factor.solve(deriv)
+    v_hat = fit_result.design @ coeffs
     return float(np.mean((v_hat * residuals) ** 2))
 
 
@@ -157,9 +154,8 @@ def omega_hat(fit_result, gram):
     B_tilde' diag(resid^2) B_tilde / n where B_tilde whitens by G^{-1/2};
     its distance to its population counterpart is monitored, not assumed.
     """
-    from .gram import inverse_sqrt
-    design = fit_result.basis.evaluate(fit_result.x)
-    tilde = design @ inverse_sqrt(gram)
+    design = fit_result.design
+    tilde = design @ GramFactor(gram).inv_sqrt()
     r2 = fit_result.residuals ** 2
     return tilde.T @ (tilde * r2[:, None]) / design.shape[0]
 
@@ -219,9 +215,8 @@ def functional_report(fit_result, spec, f0=None, level=0.95, quad=None):
     basis = fit_result.basis
     fhat, clamped = spec.value(fit_result.predict, basis=basis, quad=quad)
     deriv = spec.derivative(basis, h=fit_result.predict, quad=quad)
-    design = basis.evaluate(fit_result.x)
-    n = design.shape[0]
-    riesz_coeffs, _, flagged = riesz_representer(design.T @ design / n, deriv)
+    n = fit_result.design.shape[0]
+    riesz_coeffs, flagged = fit_result.gram_factor.solve(deriv)
     vk_hat = sieve_variance_plugin(fit_result, deriv)
     ci = confidence_interval(fhat, vk_hat, n, level=level)
     tstat = np.nan if f0 is None else t_statistic(fhat, f0, vk_hat, n)

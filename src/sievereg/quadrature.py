@@ -13,6 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def points_2d(x):
+    """Float (n, d) view of points; a 1-D array is n points in one dimension."""
+    x = np.asarray(x, dtype=float)
+    return x.reshape(-1, 1) if x.ndim == 1 else x
+
+
 @dataclass(frozen=True)
 class Density:
     """Closed-form density on [0, 1]^d with known bounds.
@@ -30,10 +36,7 @@ class Density:
     cdf_1d: object = None
 
     def __call__(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        if pts.ndim == 1:
-            pts = pts.reshape(-1, 1)
-        return np.asarray(self.pdf(pts), dtype=float)
+        return np.asarray(self.pdf(points_2d(pts)), dtype=float)
 
     def sample(self, rng, n, dim):
         """i.i.d. draws by inverting the per-coordinate CDF (bisection)."""

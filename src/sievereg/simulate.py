@@ -21,11 +21,12 @@ from scipy import signal, stats
 from scipy.special import ndtr
 
 from .basis import build_basis, spec_with_size
-from .estimator import fit, named_target
-from .gram import (empirical_gram_matrix, gram_deviation,
-                   lebesgue_constant_empirical, theoretical_gram, NumericError)
+from .estimator import fit, l2_error, named_target, sup_error
+from .gram import (GramFactor, NumericError, empirical_gram_matrix,
+                   lebesgue_constant_empirical, theoretical_gram)
 from .inference import FunctionalSpec, functional_report
-from .quadrature import basis_quadrature, sup_grid, uniform_density
+from .quadrature import (basis_quadrature, points_2d, sup_grid,
+                         uniform_density)
 
 _STUDY_TAGS = {"rate": 1, "coverage": 2, "stability": 3, "concentration": 4}
 
@@ -70,9 +71,7 @@ class ErrorSpec:
 
 def bump_sigma(pts):
     """Default conditional deviation 0.5 + mean_a x_a (1 - x_a); inf > 0."""
-    pts = np.asarray(pts, dtype=float)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
+    pts = points_2d(pts)
     return 0.5 + np.mean(pts * (1.0 - pts), axis=1)
 
 
@@ -199,6 +198,7 @@ def rate_study(config):
     dgp = config.dgp
     p = config.krule_p if config.krule_p is not None else dgp.smoothness
     n_grid = tuple(int(n) for n in config.n_grid)
+    density = uniform_density(dgp.dim)  # both shipped designs have uniform marginals
     rows = []
     med_sup, med_l2 = [], []
     for i_n, n in enumerate(n_grid):
@@ -215,20 +215,14 @@ def rate_study(config):
             quad = basis_quadrature(basis)
             h0_grid = dgp.h0(grid)
             h0_quad = dgp.h0(quad.nodes)
-            wf = quad.weights  # uniform design density on [0,1]^d
 
             def one_rep(rep, basis=basis, grid=grid, quad=quad,
-                        h0_grid=h0_grid, h0_quad=h0_quad, wf=wf,
-                        n=n, i_n=i_n):
+                        h0_grid=h0_grid, h0_quad=h0_quad, n=n, i_n=i_n):
                 rng = derived_rng(config.seed, "rate", i_n, rep)
                 x, y = gen_sample(dgp, n, rng=rng)
                 fr = fit(basis, x, y)
-                pred_grid = fr.predict(grid)
-                pred_quad = fr.predict(quad.nodes)
-                sup = float(np.max(np.abs(pred_grid - h0_grid)))
-                diff = pred_quad - h0_quad
-                l2 = float(np.sqrt(max(np.sum(wf * diff * diff), 0.0)))
-                return sup, l2
+                return (sup_error(fr.predict, h0_grid, grid),
+                        l2_error(fr.predict, h0_quad, density, quad=quad))
 
             pairs = _run_indexed(one_rep, config.reps, config.threads)
             sups = np.array([p_[0] for p_ in pairs])
@@ -264,16 +258,6 @@ class CoverageStudyConfig:
     threads: int = 1
 
 
-def _true_value(functional, dgp, quad):
-    if functional.kind == "point_eval":
-        return float(dgp.h0(functional.x0.reshape(1, -1))[0])
-    if functional.kind == "nonlinear_exp_eval":
-        return float(np.exp(dgp.h0(functional.x0.reshape(1, -1))[0]))
-    hv = dgp.h0(quad.nodes)
-    w = np.asarray(functional.weight(quad.nodes), dtype=float)
-    return float(np.sum(quad.weights * w * hv))
-
-
 def coverage_study(config):
     """Empirical CI coverage and the replication t-statistics."""
     dgp = config.dgp
@@ -282,7 +266,7 @@ def coverage_study(config):
     spec_n = spec_with_size(config.basis_spec, max(2, int(round(k_target ** (1.0 / dgp.dim)))))
     basis = build_basis(spec_n)
     quad = basis_quadrature(basis)
-    f0 = _true_value(config.functional, dgp, quad)
+    f0, _ = config.functional.value(dgp.h0, quad=quad)
 
     def one_rep(rep):
         rng = derived_rng(config.seed, "coverage", 0, rep)
@@ -341,16 +325,16 @@ def stability_study(config):
         for k_target in config.k_grid:
             spec_k = spec_with_size(spec_t, max(2, int(round(k_target ** (1.0 / dgp.dim)))))
             basis = build_basis(spec_k)
-            gram_th = theoretical_gram(basis, density)
+            factor_th = GramFactor(theoretical_gram(basis, density))
             grid = sup_grid(basis)
             for i_n, n in enumerate(config.n_grid):
 
-                def one_rep(rep, basis=basis, gram_th=gram_th, grid=grid,
+                def one_rep(rep, basis=basis, factor_th=factor_th, grid=grid,
                             n=n, i_n=i_n, k_target=k_target):
                     rng = derived_rng(config.seed, "stability",
                                       1000 * i_n + int(k_target), rep)
                     x = regressor_paths(dgp.regressor, n, dgp.dim, rng)[0]
-                    dev = gram_deviation(gram_th, empirical_gram_matrix(basis, x))
+                    dev = factor_th.deviation(empirical_gram_matrix(basis, x))
                     if not config.lebesgue:
                         return dev, np.nan, False
                     leb = lebesgue_constant_empirical(basis, x, grid=grid)

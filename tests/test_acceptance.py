@@ -278,7 +278,7 @@ def test_criterion_07_lebesgue_stability():
     o4 = {e["k"]: round(e["lebesgue_empirical"], 3)
           for e in order4.summary["medians"]}
     print(f"[acceptance] criterion 7 note: order-4 spline medians {o4} "
-          f"(reported, not asserted; see decisions ledger)")
+          f"(reported, not asserted; see the README acceptance-suite note)")
 
     elapsed = time.time() - start
     ok = worst <= 3.0 and ratio >= 2.0 and elapsed < 600.0

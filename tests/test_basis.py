@@ -143,6 +143,12 @@ def test_domain_error():
         basis.evaluate(-0.1)
 
 
+def test_non_finite_points_rejected():
+    basis = build_basis(BasisSpec.bspline(2, 2))
+    with pytest.raises(ValueError, match=r"\[0, 1\]\^d"):
+        basis.evaluate(np.array([0.5, np.nan]))
+
+
 def test_invalid_specs():
     with pytest.raises(ConfigurationError):
         BasisSpec.wavelet(2, 2)          # 2^2 <= 2 * 2

@@ -140,6 +140,18 @@ def test_gram_report_outputs(tmp_path):
     assert "dev" in summary
 
 
+@pytest.mark.parametrize("row", ["0.5,", ",0.5", "0.5,nan"])
+def test_fit_rejects_empty_or_non_finite_cell(tmp_path, capsys, row):
+    data = tmp_path / "bad.csv"
+    _write(data, "x,y\n0.1,1.0\n0.2,2.0\n" + row + "\n0.4,4.0\n")
+    cfg = tmp_path / "fit.ini"
+    _write(cfg, f"[fit]\ndata = {data}\n{BASIS_BLOCK}")
+    out = tmp_path / "out"
+    assert run(["fit", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "data row 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_config_file(tmp_path, capsys):
     code = run(["fit", "--config", str(tmp_path / "nope.ini"), "--out",
                 str(tmp_path / "o")])

@@ -66,6 +66,15 @@ def test_residual_orthogonality_and_idempotence():
     assert np.max(np.abs(again.coeffs - res.coeffs)) < 1e-10
 
 
+def test_non_finite_response_rejected():
+    basis = build_basis(BasisSpec.bspline(2, 3))
+    x = np.linspace(0.05, 0.95, 20)
+    y = np.sin(x)
+    y[7] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        fit(basis, x, y)
+
+
 def test_linearity_of_fit():
     basis = build_basis(BasisSpec.trig(3))
     rng = np.random.default_rng(3)

@@ -3,10 +3,10 @@ import pytest
 import scipy.linalg
 
 from sievereg.basis import BasisSpec, build_basis
-from sievereg.gram import (DmsBound, NumericError, dms_bound, empirical_gram,
-                           empirical_gram_matrix, gram_deviation,
-                           identifiability_gap, lambda_constant,
-                           lebesgue_constant_empirical,
+from sievereg.gram import (DmsBound, GramFactor, NumericError, dms_bound,
+                           empirical_gram, empirical_gram_matrix,
+                           gram_deviation, identifiability_gap,
+                           lambda_constant, lebesgue_constant_empirical,
                            lebesgue_constant_theoretical, theoretical_gram,
                            zeta_constant)
 from sievereg.quadrature import sine_density, uniform_density
@@ -66,6 +66,8 @@ def test_singular_gram_error(haar2):
     basis, _ = haar2
     with pytest.raises(NumericError, match="theoretical Gram not invertible"):
         empirical_gram(basis, np.array([0.1, 0.6]), np.zeros((4, 4)))
+    with pytest.raises(NumericError, match="theoretical Gram not invertible"):
+        GramFactor(np.diag([1.0, 0.0])).inv_sqrt()
 
 
 def _random_search_gap(basis, x, gram, draws, rng):
@@ -110,6 +112,7 @@ def test_zeta_lambda_constants():
     assert zeta_constant(basis) == pytest.approx(2.0)
     assert lambda_constant(gram) == pytest.approx(1.0)
     assert lambda_constant(np.zeros((2, 2))) == np.inf
+    assert GramFactor(np.zeros((2, 2))).lam == np.inf
 
 
 def test_lebesgue_theoretical_haar_and_indicator():
@@ -167,6 +170,10 @@ def test_lebesgue_empirical_rank_deficient_flagged():
     x = np.full(20, 0.3)  # all mass in one cell
     res = lebesgue_constant_empirical(basis, x)
     assert res.rank_deficient
+    # singular PSD matrix 2 v v' with v = (1, 1)/sqrt(2): pseudo-inverse solve
+    sol, flagged = GramFactor(np.ones((2, 2))).solve(np.array([2.0, 2.0]))
+    assert flagged
+    assert np.allclose(sol, [1.0, 1.0], rtol=0.0, atol=1e-14)
 
 
 def test_dms_identity():

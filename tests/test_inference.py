@@ -197,6 +197,30 @@ def test_report_fields_and_positivity(haar2):
     assert payload["n"] == 500 and payload["f0"] == f0
 
 
+class _CountingBasis:
+    """Test helper: a basis that records the row count of each evaluation."""
+
+    def __init__(self, base):
+        self.base = base
+        self.size = base.size
+        self.spec = base.spec
+        self.rows = []
+
+    def evaluate(self, x):
+        vals = self.base.evaluate(x)
+        self.rows.append(np.atleast_2d(vals).shape[0])
+        return vals
+
+
+def test_report_evaluates_design_once_per_fit(haar2):
+    basis = _CountingBasis(haar2[0])
+    rng = np.random.default_rng(17)
+    x = rng.uniform(0, 1, 300)
+    res = fit(basis, x, smooth_trig(x.reshape(-1, 1)) + rng.normal(0, 1, 300))
+    functional_report(res, FunctionalSpec.point_eval(0.3))
+    assert basis.rows.count(300) == 1
+
+
 def test_plugin_consistent_for_oracle_variance():
     # medians over replications stay within 5% of the oracle value
     basis = build_basis(BasisSpec.wavelet(1, 3))
