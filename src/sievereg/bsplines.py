@@ -4,7 +4,9 @@ Splines of order ``r`` (degree ``r - 1``) with ``m`` interior knots are built
 from the recursion on indicator functions, using a knot vector with full
 multiplicity at both endpoints.  That yields ``m + r`` basis functions forming
 a partition of unity; evaluation at ``x = 1`` uses the left limit (the last
-knot interval is closed).
+knot interval is closed).  At most ``r`` functions are nonzero at a point,
+and only those are computed, so the recursion costs O(r^2) per point
+whatever the basis size.
 """
 
 import numpy as np
@@ -25,41 +27,59 @@ def knot_vector(order, n_interior):
     return np.concatenate([np.zeros(order), interior, np.ones(order)])
 
 
-def _order1_indicators(knots, x):
-    """Indicator functions of the knot intervals; last nonempty one closed."""
-    n_funcs = knots.size - 1
-    out = np.zeros((x.size, n_funcs))
-    last_nonempty = -1
-    for j in range(n_funcs):
-        if knots[j + 1] > knots[j]:
-            out[:, j] = (x >= knots[j]) & (x < knots[j + 1])
-            last_nonempty = j
-    out[x == knots[-1], last_nonempty] = 1.0
-    return out
-
-
 def design_matrix(knots, order, x):
     """Evaluate all splines of `order` on `knots` at the points `x`.
 
-    Returns an ``(len(x), K)`` array with ``K = len(knots) - order``.  The
-    recursion uses the convention 0/0 = 0 at repeated knots.
+    Returns an ``(len(x), K)`` array with ``K = len(knots) - order``.  Only
+    the `order` functions that can be nonzero at a point are computed: the
+    Cox-de Boor triangle runs on them (de Boor, *A Practical Guide to
+    Splines*), with the convention 0/0 = 0 at repeated knots, and the result
+    is scattered into the dense array.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    vals = _order1_indicators(knots, x)
+    n_funcs = knots.size - order
+    # repeat an end knot up to `order` times so that every point has `order`
+    # candidate functions; the added ones are cut off at the end
+    lead = max(0, order - np.count_nonzero(knots == knots[0]))
+    trail = max(0, order - np.count_nonzero(knots == knots[-1]))
+    t = np.concatenate([np.full(lead, knots[0]), knots,
+                        np.full(trail, knots[-1])])
+    nonempty = np.flatnonzero(t[1:] > t[:-1])
+    # knot interval of each point; x = knots[-1] joins the last nonempty one
+    span = np.clip(np.searchsorted(t, x, side="right") - 1,
+                   nonempty[0], nonempty[-1])
+    row = span - nonempty[0]
+    spans = np.arange(nonempty[0], nonempty[-1] + 1)
+    # the dense output first: allocated after the triangle's temporaries it
+    # fragments the heap and raises the peak resident memory
+    n_all = t.size - order
+    out = np.zeros((x.size, n_all))
+    # vals[1:k] holds the k - 1 active values of order k - 1 at each point,
+    # between zeros; order 1 is the indicator of the interval, 0 off the knot
+    # range.  Points run along the last axis so every operation is long.
+    vals = np.zeros((order + 1, x.size))
+    vals[1] = (x >= t[0]) & (x <= t[-1])
+
+    def at_points(table):
+        """Per-interval table (rows: functions) gathered at each point."""
+        return table.take(row, axis=1)
+
     for k in range(2, order + 1):
-        n_funcs = knots.size - k
-        nxt = np.zeros((x.size, n_funcs))
-        for j in range(n_funcs):
-            denom_l = knots[j + k - 1] - knots[j]
-            denom_r = knots[j + k] - knots[j + 1]
-            acc = 0.0
-            if denom_l > 0.0:
-                acc = (x - knots[j]) / denom_l * vals[:, j]
-            if denom_r > 0.0:
-                acc = acc + (knots[j + k] - x) / denom_r * vals[:, j + 1]
-            nxt[:, j] = acc
-        vals = nxt
-    return vals
+        # the k active functions j per interval; a zero denominator drops
+        # its term (0/0 = 0)
+        j = np.arange(1 - k, 1)[:, None] + spans
+        denom_l, denom_r = t[j + k - 1] - t[j], t[j + k] - t[j + 1]
+        has_l, has_r = denom_l > 0.0, denom_r > 0.0
+        left = ((x - at_points(t[j]))
+                / at_points(np.where(has_l, denom_l, 1.0))
+                * vals[:k] * at_points(has_l))
+        right = ((at_points(t[j + k]) - x)
+                 / at_points(np.where(has_r, denom_r, 1.0))
+                 * vals[1:k + 1] * at_points(has_r))
+        vals[1:k + 1] = left + right
+    first = np.arange(x.size) * n_all + span - (order - 1)
+    out.ravel()[first + np.arange(order)[:, None]] = vals[1:]
+    return np.ascontiguousarray(out[:, lead:lead + n_funcs])
 
 
 def design_derivative(knots, order, x):
@@ -75,17 +95,14 @@ def design_derivative(knots, order, x):
     if order == 1:
         return np.zeros((x.size, n_funcs))
     lower = design_matrix(knots, order - 1, x)
-    out = np.zeros((x.size, n_funcs))
-    for j in range(n_funcs):
-        denom_l = knots[j + order - 1] - knots[j]
-        denom_r = knots[j + order] - knots[j + 1]
-        acc = 0.0
-        if denom_l > 0.0:
-            acc = lower[:, j] / denom_l
-        if denom_r > 0.0:
-            acc = acc - lower[:, j + 1] / denom_r
-        out[:, j] = (order - 1) * acc
-    return out
+    j = np.arange(n_funcs)
+    denom_l = knots[j + order - 1] - knots[j]
+    denom_r = knots[j + order] - knots[j + 1]
+    has_l, has_r = denom_l > 0.0, denom_r > 0.0
+    acc = np.where(has_l, lower[:, :-1] / np.where(has_l, denom_l, 1.0), 0.0)
+    acc = np.where(has_r, acc - lower[:, 1:] / np.where(has_r, denom_r, 1.0),
+                   acc)
+    return (order - 1) * acc
 
 
 def support_intervals(knots, order):

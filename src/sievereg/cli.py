@@ -236,11 +236,15 @@ def _cmd_fit(cfg, out_dir, args):
             f"{spec.dim} regressors + 1 response")
     x = np.column_stack([table[c] for c in names[:-1]])
     y = np.asarray(table[names[-1]], dtype=float)
-    bad = ~(np.all(np.isfinite(x), axis=1) & np.isfinite(y))
+    finite = np.all(np.isfinite(x), axis=1) & np.isfinite(y)
+    inside = np.all((x >= 0.0) & (x <= 1.0), axis=1)
+    bad = ~(finite & inside)
     if np.any(bad):
+        row = int(np.argmax(bad))
+        problem = ("an empty or non-finite cell" if not finite[row]
+                   else "a regressor outside [0, 1]")
         raise ConfigurationError(
-            f"config key `data`: data row {int(np.argmax(bad)) + 1} has an "
-            f"empty or non-finite cell")
+            f"config key `data`: data row {row + 1} has {problem}")
     basis = build_basis(spec)
     result = fit_ls(basis, x, y)
     os.makedirs(out_dir, exist_ok=True)
@@ -308,6 +312,8 @@ def _cmd_rate_study(cfg, out_dir, args):
         ("sup slope", fmt(summary["slope_sup"])),
         ("L2 slope", fmt(summary["slope_l2"])),
         ("sup slope R2", fmt(summary["slope_sup_r2"])),
+        ("rank-deficient fits", summary["rank_deficient"]),
+        ("max cond", fmt(summary["max_cond"])),
     ])
     _check(checks)
     return 0

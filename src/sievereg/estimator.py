@@ -1,20 +1,33 @@
 """Weighted series least-squares fits and error functionals.
 
-``fit`` regresses responses on the K weighted basis functions through an
-orthogonal (SVD) factorization, which realizes the Moore-Penrose solution
-exactly; rank deficiency is flagged, never fatal.  ``project_oracle`` fits
-the noiseless responses h0(X_i), i.e. the projection of the target onto the
-sieve under the empirical measure, which splits the estimation error into
-an approximation part and a noise part.
+``fit`` regresses responses on the K weighted basis functions by solving the
+normal equations ``(B'B/n) c = B'y/n`` through the fit's one
+:class:`~sievereg.gram.GramFactor` of the empirical Gram, which inference
+then reuses.  Normal equations square the condition number of the design.
+That is acceptable here because spline and wavelet Grams have eigenvalues
+bounded away from zero (the paper assumes it and ``dms_bound`` certifies
+it) and the power basis is already Legendre-orthonormal.  When the Gram's
+eigenvalue ratio is below ``MIN_GRAM_RCOND`` the fit falls back to an
+orthogonal (SVD) least-squares solve, which realizes the Moore-Penrose
+solution exactly; rank deficiency is flagged, never fatal.
+``project_oracle`` fits the noiseless responses h0(X_i), i.e. the
+projection of the target onto the sieve under the empirical measure, which
+splits the estimation error into an approximation part and a noise part.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .gram import GramFactor
 from .quadrature import basis_quadrature, points_2d
+
+# Smallest lambda_min / lambda_max of B'B/n solved through the normal
+# equations, i.e. a design condition number up to 1e4: the squared condition
+# number then stays at or below 1e8, which still leaves about 7 significant
+# digits.  Below it the fit takes the SVD path, whose rank and condition
+# number are exact.
+MIN_GRAM_RCOND = 1e-8
 
 
 @dataclass
@@ -23,8 +36,9 @@ class FitResult:
 
     `predict` evaluates the fitted function (0 outside the weighting
     region).  `cond` is the condition number of the design; `design` is the
-    (n, K) matrix of the weighted basis at the sample points, which
-    inference reuses instead of evaluating it again.
+    (n, K) matrix of the weighted basis at the sample points and
+    `gram_factor` the GramFactor of its empirical Gram B'B/n, which
+    inference reuses instead of evaluating or decomposing them again.
     """
 
     basis: object
@@ -34,11 +48,7 @@ class FitResult:
     rank_deficient: bool
     cond: float
     design: np.ndarray = field(repr=False, default=None)
-
-    @cached_property
-    def gram_factor(self):
-        """GramFactor of the empirical Gram B'B/n of the design."""
-        return GramFactor(self.design.T @ self.design / self.design.shape[0])
+    gram_factor: GramFactor = field(repr=False, default=None)
 
     def predict(self, pts):
         vals = self.basis.evaluate(pts)
@@ -57,13 +67,20 @@ def fit(basis, x, y):
     if not np.all(np.isfinite(y)):
         raise ValueError("responses must be finite")
     design = basis.evaluate(points_2d(x))
-    k = basis.size
-    coeffs, _, rank, svals = np.linalg.lstsq(design, y, rcond=k * np.finfo(float).eps)
+    n, k = design.shape
+    factor = GramFactor(design.T @ design / n)
+    lam_min, lam_max = factor.evals[0], factor.evals[-1]
+    if lam_min > MIN_GRAM_RCOND * lam_max:
+        coeffs, _ = factor.solve(design.T @ y / n)
+        rank, cond = k, float(np.sqrt(lam_max / lam_min))
+    else:
+        coeffs, _, rank, svals = np.linalg.lstsq(design, y,
+                                                 rcond=k * np.finfo(float).eps)
+        cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else np.inf
     residuals = y - design @ coeffs
-    cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else np.inf
     return FitResult(basis=basis, coeffs=coeffs, residuals=residuals,
                      rank=int(rank), rank_deficient=rank < k, cond=cond,
-                     design=design)
+                     design=design, gram_factor=factor)
 
 
 @dataclass

@@ -111,8 +111,13 @@ def empirical_gram_matrix(basis, x):
 
 
 def gram_deviation(gram, gram_emp):
-    """Spectral norm of G^{-1/2} G_emp G^{-1/2} - I."""
-    return GramFactor(gram).deviation(gram_emp)
+    """Spectral norm of G^{-1/2} G_emp G^{-1/2} - I.
+
+    `gram` is G or its GramFactor; passing the factor reuses its
+    decomposition across many empirical Grams.
+    """
+    factor = gram if isinstance(gram, GramFactor) else GramFactor(gram)
+    return factor.deviation(gram_emp)
 
 
 def zeta_constant(basis, grid=None):

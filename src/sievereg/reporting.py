@@ -1,7 +1,8 @@
 """Deterministic writers for study outputs.
 
 All floats are rendered with %.17g so repeated runs with the same config
-and seed produce byte-identical files; JSON keys are sorted.
+and seed produce byte-identical files; JSON keys are sorted.  JSON has no
+NaN or infinity (RFC 8259), so non-finite floats are written as null.
 """
 
 import json
@@ -19,7 +20,7 @@ def _jsonable(obj):
         return bool(obj)
     if isinstance(obj, (np.floating, float)):
         v = float(obj)
-        return None if np.isnan(v) else v
+        return v if np.isfinite(v) else None
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, np.ndarray):
@@ -34,7 +35,8 @@ def fmt(value):
 
 
 def write_summary_json(path, summary):
-    payload = json.dumps(_jsonable(summary), sort_keys=True, indent=2)
+    payload = json.dumps(_jsonable(summary), sort_keys=True, indent=2,
+                         allow_nan=False)
     with open(path, "w", newline="\n") as fh:
         fh.write(payload + "\n")
 

@@ -23,7 +23,8 @@ from scipy.special import ndtr
 from .basis import build_basis, spec_with_size
 from .estimator import fit, l2_error, named_target, sup_error
 from .gram import (GramFactor, NumericError, empirical_gram_matrix,
-                   lebesgue_constant_empirical, theoretical_gram)
+                   gram_deviation, lebesgue_constant_empirical,
+                   theoretical_gram)
 from .inference import FunctionalSpec, functional_report
 from .quadrature import (basis_quadrature, points_2d, sup_grid,
                          uniform_density)
@@ -189,7 +190,10 @@ class RateStudyConfig:
 
 
 def rate_study(config):
-    """Median sup/L2 error per n and the fitted log-log slopes.
+    """Median sup/L2 error per n, the fitted log-log slopes, and fit health.
+
+    The summary counts the rank-deficient fits and reports the largest
+    design condition number seen (null when no fit ran).
 
     Meaningful slope estimates want at least 4 points in the n grid and
     50 or more replications; smaller runs are allowed for smoke tests and
@@ -201,6 +205,7 @@ def rate_study(config):
     density = uniform_density(dgp.dim)  # both shipped designs have uniform marginals
     rows = []
     med_sup, med_l2 = [], []
+    health = []     # (rank_deficient, cond) of every fit
     for i_n, n in enumerate(n_grid):
         k_target = k_rule(n, p, dgp.dim, config.krule_c)
         size_1d = max(2, int(round(k_target ** (1.0 / dgp.dim))))
@@ -222,11 +227,13 @@ def rate_study(config):
                 x, y = gen_sample(dgp, n, rng=rng)
                 fr = fit(basis, x, y)
                 return (sup_error(fr.predict, h0_grid, grid),
-                        l2_error(fr.predict, h0_quad, density, quad=quad))
+                        l2_error(fr.predict, h0_quad, density, quad=quad),
+                        fr.rank_deficient, fr.cond)
 
-            pairs = _run_indexed(one_rep, config.reps, config.threads)
-            sups = np.array([p_[0] for p_ in pairs])
-            l2s = np.array([p_[1] for p_ in pairs])
+            out = _run_indexed(one_rep, config.reps, config.threads)
+            sups = np.array([o[0] for o in out])
+            l2s = np.array([o[1] for o in out])
+            health += [o[2:] for o in out]
         for rep in range(config.reps):
             rows.append((n, spec_n.size, rep, sups[rep], l2s[rep]))
         med_sup.append(float(np.median(sups)))
@@ -239,6 +246,8 @@ def rate_study(config):
         "median_l2": med_l2,
         "slope_sup": slope_sup, "slope_sup_se": se_sup, "slope_sup_r2": r2_sup,
         "slope_l2": slope_l2, "slope_l2_se": se_l2, "slope_l2_r2": r2_l2,
+        "rank_deficient": sum(int(flag) for flag, _ in health),
+        "max_cond": max((cond for _, cond in health), default=np.nan),
     }
     return StudyReport(kind="rate", summary=summary, rows=rows,
                        columns=["n", "k", "rep", "sup_error", "l2_error"])
@@ -334,7 +343,8 @@ def stability_study(config):
                     rng = derived_rng(config.seed, "stability",
                                       1000 * i_n + int(k_target), rep)
                     x = regressor_paths(dgp.regressor, n, dgp.dim, rng)[0]
-                    dev = factor_th.deviation(empirical_gram_matrix(basis, x))
+                    dev = gram_deviation(factor_th,
+                                         empirical_gram_matrix(basis, x))
                     if not config.lebesgue:
                         return dev, np.nan, False
                     leb = lebesgue_constant_empirical(basis, x, grid=grid)

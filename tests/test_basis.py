@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sievereg.basis import (BasisSpec, ConfigurationError, build_basis,
                             spec_with_size)
@@ -197,3 +198,38 @@ def test_active_function_counts():
         basis = build_basis(spec)
         active = np.count_nonzero(basis.evaluate(x), axis=1)
         assert np.max(active) <= cap
+
+
+_POINTS = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40)
+
+
+def _assert_zero_off_supports(basis, x, vals):
+    lo, hi = basis.supports[:, 0, 0], basis.supports[:, 0, 1]
+    outside = (x[:, None] < lo) | (x[:, None] > hi)
+    assert np.all(vals[outside] == 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(order=st.integers(1, 5), m=st.integers(0, 40), xs=_POINTS)
+def test_spline_unity_and_zeros_off_support_property(order, m, xs):
+    basis = build_basis(BasisSpec.bspline(order, m))
+    x = np.concatenate([xs, basis.breakpoints_1d])
+    vals = basis.evaluate(x)
+    assert np.max(np.abs(vals.sum(axis=1) / np.sqrt(basis.size) - 1.0)) < 1e-13
+    _assert_zero_off_supports(basis, x, vals)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_moments=st.sampled_from([2, 3]), level=st.integers(3, 7), xs=_POINTS)
+def test_wavelet_unity_and_zeros_off_support_property(n_moments, level, xs):
+    basis = build_basis(BasisSpec.wavelet(n_moments, level))
+    k0 = basis.size
+    x = np.concatenate([xs, basis.breakpoints_1d])
+    vals = basis.evaluate(x)
+    _assert_zero_off_supports(basis, x, vals)
+    # clear of the edge functions only shifts of phi are active, and they
+    # sum to 1 (times the sqrt(K) scale) up to tabulation error
+    u = x * k0
+    interior = (u >= 2 * n_moments - 1) & (u <= k0 - 2 * n_moments)
+    total = vals[interior].sum(axis=1) / np.sqrt(k0)
+    assert np.all(np.abs(total - 1.0) < 1e-7)

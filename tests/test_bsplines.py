@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.interpolate import BSpline
 
 from sievereg.bsplines import (design_derivative, design_matrix, knot_vector,
                                support_intervals)
@@ -73,3 +74,31 @@ def test_invalid_parameters():
         knot_vector(0, 3)
     with pytest.raises(ValueError):
         knot_vector(2, -1)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("m", [0, 1, 5, 17, 125])
+def test_design_matches_scipy_oracle(order, m):
+    # independent oracle: scipy's B-spline evaluation of degree order - 1,
+    # at random points, at every knot (where the left/right choice matters)
+    # and at both endpoints
+    t = knot_vector(order, m)
+    rng = np.random.default_rng(order * 1000 + m)
+    x = np.concatenate([rng.uniform(0, 1, 400), np.unique(t), [0.0, 1.0]])
+    oracle = BSpline.design_matrix(x, t, order - 1).toarray()
+    assert np.max(np.abs(design_matrix(t, order, x) - oracle)) <= 1e-14
+    if order > 1:
+        d_oracle = BSpline(t, np.eye(t.size - order), order - 1)(x, nu=1)
+        err = np.max(np.abs(design_derivative(t, order, x) - d_oracle))
+        assert err <= 1e-14 * np.max(np.abs(d_oracle))
+
+
+def test_knots_without_end_multiplicity_match_scipy():
+    # the same recursion on a knot vector whose ends are not repeated
+    t = np.array([0.0, 0.1, 0.25, 0.5, 0.55, 0.8, 1.0])
+    x = np.linspace(0.0, 1.0, 201)
+    for order in (1, 2, 3):
+        inside = (x >= t[order - 1]) & (x <= t[-order])
+        oracle = BSpline.design_matrix(x[inside], t, order - 1).toarray()
+        got = design_matrix(t, order, x[inside])
+        assert np.max(np.abs(got - oracle)) <= 1e-14

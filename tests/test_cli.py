@@ -152,6 +152,38 @@ def test_fit_rejects_empty_or_non_finite_cell(tmp_path, capsys, row):
     assert not out.exists()
 
 
+def test_fit_rejects_regressor_outside_unit_interval(tmp_path, capsys):
+    data = tmp_path / "bad.csv"
+    _write(data, "x,y\n0.1,1.0\n0.2,2.0\n1.5,2\n0.4,4.0\n0.5,5.0\n")
+    cfg = tmp_path / "fit.ini"
+    _write(cfg, f"[fit]\ndata = {data}\n{BASIS_BLOCK}")
+    out = tmp_path / "out"
+    assert run(["fit", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "data row 3" in err and "outside [0, 1]" in err
+    assert not out.exists()
+
+
+def test_fit_summary_is_strict_json_for_singular_design(tmp_path):
+    # every x equal: the design has rank 1 and an infinite condition number
+    data = tmp_path / "flat.csv"
+    _write(data, "x,y\n" + "".join(f"0.1,{v}\n" for v in range(5)))
+    cfg = tmp_path / "fit.ini"
+    _write(cfg, f"[fit]\ndata = {data}\n"
+                "[basis]\nfamily = bspline\norder = 3\nn_interior = 2\n")
+    out = tmp_path / "out"
+    assert run(["fit", "--config", str(cfg), "--out", str(out)]) == 0
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    import json
+    summary = json.loads((out / "summary.json").read_text(),
+                         parse_constant=reject)
+    assert summary["rank_deficient"] is True
+    assert summary["cond"] is None
+
+
 def test_missing_config_file(tmp_path, capsys):
     code = run(["fit", "--config", str(tmp_path / "nope.ini"), "--out",
                 str(tmp_path / "o")])

@@ -6,6 +6,7 @@ from sievereg.estimator import (fit, holder_kink, l2_error, project_oracle,
                                 smooth_trig, sup_error, named_target)
 from sievereg.gram import (lebesgue_constant_empirical, theoretical_gram,
                            gram_deviation, empirical_gram_matrix)
+from sievereg.inference import FunctionalSpec, functional_report
 from sievereg.quadrature import basis_quadrature, sup_grid, uniform_density
 
 UNIFORM = uniform_density()
@@ -107,6 +108,52 @@ def test_rank_deficiency_flagged_not_fatal():
     res = fit(basis, x, y)
     assert res.rank_deficient
     assert np.isfinite(res.coeffs).all()
+
+
+@pytest.mark.parametrize("spec, lo, hi", [
+    (BasisSpec.bspline(3, 17), 0.0, 1.0),
+    (BasisSpec.wavelet(1, 5), 0.0, 1.0),
+    (BasisSpec.wavelet(2, 5), 0.0, 1.0),
+    (BasisSpec.power(6), 0.0, 1.0),
+    # design condition number ~8e5, beyond the normal-equations threshold
+    (BasisSpec.power(6), 0.0, 0.3),
+])
+def test_fit_matches_lstsq(spec, lo, hi):
+    basis = build_basis(spec)
+    rng = np.random.default_rng(6)
+    x = rng.uniform(lo, hi, 2000)
+    y = smooth_trig(x.reshape(-1, 1)) + rng.normal(0, 0.5, 2000)
+    res = fit(basis, x, y)
+    design = basis.evaluate(x)
+    coeffs, _, rank, svals = np.linalg.lstsq(
+        design, y, rcond=basis.size * np.finfo(float).eps)
+    assert res.rank == rank == basis.size and not res.rank_deficient
+    assert np.max(np.abs(res.coeffs - coeffs)) <= 1e-12 * np.max(np.abs(coeffs))
+    assert res.cond == pytest.approx(svals[0] / svals[-1], rel=1e-12)
+
+
+def test_fit_and_report_factor_the_gram_once_without_svd(monkeypatch):
+    basis = build_basis(BasisSpec.wavelet(1, 4))
+    rng = np.random.default_rng(7)
+    x = rng.uniform(0, 1, 500)
+    y = smooth_trig(x.reshape(-1, 1)) + rng.normal(0, 0.5, 500)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("SVD path taken")
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(np.linalg, "lstsq", no_svd)
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    res = fit(basis, x, y)
+    report = functional_report(res, FunctionalSpec.point_eval([0.3]), f0=0.0)
+    assert len(calls) == 1
+    assert np.isfinite(report.vk_hat) and not report.rank_deficient
 
 
 def test_weighted_fit_zero_outside_region():

@@ -60,6 +60,9 @@ def test_dev_matches_dense_recomputation(haar2):
     mid = white @ empirical_gram_matrix(basis, x) @ white
     dev_dense = np.max(scipy.linalg.svdvals(mid - np.eye(4)))
     assert abs(summary.dev - dev_dense) < 1e-12
+    # the theoretical Gram's factor stands in for the Gram itself
+    emp = empirical_gram_matrix(basis, x)
+    assert gram_deviation(GramFactor(gram), emp) == gram_deviation(gram, emp)
 
 
 def test_singular_gram_error(haar2):

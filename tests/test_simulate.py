@@ -136,6 +136,26 @@ def test_rate_study_reproducible():
     assert threaded.rows == r1.rows
 
 
+def test_rate_study_reports_fit_health():
+    # Haar with K = 16 at n = 20 leaves cells empty: every such fit is
+    # rank deficient with an infinite condition number; K = 32 at n = 400
+    # fills every cell
+    config = RateStudyConfig(dgp=DgpSpec(), basis_spec=BasisSpec.wavelet(1, 2),
+                             n_grid=(20, 400), reps=3, krule_c=12.0, seed=4)
+    summary = rate_study(config).summary
+    assert summary["rank_deficient"] == 3
+    assert summary["max_cond"] == np.inf
+    healthy = rate_study(RateStudyConfig(
+        dgp=DgpSpec(), basis_spec=BasisSpec.bspline(3, 2), n_grid=(200, 400),
+        reps=3, seed=4)).summary
+    assert healthy["rank_deficient"] == 0
+    assert 1.0 <= healthy["max_cond"] < 1e4
+    oracle = rate_study(RateStudyConfig(
+        dgp=DgpSpec(), basis_spec=BasisSpec.bspline(3, 2), n_grid=(500, 1000),
+        reps=2, synthetic_oracle=True)).summary
+    assert oracle["rank_deficient"] == 0 and np.isnan(oracle["max_cond"])
+
+
 def test_coverage_study_smoke():
     config = CoverageStudyConfig(
         dgp=DgpSpec(), basis_spec=BasisSpec.wavelet(1, 3), n=400,
