@@ -39,6 +39,20 @@ class AcceptanceFailure(RuntimeError):
 _COMMANDS = ("fit", "rate-study", "coverage-study", "stability-study",
              "concentration-study", "gram-report")
 
+
+def _positive_int(raw):
+    """Parser of counts and sample sizes: an integer >= 1."""
+    value = int(raw)
+    if value < 1:
+        raise ValueError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _positive_ints(raw):
+    """Parser of a comma-separated grid of sizes, each an integer >= 1."""
+    return tuple(_positive_int(v) for v in raw.split(",") if v.strip())
+
+
 # section -> key -> (required, parser); sections themselves may be optional
 _BASIS_KEYS = {"family": (True, str), "dim": (False, int),
                "order": (False, int), "n_interior": (False, int),
@@ -83,19 +97,20 @@ def _acceptance_section(command):
 
 _SCHEMAS = {
     "fit": {
-        "fit": ({"data": (True, str), "grid": (False, int)}, True),
+        "fit": ({"data": (True, str), "grid": (False, _positive_int)}, True),
         "basis": (_BASIS_KEYS, True),
     },
     "rate-study": {
-        "study": ({"reps": (True, int), "n_grid": (True, str),
-                   "seed": (False, int), "krule_c": (False, float),
-                   "krule_p": (False, float), "threads": (False, int)}, True),
+        "study": ({"reps": (True, _positive_int),
+                   "n_grid": (True, _positive_ints), "seed": (False, int),
+                   "krule_c": (False, float), "krule_p": (False, float),
+                   "threads": (False, int)}, True),
         "dgp": (_DGP_KEYS, False),
         "basis": (_BASIS_KEYS, True),
         "acceptance": _acceptance_section("rate-study"),
     },
     "coverage-study": {
-        "study": ({"reps": (True, int), "n": (True, int),
+        "study": ({"reps": (True, _positive_int), "n": (True, _positive_int),
                    "level": (False, float), "seed": (False, int),
                    "krule_c": (False, float), "krule_p": (False, float),
                    "threads": (False, int)}, True),
@@ -106,8 +121,9 @@ _SCHEMAS = {
         "acceptance": _acceptance_section("coverage-study"),
     },
     "stability-study": {
-        "study": ({"reps": (True, int), "k_grid": (True, str),
-                   "n_grid": (True, str), "seed": (False, int),
+        "study": ({"reps": (True, _positive_int),
+                   "k_grid": (True, _positive_ints),
+                   "n_grid": (True, _positive_ints), "seed": (False, int),
                    "threads": (False, int), "lebesgue": (False, int)}, True),
         "dgp": (_DGP_KEYS, False),
         "basis": (_BASIS_KEYS, True),
@@ -116,9 +132,10 @@ _SCHEMAS = {
         "acceptance": _acceptance_section("stability-study"),
     },
     "concentration-study": {
-        "study": ({"reps": (True, int), "t_max": (True, float),
-                   "t_count": (False, int), "seed": (False, int)}, True),
-        "generator": ({"kind": (True, str), "n": (True, int),
+        "study": ({"reps": (True, _positive_int), "t_max": (True, float),
+                   "t_count": (False, _positive_int),
+                   "seed": (False, int)}, True),
+        "generator": ({"kind": (True, str), "n": (True, _positive_int),
                        "regressor": (False, str), "rho": (False, float),
                        "q": (False, int)}, True),
         "basis": (_BASIS_KEYS, False),
@@ -126,7 +143,7 @@ _SCHEMAS = {
     },
     "gram-report": {
         "gram": ({"density": (False, str), "amplitude": (False, float),
-                  "n": (False, int), "seed": (False, int)}, True),
+                  "n": (False, _positive_int), "seed": (False, int)}, True),
         "basis": (_BASIS_KEYS, True),
     },
 }
@@ -168,13 +185,6 @@ def _read_config(path, command):
                 raise ConfigurationError(
                     f"missing required config key `{key}` in [{section}]")
     return out
-
-
-def _int_list(raw, key):
-    try:
-        return tuple(int(v) for v in str(raw).split(",") if v.strip())
-    except ValueError as exc:
-        raise ConfigurationError(f"config key `{key}`: {exc}") from exc
 
 
 def _basis_spec(block):
@@ -292,7 +302,7 @@ def _cmd_rate_study(cfg, out_dir, args):
     config = RateStudyConfig(
         dgp=dgp,
         basis_spec=_basis_spec(cfg["basis"]),
-        n_grid=_int_list(study["n_grid"], "n_grid"),
+        n_grid=study["n_grid"],
         reps=study["reps"],
         krule_c=study.get("krule_c", 1.0),
         krule_p=study.get("krule_p"),
@@ -362,8 +372,8 @@ def _cmd_stability_study(cfg, out_dir, args):
     config = StabilityStudyConfig(
         dgp=dgp,
         basis_specs=tuple(specs),
-        k_grid=_int_list(study["k_grid"], "k_grid"),
-        n_grid=_int_list(study["n_grid"], "n_grid"),
+        k_grid=study["k_grid"],
+        n_grid=study["n_grid"],
         reps=study["reps"],
         seed=args.seed if args.seed is not None else study.get("seed", 0),
         threads=args.threads if args.threads else study.get("threads", 1),

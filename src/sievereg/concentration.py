@@ -8,6 +8,12 @@ given ``t`` (the coupled odd/even block sums each cost a factor).  The
 generators here simulate whitened-Gram deviation sums (and simple scalar
 sums) with certified envelope constants, so empirical tail frequencies can
 be compared against the bounds.
+
+``GramDeviationGenerator`` draws replications in chunks, forms each
+replication's Gram ``B'B/n`` of the unwhitened design with one batched
+BLAS product, and hands the chunk's K x K Grams to the theoretical Gram's
+``GramFactor``, which whitens them and takes all their spectral norms in
+one batched ``eigvalsh``.
 """
 
 from dataclasses import dataclass
@@ -131,10 +137,10 @@ class GramDeviationGenerator:
         self.k = basis.size
         self.d1 = self.d2 = self.k
         self.regressor = regressor if regressor is not None else RegressorSpec()
-        factor = GramFactor(gram)
-        self.white = factor.inv_sqrt()
+        self.factor = GramFactor(gram)
+        self.factor.inv_sqrt()        # NumericError now if G is singular
         zeta = zeta_constant(basis) if zeta is None else zeta
-        lam = factor.lam if lam is None else lam
+        lam = self.factor.lam if lam is None else lam
         envelope = zeta * zeta * lam * lam + 1.0
         self.input = TailBoundInput(
             d1=self.k, d2=self.k, n=n,
@@ -149,9 +155,13 @@ class GramDeviationGenerator:
         return 4.0 * abs(self.regressor.rho) ** q
 
     def sum_norms(self, reps, seed, chunk=64):
-        """||sum_i Xi_i|| per replication (exact spectral norms)."""
+        """||sum_i Xi_i|| per replication (exact spectral norms).
+
+        Each replication's Gram B'B/n is one BLAS product of its unwhitened
+        design; the shared factor whitens the K x K Grams of a chunk and
+        takes their spectral deviations in one batched call.
+        """
         out = np.empty(reps)
-        eye = np.eye(self.k)
         done = 0
         c = 0
         while done < reps:
@@ -160,10 +170,9 @@ class GramDeviationGenerator:
             x = regressor_paths(self.regressor, self.n, self.basis.spec.dim,
                                 rng, reps=m)
             flat = x.reshape(m * self.n, -1)
-            vals = (self.basis.evaluate(flat) @ self.white).reshape(m, self.n, self.k)
-            grams = np.einsum("rnk,rnl->rkl", vals, vals) / self.n
-            evals = np.linalg.eigvalsh(grams - eye[None, :, :])
-            out[done:done + m] = np.max(np.abs(evals), axis=1)
+            vals = self.basis.evaluate(flat).reshape(m, self.n, self.k)
+            grams = np.swapaxes(vals, 1, 2) @ vals / self.n
+            out[done:done + m] = self.factor.deviation(grams)
             done += m
             c += 1
         return out

@@ -61,12 +61,17 @@ class GramFactor:
         return (self.evecs / np.sqrt(self.evals)) @ self.evecs.T
 
     def deviation(self, gram_emp):
-        """Spectral norm of G^{-1/2} G_emp G^{-1/2} - I for this factor's G."""
+        """Spectral norm of G^{-1/2} G_emp G^{-1/2} - I for this factor's G.
+
+        gram_emp may be one K x K matrix (returns a float) or a stack
+        (..., K, K) (returns an array of the leading shape).
+        """
         w = self.inv_sqrt()
         m = w @ gram_emp @ w
-        m = 0.5 * (m + m.T)
-        evals = np.linalg.eigvalsh(m - np.eye(m.shape[0]))
-        return float(np.max(np.abs(evals)))
+        m = 0.5 * (m + np.swapaxes(m, -1, -2))
+        evals = np.linalg.eigvalsh(m - np.eye(m.shape[-1]))
+        dev = np.max(np.abs(evals), axis=-1)
+        return float(dev) if dev.ndim == 0 else dev
 
 
 @dataclass
@@ -171,6 +176,34 @@ def identifiability_gap(basis, x, gram):
     return gram_deviation(gram, empirical_gram_matrix(basis, x))
 
 
+# grid rows per kernel block: a (64, 20000) block is 10 MB, the grid chunk's
+# full (512, 20000) product would be 82 MB
+_KERNEL_ROWS = 64
+
+
+def _kernel_abs_sup(basis, grid, half, chunk, weights=None):
+    """max over grid points x of sum_j |b(x)' half[:, j]| (times weights[j]).
+
+    The grid is evaluated `chunk` points at a time and the kernel product
+    formed _KERNEL_ROWS rows at a time into one reused buffer, overwritten
+    in place by |.| and the weights.  The row sums are numpy reductions,
+    not a threaded BLAS gemv whose row split moves with the block size and
+    thread count, so the result does not depend on the blocking.
+    """
+    buf = np.empty((min(_KERNEL_ROWS, grid.shape[0]), half.shape[1]))
+    best = 0.0
+    for start in range(0, grid.shape[0], chunk):
+        bx = basis.evaluate(grid[start:start + chunk])   # (c, K)
+        for row in range(0, bx.shape[0], _KERNEL_ROWS):
+            block = bx[row:row + _KERNEL_ROWS]
+            kern = np.matmul(block, half, out=buf[:block.shape[0]])
+            np.abs(kern, out=kern)
+            if weights is not None:
+                kern *= weights
+            best = max(best, float(np.max(np.sum(kern, axis=1))))
+    return best
+
+
 def lebesgue_constant_theoretical(basis, density, quad=None, grid=None,
                                   chunk=512):
     """Sup-norm operator norm of the L2(X) projection onto the sieve.
@@ -187,12 +220,7 @@ def lebesgue_constant_theoretical(basis, density, quad=None, grid=None,
     vals_q = basis.evaluate(quad.nodes)          # (Q, K)
     wq = quad.weights * density(quad.nodes)      # (Q,)
     kernel_half, _ = GramFactor(gram).solve(vals_q.T)  # (K, Q)
-    best = 0.0
-    for start in range(0, grid.shape[0], chunk):
-        bx = basis.evaluate(grid[start:start + chunk])   # (c, K)
-        kern = bx @ kernel_half                          # (c, Q)
-        best = max(best, float(np.max(np.abs(kern) @ wq)))
-    return best
+    return _kernel_abs_sup(basis, grid, kernel_half, chunk, weights=wq)
 
 
 @dataclass
@@ -213,10 +241,7 @@ def lebesgue_constant_empirical(basis, x, grid=None, chunk=512):
         grid = sup_grid(basis)
     vals = basis.evaluate(x)                       # (n, K)
     half, flagged = GramFactor(vals.T @ vals).solve(vals.T)   # (K, n)
-    best = 0.0
-    for start in range(0, grid.shape[0], chunk):
-        bx = basis.evaluate(grid[start:start + chunk])
-        best = max(best, float(np.max(np.sum(np.abs(bx @ half), axis=1))))
+    best = _kernel_abs_sup(basis, grid, half, chunk)
     return EmpiricalLebesgue(value=best, rank_deficient=flagged)
 
 

@@ -170,6 +170,28 @@ def test_config_roundtrip():
                                "n_interior": "2", "typo": "1"})
 
 
+_SPECS = st.one_of(
+    st.builds(BasisSpec.bspline, order=st.integers(1, 6),
+              n_interior=st.integers(0, 60), dim=st.integers(1, 3)),
+    st.builds(BasisSpec.wavelet, n_moments=st.just(1),
+              level=st.integers(1, 10), dim=st.integers(1, 3)),
+    st.builds(BasisSpec.wavelet, n_moments=st.sampled_from([2, 3]),
+              level=st.integers(3, 10), dim=st.integers(1, 3)),
+    st.builds(BasisSpec.trig, degree=st.integers(0, 30),
+              dim=st.integers(1, 3)),
+    st.builds(BasisSpec.power, degree=st.integers(0, 30),
+              dim=st.integers(1, 3)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=_SPECS)
+def test_config_roundtrip_property(spec):
+    block = spec.to_config()
+    assert all(isinstance(v, str) for v in block.values())
+    assert BasisSpec.from_config(block) == spec
+
+
 def test_spec_with_size_families():
     assert spec_with_size(BasisSpec.bspline(4, 0), 12).size_1d == 12
     assert spec_with_size(BasisSpec.wavelet(1, 2), 16).level == 4

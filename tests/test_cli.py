@@ -203,3 +203,40 @@ def test_numeric_error_exit_code(tmp_path, monkeypatch, capsys):
     code = run(["gram-report", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 4
     assert "numeric error" in capsys.readouterr().err
+
+
+CONCENTRATION = ("[study]\nreps = {reps}\nt_max = 1.0\nt_count = {t}\n"
+                 "[generator]\nkind = rademacher\nn = {n}\n")
+COVERAGE = ("[study]\nreps = {reps}\nn = {n}\n"
+            "[functional]\nkind = point_eval\nx0 = 0.37\n"
+            "[basis]\nfamily = wavelet\nn_moments = 1\nlevel = 3\n")
+
+
+@pytest.mark.parametrize("command,text,key", [
+    ("concentration-study", CONCENTRATION.format(reps=0, t=5, n=50), "reps"),
+    ("concentration-study", CONCENTRATION.format(reps=-5, t=5, n=50), "reps"),
+    ("concentration-study", CONCENTRATION.format(reps=10, t=0, n=50),
+     "t_count"),
+    ("concentration-study", CONCENTRATION.format(reps=10, t=5, n=0), "n"),
+    ("coverage-study", COVERAGE.format(reps=0, n=400), "reps"),
+    ("coverage-study", COVERAGE.format(reps=5, n=0), "n"),
+    ("rate-study", f"[study]\nreps = 0\nn_grid = 500\n{BASIS_BLOCK}", "reps"),
+    ("rate-study", f"[study]\nreps = 2\nn_grid = 0,500\n{BASIS_BLOCK}",
+     "n_grid"),
+    ("stability-study",
+     f"[study]\nreps = 0\nk_grid = 8\nn_grid = 400\n{BASIS_BLOCK}", "reps"),
+    ("stability-study",
+     f"[study]\nreps = 2\nk_grid = 0\nn_grid = 400\n{BASIS_BLOCK}", "k_grid"),
+], ids=["concentration-reps-0", "concentration-reps-neg",
+        "concentration-t_count-0", "concentration-n-0", "coverage-reps-0",
+        "coverage-n-0", "rate-reps-0", "rate-n_grid-0", "stability-reps-0",
+        "stability-k_grid-0"])
+def test_study_counts_and_sizes_must_be_positive(tmp_path, capsys, command,
+                                                 text, key):
+    cfg = tmp_path / "study.ini"
+    _write(cfg, text)
+    out = tmp_path / "o"
+    assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"`{key}`" in err and "positive integer" in err
+    assert not out.exists()

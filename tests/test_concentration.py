@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sievereg.basis import BasisSpec, build_basis
 from sievereg.concentration import (GramDeviationGenerator,
@@ -8,7 +9,7 @@ from sievereg.concentration import (GramDeviationGenerator,
                                     mixing_bound, tropp_bound)
 from sievereg.gram import theoretical_gram
 from sievereg.quadrature import uniform_density
-from sievereg.simulate import RegressorSpec
+from sievereg.simulate import RegressorSpec, regressor_paths
 
 UNIFORM = uniform_density()
 
@@ -139,3 +140,46 @@ def test_beta_envelope():
     assert gen.beta_envelope(3) == pytest.approx(4.0 * 0.5 ** 3)
     iid = GramDeviationGenerator(basis, gram, n=100)
     assert iid.beta_envelope(3) == 0.0
+
+
+def _whitened_design_norms(gen, gram, reps, seed, chunk=64):
+    """Tail-sum norms the direct way: whiten each n x K design, then one
+    eigvalsh per replication (same draws as GramDeviationGenerator)."""
+    evals, evecs = np.linalg.eigh(gram)
+    white = (evecs / np.sqrt(evals)) @ evecs.T
+    out = []
+    for c, start in enumerate(range(0, reps, chunk)):
+        m = min(chunk, reps - start)
+        rng = np.random.default_rng([seed, 202, c])
+        x = regressor_paths(gen.regressor, gen.n, 1, rng, reps=m)
+        for path in x:
+            vals = gen.basis.evaluate(path) @ white
+            dev = vals.T @ vals / gen.n - np.eye(gen.k)
+            out.append(np.max(np.abs(np.linalg.eigvalsh(dev))))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("spec", [BasisSpec.wavelet(1, 4),
+                                  BasisSpec.bspline(3, 9)],
+                         ids=["haar-16", "spline3-12"])
+def test_sum_norms_match_whitened_design_reference(spec):
+    # the spline Gram is banded, so its G^{-1/2} is dense
+    basis = build_basis(spec)
+    gram = theoretical_gram(basis, UNIFORM)
+    gen = GramDeviationGenerator(basis, gram, n=300,
+                                 regressor=RegressorSpec("ar_copula", 0.6))
+    norms = gen.sum_norms(150, seed=9)      # chunks of 64, 64 and 22
+    ref = _whitened_design_norms(gen, gram, 150, seed=9)
+    assert np.allclose(norms, ref, rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2 ** 31), reps=st.integers(1, 140),
+       rho=st.sampled_from([0.0, 0.7]))
+def test_sum_norms_deterministic_per_seed(haar_gen, seed, reps, rho):
+    basis, gram = haar_gen
+    gen = GramDeviationGenerator(basis, gram, n=50,
+                                 regressor=RegressorSpec("ar_copula", rho))
+    first = gen.sum_norms(reps, seed)
+    assert first.shape == (reps,)
+    assert np.array_equal(first, gen.sum_norms(reps, seed))

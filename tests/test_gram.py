@@ -9,7 +9,8 @@ from sievereg.gram import (DmsBound, GramFactor, NumericError, dms_bound,
                            lambda_constant, lebesgue_constant_empirical,
                            lebesgue_constant_theoretical, theoretical_gram,
                            zeta_constant)
-from sievereg.quadrature import sine_density, uniform_density
+from sievereg.quadrature import (basis_quadrature, sine_density, sup_grid,
+                                  uniform_density, weighted_basis_gram)
 
 UNIFORM = uniform_density()
 
@@ -63,6 +64,22 @@ def test_dev_matches_dense_recomputation(haar2):
     # the theoretical Gram's factor stands in for the Gram itself
     emp = empirical_gram_matrix(basis, x)
     assert gram_deviation(GramFactor(gram), emp) == gram_deviation(gram, emp)
+
+
+def test_deviation_of_a_stack_matches_each_matrix():
+    # order-3 splines: G^{-1/2} is dense, so whitening mixes every entry
+    basis = build_basis(BasisSpec.bspline(3, 9))
+    factor = GramFactor(theoretical_gram(basis, UNIFORM))
+    rng = np.random.default_rng(5)
+    stack = np.stack([empirical_gram_matrix(basis, rng.uniform(0, 1, n))
+                      for n in (40, 200, 1000, 5000, 200, 40)])
+    devs = factor.deviation(stack)
+    assert devs.shape == (6,)
+    single = [factor.deviation(g) for g in stack]
+    assert all(type(d) is float for d in single)
+    assert np.allclose(devs, single, rtol=1e-14, atol=0.0)
+    grid = factor.deviation(stack.reshape(2, 3, *stack.shape[1:]))
+    assert np.array_equal(grid.ravel(), devs)
 
 
 def test_singular_gram_error(haar2):
@@ -267,3 +284,30 @@ def test_two_dimensional_haar_gram_identity():
     gram = theoretical_gram(basis, uniform_density(dim=2))
     assert gram.shape == (16, 16)
     assert np.max(np.abs(gram - np.eye(16))) < 1e-12
+
+
+_LEBESGUE_SPECS = {"spline": lambda k: BasisSpec.bspline(3, k - 3),
+                   "d2": lambda k: BasisSpec.wavelet(2, int(np.log2(k))),
+                   "power": lambda k: BasisSpec.power(k - 1)}
+
+
+@pytest.mark.parametrize("k", [16, 64])
+@pytest.mark.parametrize("family", sorted(_LEBESGUE_SPECS))
+def test_lebesgue_blocks_equal_one_shot_products(family, k):
+    # the grid spans three evaluation chunks and a ragged last kernel block
+    basis = build_basis(_LEBESGUE_SPECS[family](k))
+    grid = sup_grid(basis, base_points=1100)
+    assert grid.shape[0] > 1024 and grid.shape[0] % 64
+    quad = basis_quadrature(basis, max_nodes_1d=2 ** 12)
+    bx = basis.evaluate(grid)
+    gram = weighted_basis_gram(basis, quad, point_weight=UNIFORM)
+    wq = quad.weights * UNIFORM(quad.nodes)
+    half, _ = GramFactor(gram).solve(basis.evaluate(quad.nodes).T)
+    one_shot = float(np.max(np.sum(np.abs(bx @ half) * wq, axis=1)))
+    assert lebesgue_constant_theoretical(basis, UNIFORM, quad=quad,
+                                         grid=grid) == one_shot
+    x = np.random.default_rng(k).uniform(0, 1, 3000)
+    vals = basis.evaluate(x)
+    half, _ = GramFactor(vals.T @ vals).solve(vals.T)
+    one_shot = float(np.max(np.sum(np.abs(bx @ half), axis=1)))
+    assert lebesgue_constant_empirical(basis, x, grid=grid).value == one_shot
