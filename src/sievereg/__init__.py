@@ -10,9 +10,10 @@ bounds (independent and beta-mixing) against simulation.
 
 from .basis import (BasisSpec, BasisSystem, ConfigurationError, build_basis,
                     spec_with_size)
-from .concentration import (GramDeviationGenerator, RademacherGenerator,
-                            TailBoundInput, ZeroGenerator, empirical_tail,
-                            mixing_bound, tropp_bound)
+from .concentration import (ConcentrationStudyConfig, GramDeviationGenerator,
+                            RademacherGenerator, TailBoundInput,
+                            ZeroGenerator, concentration_study,
+                            empirical_tail, mixing_bound, tropp_bound)
 from .daubechies import (CascadeError, ScalingFamily, load_family,
                          save_family, scaling_filter, tabulate_daubechies)
 from .estimator import (FitResult, OracleProjection, fit, holder_kink,

@@ -14,14 +14,20 @@ replication's Gram ``B'B/n`` of the unwhitened design with one batched
 BLAS product, and hands the chunk's K x K Grams to the theoretical Gram's
 ``GramFactor``, which whitens them and takes all their spectral norms in
 one batched ``eigvalsh``.
+
+``concentration_study`` compares one generator's exceedance frequencies
+with the independent bound, or the blocked bound at t/6 under mixing.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gram import GramFactor, zeta_constant
-from .simulate import regressor_paths, RegressorSpec
+from .basis import ConfigurationError, build_basis
+from .gram import GramFactor, theoretical_gram, zeta_constant
+from .quadrature import uniform_density
+from .simulate import (RegressorSpec, StudyReport, _check_positive,
+                       regressor_paths)
 
 
 @dataclass(frozen=True)
@@ -100,6 +106,9 @@ class ZeroGenerator:
     def sum_norms(self, reps, seed):
         return np.zeros(reps)
 
+    def beta_envelope(self, q):
+        return 0.0
+
 
 class RademacherGenerator:
     """Scalar sum of n independent signs; r_bound = 1, sigma2 = n."""
@@ -150,7 +159,7 @@ class GramDeviationGenerator:
         )
 
     def beta_envelope(self, q):
-        if self.regressor.kind == "iid_uniform" or self.regressor.rho == 0.0:
+        if not self.regressor.mixing:
             return 0.0
         return 4.0 * abs(self.regressor.rho) ** q
 
@@ -196,3 +205,67 @@ def empirical_tail(generator, t_grid, reps, seed):
     freq = np.array([np.mean(norms >= t) for t in t_grid])
     se = np.sqrt(freq * (1.0 - freq) / reps)
     return TailStudy(t_grid=t_grid, freq=freq, se=se, reps=reps, norms=norms)
+
+
+@dataclass(frozen=True)
+class ConcentrationStudyConfig:
+    """Tail study of one generator, "gram_deviation" (needs basis_spec),
+    "rademacher" or "zero"; q is the block length of the mixing bound."""
+
+    kind: str
+    n: int
+    reps: int
+    t_max: float
+    t_count: int = 20
+    seed: int = 0
+    regressor: str = "iid_uniform"
+    rho: float = 0.0
+    q: int = 1
+    basis_spec: object = None
+
+    def __post_init__(self):
+        _check_positive(reps=self.reps, t_count=self.t_count, n=self.n)
+        if self.kind not in ("gram_deviation", "rademacher", "zero"):
+            raise ConfigurationError(f"`kind`: unknown generator {self.kind!r}")
+        if self.kind == "gram_deviation" and self.basis_spec is None:
+            raise ConfigurationError(
+                "generator kind gram_deviation needs a basis spec ([basis])")
+        if not (np.isfinite(self.t_max) and self.t_max >= 0.0):
+            raise ConfigurationError(
+                f"`t_max` must be a finite number >= 0, got {self.t_max}")
+        mixing = RegressorSpec(self.regressor, self.rho).mixing
+        if mixing and not 1 <= self.q <= self.n // 2:
+            raise ConfigurationError(
+                f"`q` must be in [1, n/2] = [1, {self.n // 2}] under a mixing "
+                f"regressor, got {self.q}")
+
+
+def concentration_study(config):
+    """Exceedance frequencies of ||sum|| >= t against the tail bound; a
+    violation is a frequency above bound + 3 binomial standard errors."""
+    reg = RegressorSpec(config.regressor, config.rho)
+    if config.kind == "gram_deviation":
+        basis = build_basis(config.basis_spec)
+        gram_th = theoretical_gram(basis, uniform_density(basis.spec.dim))
+        generator = GramDeviationGenerator(basis, gram_th, config.n,
+                                           regressor=reg)
+    elif config.kind == "rademacher":
+        generator = RademacherGenerator(config.n)
+    else:
+        generator = ZeroGenerator(config.n)
+    t_grid = np.linspace(0.0, config.t_max, config.t_count)
+    tail = empirical_tail(generator, t_grid, config.reps, config.seed)
+    if reg.mixing:
+        inp = replace(generator.input, q=config.q,
+                      beta_q=generator.beta_envelope(config.q))
+    rows = []
+    for t, f, s in zip(tail.t_grid, tail.freq, tail.se):
+        bound = (mixing_bound(inp, t / 6.0) if reg.mixing
+                 else tropp_bound(generator.input, t))
+        rows.append((t, bound, f, s, tail.reps))
+    violations = sum(int(not f <= b + 3.0 * s) for _, b, f, s, _ in rows)
+    summary = {"generator": config.kind, "n": config.n, "reps": tail.reps,
+               "q": config.q, "mixing": reg.mixing, "violations": violations}
+    return StudyReport(kind="concentration", summary=summary, rows=rows,
+                       columns=["t", "bound", "freq", "se", "reps"],
+                       config={"seed": config.seed})

@@ -20,7 +20,7 @@ import numpy as np
 from scipy import signal, stats
 from scipy.special import ndtr
 
-from .basis import build_basis, spec_with_size
+from .basis import ConfigurationError, build_basis, spec_with_size
 from .estimator import fit, l2_error, named_target, sup_error
 from .gram import (GramFactor, NumericError, empirical_gram_matrix,
                    gram_deviation, lebesgue_constant_empirical,
@@ -44,6 +44,11 @@ class RegressorSpec:
             raise ValueError(f"unknown regressor kind {self.kind!r}")
         if self.kind == "ar_copula" and not -1.0 < self.rho < 1.0:
             raise ValueError(f"ar_copula rho must be in (-1, 1), got {self.rho}")
+
+    @property
+    def mixing(self):
+        """True when the regressors are serially dependent (beta-mixing)."""
+        return self.kind == "ar_copula" and self.rho != 0.0
 
 
 @dataclass(frozen=True)
@@ -76,9 +81,27 @@ def bump_sigma(pts):
     return 0.5 + np.mean(pts * (1.0 - pts), axis=1)
 
 
+def _check_positive(**fields):
+    """ConfigurationError unless each value is an integer >= 1 or a
+    non-empty grid of them."""
+    for name, value in fields.items():
+        items = np.ravel(value).tolist()
+        if not items or not all(isinstance(v, int) and v >= 1 for v in items):
+            raise ConfigurationError(
+                f"`{name}` must be a positive integer (or a non-empty grid "
+                f"of them), got {value!r}")
+
+
+def _check_dims(dgp, *specs):
+    for spec in specs:
+        if spec.dim != dgp.dim:
+            raise ConfigurationError(f"basis `dim` = {spec.dim} differs from "
+                                     f"the DGP `dim` = {dgp.dim}")
+
+
 @dataclass(frozen=True)
 class DgpSpec:
-    """Regressor process, error law, and named regression target."""
+    """Regressor process, error law, and named target ``h0`` (resolved here)."""
 
     regressor: RegressorSpec = RegressorSpec()
     error: ErrorSpec = ErrorSpec()
@@ -86,10 +109,12 @@ class DgpSpec:
     smoothness: float = 2.0
     dim: int = 1
     sigma_fn: object = None     # heteroskedastic scale; defaults to bump_sigma
+    h0: object = field(init=False, repr=False, compare=False)
 
-    @property
-    def h0(self):
-        return named_target(self.h0_name, p=self.smoothness)
+    def __post_init__(self):
+        _check_positive(dim=self.dim)
+        object.__setattr__(self, "h0",
+                           named_target(self.h0_name, p=self.smoothness))
 
 
 def derived_rng(master_seed, study, n_index, rep):
@@ -101,7 +126,7 @@ def derived_rng(master_seed, study, n_index, rep):
 def regressor_paths(spec, n, dim, rng, reps=1):
     """(reps, n, dim) array of regressor paths."""
     z = rng.standard_normal((reps, n, dim))
-    if spec.kind == "ar_copula" and spec.rho != 0.0:
+    if spec.mixing:
         rho = spec.rho
         innov = z * np.sqrt(1.0 - rho * rho)
         innov[:, 0, :] = z[:, 0, :]  # stationary start
@@ -175,6 +200,11 @@ def k_rule(n, p, d, c=1.0):
     return max(1, int(round(c * (n / np.log(n)) ** (d / (2.0 * p + d)))))
 
 
+def _spec_for_size(spec, k_target, dim):
+    """The spec of spec's family nearest to k_target functions in dim dims."""
+    return spec_with_size(spec, max(2, int(round(k_target ** (1.0 / dim)))))
+
+
 @dataclass(frozen=True)
 class RateStudyConfig:
     dgp: DgpSpec
@@ -187,6 +217,10 @@ class RateStudyConfig:
     threads: int = 1
     synthetic_oracle: bool = False
     synthetic_slope: float = -0.4
+
+    def __post_init__(self):
+        _check_positive(reps=self.reps, n_grid=self.n_grid)
+        _check_dims(self.dgp, self.basis_spec)
 
 
 def rate_study(config):
@@ -207,9 +241,8 @@ def rate_study(config):
     med_sup, med_l2 = [], []
     health = []     # (rank_deficient, cond) of every fit
     for i_n, n in enumerate(n_grid):
-        k_target = k_rule(n, p, dgp.dim, config.krule_c)
-        size_1d = max(2, int(round(k_target ** (1.0 / dgp.dim))))
-        spec_n = spec_with_size(config.basis_spec, size_1d)
+        spec_n = _spec_for_size(config.basis_spec,
+                                k_rule(n, p, dgp.dim, config.krule_c), dgp.dim)
         if config.synthetic_oracle:
             err = (n / np.log(n)) ** config.synthetic_slope
             sups = np.full(config.reps, err)
@@ -250,7 +283,10 @@ def rate_study(config):
         "max_cond": max((cond for _, cond in health), default=np.nan),
     }
     return StudyReport(kind="rate", summary=summary, rows=rows,
-                       columns=["n", "k", "rep", "sup_error", "l2_error"])
+                       columns=["n", "k", "rep", "sup_error", "l2_error"],
+                       config={"seed": config.seed, "reps": config.reps,
+                               "krule_c": config.krule_c,
+                               "synthetic_oracle": config.synthetic_oracle})
 
 
 @dataclass(frozen=True)
@@ -266,13 +302,26 @@ class CoverageStudyConfig:
     seed: int = 0
     threads: int = 1
 
+    def __post_init__(self):
+        _check_positive(reps=self.reps, n=self.n)
+        _check_dims(self.dgp, self.basis_spec)
+        if not 0.0 < self.level < 1.0:
+            raise ConfigurationError(f"`level` must be in (0, 1), got {self.level}")
+        if self.functional.x0 is not None:
+            x0 = np.ravel(self.functional.x0)
+            if x0.size != self.dgp.dim or not np.all((x0 >= 0) & (x0 <= 1)):
+                raise ConfigurationError(
+                    f"`x0` must be a point of [0, 1]^{self.dgp.dim}, "
+                    f"got {x0.tolist()}")
+
 
 def coverage_study(config):
     """Empirical CI coverage and the replication t-statistics."""
     dgp = config.dgp
     p = config.krule_p if config.krule_p is not None else dgp.smoothness
-    k_target = k_rule(config.n, p, dgp.dim, config.krule_c)
-    spec_n = spec_with_size(config.basis_spec, max(2, int(round(k_target ** (1.0 / dgp.dim)))))
+    spec_n = _spec_for_size(config.basis_spec,
+                            k_rule(config.n, p, dgp.dim, config.krule_c),
+                            dgp.dim)
     basis = build_basis(spec_n)
     quad = basis_quadrature(basis)
     f0, _ = config.functional.value(dgp.h0, quad=quad)
@@ -309,7 +358,10 @@ def coverage_study(config):
     }
     return StudyReport(kind="coverage", summary=summary, rows=rows,
                        columns=["rep", "fhat", "vk_hat", "t", "lo", "hi",
-                                "covered"])
+                                "covered"],
+                       config={"seed": config.seed, "reps": config.reps,
+                               "n": config.n,
+                               "functional": config.functional.kind})
 
 
 @dataclass(frozen=True)
@@ -323,6 +375,11 @@ class StabilityStudyConfig:
     threads: int = 1
     lebesgue: bool = True        # skip the costly sup computation when False
 
+    def __post_init__(self):
+        _check_positive(reps=self.reps, k_grid=self.k_grid,
+                        n_grid=self.n_grid)
+        _check_dims(self.dgp, *self.basis_specs)
+
 
 def stability_study(config):
     """Gram deviation and empirical Lebesgue constant over (basis, K, n)."""
@@ -332,7 +389,7 @@ def stability_study(config):
     med = {}
     for spec_t in config.basis_specs:
         for k_target in config.k_grid:
-            spec_k = spec_with_size(spec_t, max(2, int(round(k_target ** (1.0 / dgp.dim)))))
+            spec_k = _spec_for_size(spec_t, k_target, dgp.dim)
             basis = build_basis(spec_k)
             factor_th = GramFactor(theoretical_gram(basis, density))
             grid = sup_grid(basis)
@@ -370,7 +427,7 @@ def stability_study(config):
     slopes = []
     for spec_t in config.basis_specs:
         for k_target in config.k_grid:
-            spec_k = spec_with_size(spec_t, max(2, int(round(k_target ** (1.0 / dgp.dim)))))
+            spec_k = _spec_for_size(spec_t, k_target, dgp.dim)
             pts = [(n, med[(spec_t.family, spec_k.size, n)][0])
                    for n in config.n_grid]
             if len(pts) >= 2 and all(v > 0 for _, v in pts):
@@ -382,4 +439,5 @@ def stability_study(config):
     summary["dev_slopes"] = slopes
     return StudyReport(kind="stability", summary=summary, rows=rows,
                        columns=["family", "k", "n", "rep", "dev",
-                                "lebesgue_empirical"])
+                                "lebesgue_empirical"],
+                       config={"seed": config.seed, "reps": config.reps})

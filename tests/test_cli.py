@@ -240,3 +240,86 @@ def test_study_counts_and_sizes_must_be_positive(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert f"`{key}`" in err and "positive integer" in err
     assert not out.exists()
+
+
+RATE = "[study]\nreps = 2\nn_grid = 200\n{extra}" + BASIS_BLOCK
+CONCENTRATION_AR = ("[study]\nreps = 10\nt_max = 1.0\n"
+                    "[generator]\nkind = {kind}\nn = 50\n"
+                    "regressor = {regressor}\nrho = 0.5\nq = 2\n")
+GRAM = "[gram]\n{extra}[basis]\nfamily = wavelet\nn_moments = 1\nlevel = 2\n"
+
+
+@pytest.mark.parametrize("command,text,named", [
+    ("rate-study", RATE.format(extra="[dgp]\nregressor = foo\n"), "'foo'"),
+    ("rate-study", RATE.format(extra="[dgp]\nregressor = ar_copula\n"
+                                     "rho = 1.5\n"), "rho"),
+    ("rate-study", RATE.format(extra="[dgp]\nerror = student_t\ndf = 2\n"),
+     "df"),
+    ("rate-study", RATE.format(extra="[dgp]\nh0 = nope\n"), "'nope'"),
+    ("rate-study", RATE.format(extra="[dgp]\ndim = 0\n"), "`dim`"),
+    ("rate-study", RATE.format(extra="") + "dim = 2\n", "`dim`"),
+    ("coverage-study", COVERAGE.format(reps=5, n=400).replace("0.37", "1.5"),
+     "`x0`"),
+    ("coverage-study", COVERAGE.format(reps=5, n=400)
+     .replace("n = 400\n", "n = 400\nlevel = 1.5\n"), "`level`"),
+    ("gram-report", GRAM.format(extra="density = foo\n"), "'foo'"),
+    ("gram-report", GRAM.format(extra="density = sine\namplitude = 1.5\n"),
+     "amplitude"),
+    ("concentration-study", CONCENTRATION_AR.format(kind="rademacher",
+                                                    regressor="foo"), "'foo'"),
+    ("concentration-study", CONCENTRATION.format(reps=10, t=5, n=50)
+     .replace("t_max = 1.0", "t_max = -1.0"), "`t_max`"),
+], ids=["dgp-regressor", "dgp-rho", "dgp-df", "dgp-h0", "dgp-dim",
+        "basis-dim", "coverage-x0", "coverage-level", "gram-density",
+        "gram-amplitude", "concentration-regressor", "concentration-t_max"])
+def test_rejected_config_values_exit_2(tmp_path, capsys, command, text,
+                                       named):
+    # values that the library specs and study configs reject
+    cfg = tmp_path / "bad.ini"
+    _write(cfg, text)
+    out = tmp_path / "o"
+    assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and named in err
+    assert not out.exists()
+
+
+def test_zero_generator_runs_under_mixing_regressor(tmp_path):
+    # the mixing bound asks every generator for its beta envelope
+    cfg = tmp_path / "zero.ini"
+    _write(cfg, CONCENTRATION_AR.format(kind="zero", regressor="ar_copula"))
+    out = tmp_path / "o"
+    assert run(["concentration-study", "--config", str(cfg), "--out",
+                str(out)]) == 0
+    import json
+    summary = json.loads((out / "summary.json").read_text())["summary"]
+    assert summary["mixing"] is True and summary["violations"] == 0
+
+
+DEMO_CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
+                            "configs")
+
+
+@pytest.mark.parametrize("name", sorted(
+    f for f in os.listdir(DEMO_CONFIGS) if f.endswith(".ini")))
+def test_demo_configs_build_their_library_configs(name):
+    # every key of a shipped config must be a field of its library config;
+    # the study itself is not run
+    from sievereg import cli
+    from sievereg.basis import BasisSpec
+    from sievereg.concentration import ConcentrationStudyConfig
+    from sievereg.simulate import (CoverageStudyConfig, RateStudyConfig,
+                                   StabilityStudyConfig)
+
+    command = name[:-len(".ini")].replace("_", "-")
+    args = cli.build_parser().parse_args(
+        [command, "--config", os.path.join(DEMO_CONFIGS, name), "--out", "-"])
+    cfg = cli._read_config(args)
+    expected = {"rate-study": RateStudyConfig,
+                "coverage-study": CoverageStudyConfig,
+                "stability-study": StabilityStudyConfig,
+                "concentration-study": ConcentrationStudyConfig}
+    if command in expected:
+        assert isinstance(cli._study_config(cfg, args), expected[command])
+    else:
+        assert isinstance(cli._basis_spec(cfg["basis"]), BasisSpec)

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sievereg.basis import BasisSpec, build_basis
-from sievereg.concentration import (GramDeviationGenerator,
+from sievereg.basis import BasisSpec, ConfigurationError, build_basis
+from sievereg.concentration import (ConcentrationStudyConfig,
+                                    GramDeviationGenerator,
                                     RademacherGenerator, TailBoundInput,
-                                    ZeroGenerator, empirical_tail,
-                                    mixing_bound, tropp_bound)
+                                    ZeroGenerator, concentration_study,
+                                    empirical_tail, mixing_bound,
+                                    tropp_bound)
 from sievereg.gram import theoretical_gram
 from sievereg.quadrature import uniform_density
 from sievereg.simulate import RegressorSpec, regressor_paths
@@ -183,3 +185,33 @@ def test_sum_norms_deterministic_per_seed(haar_gen, seed, reps, rho):
     first = gen.sum_norms(reps, seed)
     assert first.shape == (reps,)
     assert np.array_equal(first, gen.sum_norms(reps, seed))
+
+
+def test_concentration_study_compares_each_threshold_with_its_bound():
+    config = ConcentrationStudyConfig(kind="rademacher", n=50, reps=400,
+                                      t_max=25.0, t_count=6, seed=3)
+    report = concentration_study(config)
+    gen = RademacherGenerator(50)
+    tail = empirical_tail(gen, np.linspace(0.0, 25.0, 6), 400, 3)
+    assert [row[0] for row in report.rows] == list(tail.t_grid)
+    assert [row[2] for row in report.rows] == list(tail.freq)
+    assert [row[1] for row in report.rows] == [
+        tropp_bound(gen.input, t) for t in tail.t_grid]
+    assert report.summary["mixing"] is False
+    assert report.summary["violations"] == 0
+    assert report.config == {"seed": 3}
+    # an AR-copula regressor switches to the blocked bound at t / 6
+    mixed = concentration_study(ConcentrationStudyConfig(
+        kind="rademacher", n=50, reps=400, t_max=25.0, t_count=6, seed=3,
+        regressor="ar_copula", rho=0.5, q=5))
+    inp = TailBoundInput(d1=1, d2=1, n=50, r_bound=1.0, s2=1.0, q=5)
+    assert [row[1] for row in mixed.rows] == [
+        mixing_bound(inp, t / 6.0) for t in tail.t_grid]
+    with pytest.raises(ConfigurationError, match="`q`"):
+        ConcentrationStudyConfig(kind="rademacher", n=50, reps=10, t_max=1.0,
+                                 regressor="ar_copula", rho=0.5, q=26)
+    with pytest.raises(ConfigurationError, match="`kind`"):
+        ConcentrationStudyConfig(kind="gaussian", n=50, reps=10, t_max=1.0)
+    with pytest.raises(ConfigurationError, match="basis"):
+        ConcentrationStudyConfig(kind="gram_deviation", n=50, reps=10,
+                                 t_max=1.0)

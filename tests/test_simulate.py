@@ -3,7 +3,8 @@ import pytest
 from scipy import stats
 from scipy.special import ndtr
 
-from sievereg.basis import BasisSpec
+from sievereg.basis import BasisSpec, ConfigurationError
+from sievereg.concentration import ConcentrationStudyConfig
 from sievereg.simulate import (CoverageStudyConfig, DgpSpec, ErrorSpec,
                                RateStudyConfig, RegressorSpec,
                                StabilityStudyConfig, bump_sigma,
@@ -212,3 +213,32 @@ def test_iid_uniform_matches_probit_of_normals():
     rng2 = np.random.default_rng(31)
     z = rng2.standard_normal((1, 50, 2))
     assert np.array_equal(x, ndtr(z))
+
+
+_STUDY_CONFIGS = {
+    "rate": lambda **kw: RateStudyConfig(**{
+        "dgp": DgpSpec(), "basis_spec": BasisSpec.bspline(3, 2),
+        "n_grid": (200, 400), "reps": 2, **kw}),
+    "coverage": lambda **kw: CoverageStudyConfig(**{
+        "dgp": DgpSpec(), "basis_spec": BasisSpec.wavelet(1, 3), "n": 400,
+        "functional": FunctionalSpec.point_eval(0.37), "reps": 2, **kw}),
+    "stability": lambda **kw: StabilityStudyConfig(**{
+        "dgp": DgpSpec(), "basis_specs": (BasisSpec.wavelet(1, 3),),
+        "k_grid": (8,), "n_grid": (400,), "reps": 2, **kw}),
+    "concentration": lambda **kw: ConcentrationStudyConfig(**{
+        "kind": "rademacher", "n": 50, "reps": 10, "t_max": 1.0, **kw}),
+}
+
+
+@pytest.mark.parametrize("study,field,value", [
+    ("rate", "reps", 0), ("rate", "n_grid", (0, 500)),
+    ("coverage", "reps", 0), ("coverage", "n", 0),
+    ("stability", "reps", 0), ("stability", "k_grid", (0,)),
+    ("stability", "n_grid", (0,)),
+    ("concentration", "reps", 0), ("concentration", "t_count", 0),
+    ("concentration", "n", 0),
+])
+def test_study_configs_reject_non_positive_counts(study, field, value):
+    _STUDY_CONFIGS[study]()          # the valid baseline builds
+    with pytest.raises(ConfigurationError, match=f"`{field}`"):
+        _STUDY_CONFIGS[study](**{field: value})
