@@ -8,8 +8,8 @@ linear and nonlinear functionals; and validates matrix Bernstein tail
 bounds (independent and beta-mixing) against simulation.
 """
 
-from .basis import (BasisSpec, BasisSystem, ConfigurationError, build_basis,
-                    spec_with_size)
+from .basis import (BasisSpec, BasisSystem, ConfigurationError, LocalDesign,
+                    build_basis, spec_with_size)
 from .concentration import (ConcentrationStudyConfig, GramDeviationGenerator,
                             RademacherGenerator, TailBoundInput,
                             ZeroGenerator, concentration_study,
@@ -19,12 +19,11 @@ from .daubechies import (CascadeError, ScalingFamily, load_family,
 from .estimator import (FitResult, OracleProjection, fit, holder_kink,
                         l2_error, project_oracle, smooth_trig, sup_error,
                         named_target)
-from .gram import (DmsBound, EmpiricalLebesgue, GramFactor, GramSummary,
-                   NumericError, dms_bound, empirical_gram,
-                   empirical_gram_matrix, gram_deviation, identifiability_gap,
-                   lambda_constant, lebesgue_constant_empirical,
-                   lebesgue_constant_theoretical, theoretical_gram,
-                   zeta_constant)
+from .gram import (DmsBound, EmpiricalLebesgue, GramFactor, NumericError,
+                   dms_bound, empirical_gram, empirical_gram_matrix,
+                   gram_deviation, lambda_constant,
+                   lebesgue_constant_empirical, lebesgue_constant_theoretical,
+                   theoretical_gram, zeta_constant)
 from .inference import (FunctionalReport, FunctionalSpec, confidence_interval,
                         functional_report, nonlinear_functional_eval,
                         omega_hat, riesz_representer, sieve_variance_oracle,

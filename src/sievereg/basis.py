@@ -22,6 +22,10 @@ Conventions:
   of basis within the span);
 * an optional axis-aligned box turns the basis into its weighted version:
   every function is multiplied by the indicator of the box.
+
+Every family is computed in the local form of :class:`LocalDesign`: the
+w**d functions per point that can be nonzero there (w is r for order-r
+splines, 2N for Daubechies-N, 1 for Haar, K0 for trig and power).
 """
 
 from dataclasses import dataclass, replace
@@ -38,6 +42,35 @@ _FAMILIES = ("bspline", "wavelet", "trig", "power")
 
 class ConfigurationError(ValueError):
     """A basis or study specification violates one of its constraints."""
+
+
+@dataclass(frozen=True)
+class LocalDesign:
+    """Row i of the dense (n, size) design holds vals[i] at the ascending
+    columns cols[i] and 0 elsewhere.  The columns are the tensor product of
+    one window of consecutive functions per coordinate, so cols[i, 0]
+    identifies the whole window.
+    """
+
+    cols: np.ndarray    # (n, w**d) int
+    vals: np.ndarray    # (n, w**d)
+    size: int
+
+    def dense(self):
+        """The (n, size) design; a full-width window is vals itself."""
+        n, w = self.vals.shape
+        if w == self.size:
+            return self.vals
+        out = np.zeros((n, self.size))
+        out.ravel()[self.cols + (self.size * np.arange(n))[:, None]] = self.vals
+        return out
+
+    def windows(self):
+        """Yield (cols, rows) per window: its columns and its row indices."""
+        order = np.argsort(self.cols[:, 0], kind="stable")
+        cuts = np.flatnonzero(np.diff(self.cols[order, 0])) + 1
+        for rows in np.split(order, cuts):
+            yield self.cols[rows[0]], rows
 
 
 @dataclass(frozen=True)
@@ -192,18 +225,25 @@ class _Univariate:
             self.breakpoints = np.arange(n_panels + 1) / n_panels
 
     def values(self, x):
+        """(first, vals): point i's active functions are first[i] + 0..w-1."""
         fam = self.spec.family
         if fam == "bspline":
-            vals = bsplines.design_matrix(self.knots, self.spec.order, x)
-            vals *= self.scale   # in place: the design can be n x K large
-            return vals
+            first, vals = bsplines.design_matrix(self.knots, self.spec.order,
+                                                 x, local=True)
+            vals *= self.scale
+            return first, vals
         if fam == "wavelet":
             if self.spec.n_moments == 1:
                 return _haar_values(x, self.spec.level)
             return _wavelet_values(x, self.spec.level, self.family_tab)
-        if fam == "trig":
-            return _trig_values(x, self.spec.degree)
-        return _legendre_values(x, self.spec.degree)
+        series = _trig_values if fam == "trig" else _legendre_values
+        vals = series(x, self.spec.degree)
+        return np.zeros(len(vals), dtype=np.intp), vals
+
+    def dense(self, x):
+        first, vals = self.values(x)
+        cols = (first + np.arange(vals.shape[1])[:, None]).T
+        return LocalDesign(cols, vals, self.size).dense()
 
     def gradients(self, x):
         fam = self.spec.family
@@ -214,10 +254,8 @@ class _Univariate:
                 return np.zeros((np.atleast_1d(x).size, self.size))
             # central difference at one tabulation cell (diagnostic use only)
             h = 2.0 ** (-(self.spec.level + self.family_tab.depth))
-            up = _wavelet_values(np.clip(x + h, 0.0, 1.0), self.spec.level,
-                                 self.family_tab)
-            dn = _wavelet_values(np.clip(x - h, 0.0, 1.0), self.spec.level,
-                                 self.family_tab)
+            up = self.dense(np.clip(x + h, 0.0, 1.0))
+            dn = self.dense(np.clip(x - h, 0.0, 1.0))
             return (up - dn) / (2.0 * h)
         if fam == "trig":
             return _trig_gradients(x, self.spec.degree)
@@ -227,61 +265,59 @@ class _Univariate:
 def _haar_values(x, level):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     k0 = 2 ** level
-    cells = np.minimum((x * k0).astype(int), k0 - 1)  # x = 1 joins the last cell
-    out = np.zeros((x.size, k0))
-    out[np.arange(x.size), cells] = np.sqrt(k0)
-    return out
+    cells = np.minimum((x * k0).astype(np.intp), k0 - 1)  # x = 1: last cell
+    return cells, np.full((x.size, 1), np.sqrt(k0))
 
 
 def _wavelet_supports(n_moments, level):
+    """[(k - N + 1) / 2^J, (k + N) / 2^J] clipped to [0, 1] for function k."""
     k0 = 2 ** level
-    n = n_moments
-    sup = np.empty((k0, 2))
-    for k in range(n):
-        sup[k] = (0.0, min(1.0, (n + k) / k0))
-    for k in range(n, k0 - n):
-        sup[k] = ((k - n + 1) / k0, (k + n) / k0)
-    for k in range(1, n + 1):
-        sup[k0 - k] = (max(0.0, 1.0 - (n + k - 1) / k0), 1.0)
-    if n == 1:
-        sup = np.column_stack([np.arange(k0) / k0, np.arange(1, k0 + 1) / k0])
-    return sup
+    k = np.arange(k0)
+    return np.column_stack([np.maximum(k - n_moments + 1, 0),
+                            np.minimum(k + n_moments, k0)]) / k0
 
 
 def _wavelet_values(x, level, family):
-    """Tabulated Daubechies scaling functions at x.
+    """Tabulated Daubechies scaling functions on each point's window:
+    (first, vals) with vals of shape (n, 2N).
 
-    Each function is interpolated only at the points inside its closed
-    support, a window of the sorted points, so the work is O(n (2N - 1))
-    for n points rather than O(n K); elsewhere it is 0.
+    The window of cell c is the 2N - 1 functions overlapping it plus
+    function c + N: a right-edge table rises from 0 to phi[0] (7.7e-9 for
+    N = 2, not 0, after the cascade) one tabulation step before its
+    support.  Each value is computed as np.interp would on the function's
+    own table (same nodes, slope and formula), so it equals a per-function
+    interpolation.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     k0 = 2 ** level
     n = family.n_moments
+    w = 2 * n
     u = x * k0
-    order = np.argsort(u, kind="stable")
-    u = u[order]
-    scale = np.sqrt(k0)
-    out = np.zeros((x.size, k0))
-
-    def put(col, tab, t_sorted, lo):
-        """Column `col` from table `tab` starting at `lo`, on its support."""
-        grid = lo + family.step * np.arange(tab.size)
-        first = np.searchsorted(t_sorted, grid[0], side="left")
-        last = np.searchsorted(t_sorted, grid[-1], side="right")
-        out[order[first:last], col] = scale * np.interp(
-            t_sorted[first:last], grid, tab, left=0.0, right=0.0)
-
-    # left-edge functions live on [0, 2N-1] at unit scale
-    for k in range(n):
-        put(k, family.left[k], u, 0.0)
-    # interior shifts: phi(u - k) with centered support [k-N+1, k+N]
-    for k in range(n, k0 - n):
-        put(k, family.phi, u, float(k - n + 1))
-    # right-edge functions live on [-(2N-1), 0] relative to u = 2^J
-    for k in range(1, n + 1):
-        put(k0 - k, family.right[k - 1], u - k0, -(2.0 * n - 1.0))
-    return out
+    first = np.clip(np.minimum(u.astype(np.intp), k0 - 1) - (n - 1), 0, k0 - w)
+    j = first[:, None] + np.arange(w)
+    # per column: its table in [left..., phi, right...], the table's first
+    # node, and whether it is a right-edge function (read at u - 2^J)
+    col = np.arange(k0)
+    right = col >= k0 - n
+    tid = np.where(col < n, col, np.where(right, n + k0 - col, n))
+    start = np.where(col < n, 0.0, np.where(right, 1.0 - 2.0 * n, col - n + 1.0))
+    tables = np.vstack([family.left, family.phi, family.right])
+    size = tables.shape[1]
+    # a repeated last value: slope 0 at the last node, which then reads exactly
+    tables = np.pad(tables, ((0, 0), (0, 1)), mode="edge").ravel()
+    step = family.step
+    t = np.where(right[j], u[:, None] - k0, u[:, None])
+    lo = start[j]
+    # node index left of t, corrected for rounding in t - lo
+    i = np.floor((t - lo) / step).astype(np.intp)
+    i -= lo + step * i > t
+    i += lo + step * (i + 1) <= t
+    inside = (i >= 0) & (i < size)
+    i = np.clip(i, 0, size - 1)
+    at = tid[j] * (size + 1) + i
+    f0, f1 = tables[at], tables[at + 1]
+    vals = (f1 - f0) / step * (t - (lo + step * i)) + f0
+    return first, np.sqrt(k0) * np.where(inside, vals, 0.0)
 
 
 def _trig_values(x, degree):
@@ -386,23 +422,36 @@ class BasisSystem:
                         axis=1)
         return inside
 
+    def local(self, x):
+        """LocalDesign of b_w at the points: w**d active columns per point."""
+        return self._local(self._as_points(x)[0])
+
+    def _local(self, pts):
+        n, k0 = pts.shape[0], self.spec.size_1d
+        for a in range(self.spec.dim):
+            first, v = self._uni.values(pts[:, a])
+            c = (first + np.arange(v.shape[1])[:, None]).T   # F-ordered
+            if a == 0:
+                cols, vals = c, v
+            else:
+                cols = (cols[:, :, None] * k0 + c[:, None, :]).reshape(n, -1)
+                vals = (vals[:, :, None] * v[:, None, :]).reshape(n, -1)
+        inside = self._weight(pts)
+        if inside is not None:
+            vals[~inside] = 0.0
+        return LocalDesign(cols, vals, self.size)
+
     def evaluate(self, x):
         """Weighted basis vector b_w(x): shape (K,) or (n, K)."""
         pts, squeeze = self._as_points(x)
-        cols = [self._uni.values(pts[:, a]) for a in range(self.spec.dim)]
-        out = cols[0]
-        for a in range(1, self.spec.dim):
-            out = (out[:, :, None] * cols[a][:, None, :]).reshape(pts.shape[0], -1)
-        inside = self._weight(pts)
-        if inside is not None:
-            out[~inside] = 0.0
+        out = self._local(pts).dense()
         return out[0] if squeeze else out
 
     def evaluate_gradient(self, x):
         """Gradient of the weighted basis: shape (K, d) or (n, K, d)."""
         pts, squeeze = self._as_points(x)
         d = self.spec.dim
-        vals = [self._uni.values(pts[:, a]) for a in range(d)]
+        vals = [self._uni.dense(pts[:, a]) for a in range(d)]
         grads = [self._uni.gradients(pts[:, a]) for a in range(d)]
         n = pts.shape[0]
         out = np.empty((n, self.size, d))

@@ -27,14 +27,16 @@ def knot_vector(order, n_interior):
     return np.concatenate([np.zeros(order), interior, np.ones(order)])
 
 
-def design_matrix(knots, order, x):
+def design_matrix(knots, order, x, local=False):
     """Evaluate all splines of `order` on `knots` at the points `x`.
 
     Returns an ``(len(x), K)`` array with ``K = len(knots) - order``.  Only
     the `order` functions that can be nonzero at a point are computed: the
     Cox-de Boor triangle runs on them (de Boor, *A Practical Guide to
     Splines*), with the convention 0/0 = 0 at repeated knots, and the result
-    is scattered into the dense array.
+    is scattered into the dense array.  ``local=True`` returns ``(first,
+    vals)`` instead: the values ``vals[i]`` of functions ``first[i] + 0..r-1``;
+    it needs full-multiplicity end knots, as `knot_vector` builds.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     n_funcs = knots.size - order
@@ -50,10 +52,12 @@ def design_matrix(knots, order, x):
                    nonempty[0], nonempty[-1])
     row = span - nonempty[0]
     spans = np.arange(nonempty[0], nonempty[-1] + 1)
+    if local and lead + trail:
+        raise ValueError("the local form needs end knots of full multiplicity")
     # the dense output first: allocated after the triangle's temporaries it
     # fragments the heap and raises the peak resident memory
     n_all = t.size - order
-    out = np.zeros((x.size, n_all))
+    out = None if local else np.zeros((x.size, n_all))
     # vals[1:k] holds the k - 1 active values of order k - 1 at each point,
     # between zeros; order 1 is the indicator of the interval, 0 off the knot
     # range.  Points run along the last axis so every operation is long.
@@ -77,6 +81,8 @@ def design_matrix(knots, order, x):
                  / at_points(np.where(has_r, denom_r, 1.0))
                  * vals[1:k + 1] * at_points(has_r))
         vals[1:k + 1] = left + right
+    if local:
+        return span - (order - 1), vals[1:].T
     first = np.arange(x.size) * n_all + span - (order - 1)
     out.ravel()[first + np.arange(order)[:, None]] = vals[1:]
     return np.ascontiguousarray(out[:, lead:lead + n_funcs])

@@ -29,7 +29,8 @@ from .reporting import (fmt, write_detail_csv, write_matrix_csv,
                         write_report, write_summary_json)
 from .simulate import (CoverageStudyConfig, DgpSpec, ErrorSpec,
                        RateStudyConfig, RegressorSpec, StabilityStudyConfig,
-                       coverage_study, rate_study, stability_study)
+                       _check_at_least, coverage_study, rate_study,
+                       stability_study)
 
 
 class AcceptanceFailure(RuntimeError):
@@ -368,6 +369,7 @@ def _cmd_gram_report(cfg, out_dir, args):
     spec = _basis_spec(cfg["basis"])
     basis = build_basis(spec)
     block = cfg["gram"]
+    _check_at_least(0, seed=block.get("seed", 0))
     with _config_values():
         density = density_by_name(block.get("density", "uniform"), spec.dim)
         if block.get("density") == "sine" and "amplitude" in block:
@@ -381,9 +383,10 @@ def _cmd_gram_report(cfg, out_dir, args):
     if "n" in block:
         rng = np.random.default_rng([int(block.get("seed", 0)), 7])
         x = density.sample(rng, block["n"], spec.dim)
-        summ = empirical_gram(basis, x, gram_th, grid=sup_grid(basis))
-        write_matrix_csv(os.path.join(out_dir, "gram_emp.csv"), summ.gram_emp)
-        summary.update(summ.to_jsonable())
+        gram_emp, report = empirical_gram(basis, x, gram_th,
+                                          grid=sup_grid(basis))
+        write_matrix_csv(os.path.join(out_dir, "gram_emp.csv"), gram_emp)
+        summary.update(report)
         summary["matrices"]["gram_emp"] = "gram_emp.csv"
     write_summary_json(os.path.join(out_dir, "summary.json"), summary)
     pairs = [("K", basis.size), ("density", density.name)]

@@ -26,7 +26,7 @@ import numpy as np
 from .basis import ConfigurationError, build_basis
 from .gram import GramFactor, theoretical_gram, zeta_constant
 from .quadrature import uniform_density
-from .simulate import (RegressorSpec, StudyReport, _check_positive,
+from .simulate import (RegressorSpec, StudyReport, _check_at_least,
                        regressor_paths)
 
 
@@ -224,7 +224,8 @@ class ConcentrationStudyConfig:
     basis_spec: object = None
 
     def __post_init__(self):
-        _check_positive(reps=self.reps, t_count=self.t_count, n=self.n)
+        _check_at_least(1, reps=self.reps, t_count=self.t_count, n=self.n)
+        _check_at_least(0, seed=self.seed)
         if self.kind not in ("gram_deviation", "rademacher", "zero"):
             raise ConfigurationError(f"`kind`: unknown generator {self.kind!r}")
         if self.kind == "gram_deviation" and self.basis_spec is None:

@@ -74,34 +74,6 @@ class GramFactor:
         return float(dev) if dev.ndim == 0 else dev
 
 
-@dataclass
-class GramSummary:
-    """Theoretical and empirical Grams plus the constants derived from them.
-
-    dev is the spectral norm of the whitened empirical Gram minus identity;
-    zeta is the grid sup of ||b_w(x)||; lam is lambda_min(G)^{-1/2};
-    bandwidth is the half-band of G (max |i-j| with a nonzero entry).
-    """
-
-    gram: np.ndarray
-    gram_emp: np.ndarray
-    dev: float
-    zeta: float
-    lam: float
-    bandwidth: int
-    n: int
-
-    def to_jsonable(self):
-        return {
-            "dev": self.dev,
-            "zeta": self.zeta,
-            "lambda": self.lam,
-            "bandwidth": self.bandwidth,
-            "n": self.n,
-            "k": int(self.gram.shape[0]),
-        }
-
-
 def theoretical_gram(basis, density, quad=None):
     """K x K matrix of L2(X) inner products of the weighted basis."""
     if quad is None:
@@ -116,7 +88,8 @@ def empirical_gram_matrix(basis, x):
 
 
 def gram_deviation(gram, gram_emp):
-    """Spectral norm of G^{-1/2} G_emp G^{-1/2} - I.
+    """Spectral norm of G^{-1/2} G_emp G^{-1/2} - I: the worst relative gap
+    |n^{-1} sum b(X_i)^2 - 1| over unit-L2(X) functions b in the sieve.
 
     `gram` is G or its GramFactor; passing the factor reuses its
     decomposition across many empirical Grams.
@@ -151,29 +124,19 @@ def half_bandwidth(mat, rel_tol=1e-12):
 
 
 def empirical_gram(basis, x, gram, grid=None):
-    """GramSummary for a sample, given the theoretical Gram."""
+    """(B'B/n, report) for a sample, given the theoretical Gram G.
+
+    The report holds dev (the whitened deviation), zeta (the grid sup of
+    ||b_w(x)||), lambda ([lambda_min(G)]^{-1/2}), bandwidth (the half-band
+    of G: max |i-j| with a nonzero entry), n and k.
+    """
     x = points_2d(x)
     gram_emp = empirical_gram_matrix(basis, x)
     factor = GramFactor(gram)
-    return GramSummary(
-        gram=gram,
-        gram_emp=gram_emp,
-        dev=factor.deviation(gram_emp),
-        zeta=zeta_constant(basis, grid=grid),
-        lam=factor.lam,
-        bandwidth=half_bandwidth(gram),
-        n=x.shape[0],
-    )
-
-
-def identifiability_gap(basis, x, gram):
-    """Worst relative empirical-vs-theoretical second-moment gap on the sieve.
-
-    Equals sup over unit-L2(X) functions b in the span of
-    |n^{-1} sum b(X_i)^2 - 1|, which reduces to the spectral norm of the
-    whitened empirical Gram minus the identity.
-    """
-    return gram_deviation(gram, empirical_gram_matrix(basis, x))
+    return gram_emp, {"dev": factor.deviation(gram_emp),
+                      "zeta": zeta_constant(basis, grid=grid),
+                      "lambda": factor.lam, "bandwidth": half_bandwidth(gram),
+                      "n": x.shape[0], "k": int(gram.shape[0])}
 
 
 # grid rows per kernel block: a (64, 20000) block is 10 MB, the grid chunk's
@@ -184,23 +147,33 @@ _KERNEL_ROWS = 64
 def _kernel_abs_sup(basis, grid, half, chunk, weights=None):
     """max over grid points x of sum_j |b(x)' half[:, j]| (times weights[j]).
 
-    The grid is evaluated `chunk` points at a time and the kernel product
-    formed _KERNEL_ROWS rows at a time into one reused buffer, overwritten
-    in place by |.| and the weights.  The row sums are numpy reductions,
-    not a threaded BLAS gemv whose row split moves with the block size and
-    thread count, so the result does not depend on the blocking.
+    The grid's LocalDesign is taken `chunk` points at a time and grouped
+    by window, and a group's rows multiply only the window's rows of
+    `half`: O(G n w) for G grid points where a dense product is O(G n K).
+    A row equal to the one before it (a Haar cell on a sorted grid) is not
+    formed again.  Products are formed _KERNEL_ROWS rows at a time into one
+    reused buffer, overwritten in place by |.| and the weights.  The row
+    sums are numpy reductions, not a threaded BLAS gemv whose row split
+    moves with the block size and thread count, so the result does not
+    depend on the blocking.
     """
-    buf = np.empty((min(_KERNEL_ROWS, grid.shape[0]), half.shape[1]))
+    buf = np.empty((_KERNEL_ROWS, half.shape[1]))
     best = 0.0
     for start in range(0, grid.shape[0], chunk):
-        bx = basis.evaluate(grid[start:start + chunk])   # (c, K)
-        for row in range(0, bx.shape[0], _KERNEL_ROWS):
-            block = bx[row:row + _KERNEL_ROWS]
-            kern = np.matmul(block, half, out=buf[:block.shape[0]])
-            np.abs(kern, out=kern)
-            if weights is not None:
-                kern *= weights
-            best = max(best, float(np.max(np.sum(kern, axis=1))))
+        local = basis.local(grid[start:start + chunk])
+        for cols, rows in local.windows():
+            vals = local.vals[rows]
+            vals = vals[np.r_[True, np.any(vals[1:] != vals[:-1], axis=1)]]
+            lo, hi = cols[0], cols[-1] + 1
+            # (w**d, n): a view when the window's columns are consecutive
+            sub = half[lo:hi] if hi - lo == cols.size else half[cols]
+            for row in range(0, vals.shape[0], _KERNEL_ROWS):
+                block = vals[row:row + _KERNEL_ROWS]
+                kern = np.matmul(block, sub, out=buf[:block.shape[0]])
+                np.abs(kern, out=kern)
+                if weights is not None:
+                    kern *= weights
+                best = max(best, float(np.max(np.sum(kern, axis=1))))
     return best
 
 

@@ -90,9 +90,6 @@ class Quadrature:
     nodes: np.ndarray
     weights: np.ndarray
 
-    def integrate(self, fn):
-        return float(self.weights @ np.asarray(fn(self.nodes), dtype=float))
-
 
 def gauss_panels(breakpoints, n_nodes):
     """Composite Gauss-Legendre rule over the given panel edges."""
@@ -172,7 +169,11 @@ def sup_grid(basis, base_points=None):
 
 
 def weighted_basis_gram(basis, quad, point_weight=None, chunk=65536):
-    """Accumulate sum_q w_q g(y_q) b(y_q) b(y_q)' in node chunks."""
+    """Accumulate sum_q w_q g(y_q) b(y_q) b(y_q)' in node chunks.
+
+    Each window's nodes add V' (V w) to the window's block of the Gram:
+    O(Q w^2d) for Q nodes where a dense product is O(Q K^2).
+    """
     k = basis.size
     gram = np.zeros((k, k))
     nodes, weights = quad.nodes, quad.weights
@@ -181,6 +182,8 @@ def weighted_basis_gram(basis, quad, point_weight=None, chunk=65536):
         w = weights[start:start + chunk]
         if point_weight is not None:
             w = w * point_weight(pts)
-        vals = basis.evaluate(pts)
-        gram += vals.T @ (vals * w[:, None])
+        local = basis.local(pts)
+        for cols, rows in local.windows():
+            vals = local.vals[rows]
+            gram[np.ix_(cols, cols)] += vals.T @ (vals * w[rows, None])
     return 0.5 * (gram + gram.T)

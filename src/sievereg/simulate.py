@@ -81,15 +81,22 @@ def bump_sigma(pts):
     return 0.5 + np.mean(pts * (1.0 - pts), axis=1)
 
 
-def _check_positive(**fields):
-    """ConfigurationError unless each value is an integer >= 1 or a
+def _check_at_least(low, **fields):
+    """ConfigurationError unless each value is an integer >= low or a
     non-empty grid of them."""
+    kind = ("a non-negative integer" if low == 0 else
+            "a positive integer" + (f" >= {low}" if low > 1 else ""))
     for name, value in fields.items():
         items = np.ravel(value).tolist()
-        if not items or not all(isinstance(v, int) and v >= 1 for v in items):
+        if not items or not all(isinstance(v, int) and v >= low for v in items):
             raise ConfigurationError(
-                f"`{name}` must be a positive integer (or a non-empty grid "
-                f"of them), got {value!r}")
+                f"`{name}` must be {kind} (or a non-empty grid of them), "
+                f"got {value!r}")
+
+
+def _check_krule_c(c):
+    if not (np.isfinite(c) and c > 0.0):
+        raise ConfigurationError(f"`krule_c` must be a finite number > 0, got {c}")
 
 
 def _check_dims(dgp, *specs):
@@ -112,7 +119,7 @@ class DgpSpec:
     h0: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_positive(dim=self.dim)
+        _check_at_least(1, dim=self.dim)
         object.__setattr__(self, "h0",
                            named_target(self.h0_name, p=self.smoothness))
 
@@ -219,7 +226,10 @@ class RateStudyConfig:
     synthetic_slope: float = -0.4
 
     def __post_init__(self):
-        _check_positive(reps=self.reps, n_grid=self.n_grid)
+        _check_at_least(1, reps=self.reps)
+        _check_at_least(2, n_grid=self.n_grid)      # k_rule divides by log n
+        _check_at_least(0, seed=self.seed)
+        _check_krule_c(self.krule_c)
         _check_dims(self.dgp, self.basis_spec)
 
 
@@ -303,7 +313,10 @@ class CoverageStudyConfig:
     threads: int = 1
 
     def __post_init__(self):
-        _check_positive(reps=self.reps, n=self.n)
+        _check_at_least(1, reps=self.reps)
+        _check_at_least(2, n=self.n)                # k_rule divides by log n
+        _check_at_least(0, seed=self.seed)
+        _check_krule_c(self.krule_c)
         _check_dims(self.dgp, self.basis_spec)
         if not 0.0 < self.level < 1.0:
             raise ConfigurationError(f"`level` must be in (0, 1), got {self.level}")
@@ -376,8 +389,9 @@ class StabilityStudyConfig:
     lebesgue: bool = True        # skip the costly sup computation when False
 
     def __post_init__(self):
-        _check_positive(reps=self.reps, k_grid=self.k_grid,
+        _check_at_least(1, reps=self.reps, k_grid=self.k_grid,
                         n_grid=self.n_grid)
+        _check_at_least(0, seed=self.seed)
         _check_dims(self.dgp, *self.basis_specs)
 
 

@@ -255,3 +255,75 @@ def test_wavelet_unity_and_zeros_off_support_property(n_moments, level, xs):
     interior = (u >= 2 * n_moments - 1) & (u <= k0 - 2 * n_moments)
     total = vals[interior].sum(axis=1) / np.sqrt(k0)
     assert np.all(np.abs(total - 1.0) < 1e-7)
+
+
+_LOCAL_SPECS = st.one_of(
+    st.builds(BasisSpec.bspline, order=st.integers(1, 5),
+              n_interior=st.integers(0, 12), dim=st.integers(1, 2)),
+    st.builds(BasisSpec.wavelet, n_moments=st.just(1),
+              level=st.integers(1, 5), dim=st.integers(1, 2)),
+    st.builds(BasisSpec.wavelet, n_moments=st.sampled_from([2, 3]),
+              level=st.integers(3, 5), dim=st.integers(1, 2)),
+    st.builds(BasisSpec.trig, degree=st.integers(0, 6), dim=st.integers(1, 2)),
+    st.builds(BasisSpec.power, degree=st.integers(0, 8), dim=st.integers(1, 2)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec=_LOCAL_SPECS, xs=_POINTS, boxed=st.booleans())
+def test_local_design_scatters_to_evaluate_property(spec, xs, boxed):
+    basis = build_basis(spec)
+    if boxed:
+        basis = basis.with_weight_box(0.2, 0.7)
+    x1 = np.concatenate([xs, [0.0, 0.2, 0.7, 1.0], basis.breakpoints_1d])
+    if spec.dim == 1:
+        x = x1[:, None]
+    else:
+        edges = basis.breakpoints_1d[::3]
+        grid = np.stack(np.meshgrid(edges, edges, indexing="ij"), -1)
+        x = np.vstack([np.column_stack([x1, x1[::-1]]), grid.reshape(-1, 2)])
+    local = basis.local(x)
+    dense = np.zeros((x.shape[0], basis.size))
+    for i in range(x.shape[0]):
+        dense[i, local.cols[i]] = local.vals[i]
+    assert dense.tobytes() == basis.evaluate(x).tobytes()
+    assert local.cols.min() >= 0 and local.cols.max() < basis.size
+    assert np.all(np.diff(local.cols, axis=1) > 0)
+    # the first column names the window
+    for cols, rows in local.windows():
+        assert np.all(local.cols[rows] == cols)
+
+
+def _per_function_interp(basis, x):
+    """Each Daubechies function interpolated at all points by np.interp."""
+    fam, k0 = basis.tab_family, basis.size
+    n = fam.n_moments
+    u = x * k0
+    out = np.zeros((x.size, k0))
+    for k in range(k0):
+        if k < n:
+            tab, lo, t = fam.left[k], 0.0, u
+        elif k >= k0 - n:
+            tab, lo, t = fam.right[k0 - k - 1], 1.0 - 2.0 * n, u - k0
+        else:
+            tab, lo, t = fam.phi, float(k - n + 1), u
+        nodes = lo + fam.step * np.arange(tab.size)
+        out[:, k] = np.sqrt(k0) * np.interp(t, nodes, tab, left=0.0, right=0.0)
+    return out
+
+
+@pytest.mark.parametrize("n_moments,level", [(2, 3), (2, 5), (3, 3), (3, 4)])
+def test_wavelet_window_matches_per_function_interp(n_moments, level):
+    # every tabulation node, the midpoints and one-ulp neighbours of the
+    # cell edges, and random points: the by-point window interpolation
+    # reproduces a per-function np.interp bit for bit
+    basis = build_basis(BasisSpec.wavelet(n_moments, level))
+    k0, step = basis.size, basis.tab_family.step
+    nodes = np.arange(k0 * 2 ** basis.tab_family.depth + 1) * step / k0
+    edges = np.arange(k0 + 1) / k0
+    x = np.concatenate([
+        nodes, nodes[:-1] + 0.5 * step / k0,
+        np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+        np.random.default_rng(level).uniform(0, 1, 5000)])
+    x = np.clip(x, 0.0, 1.0)
+    assert basis.evaluate(x).tobytes() == _per_function_interp(basis, x).tobytes()

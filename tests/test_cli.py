@@ -284,6 +284,53 @@ def test_rejected_config_values_exit_2(tmp_path, capsys, command, text,
     assert not out.exists()
 
 
+RATE0 = RATE.format(extra="")
+STABILITY = f"[study]\nreps = 2\nk_grid = 8\nn_grid = 400\n{BASIS_BLOCK}"
+
+
+@pytest.mark.parametrize("command,text,named", [
+    ("rate-study", RATE0.replace("n_grid = 200", "n_grid = 200\nseed = -3"),
+     "`seed`"),
+    ("coverage-study", COVERAGE.format(reps=5, n=400)
+     .replace("n = 400\n", "n = 400\nseed = -3\n"), "`seed`"),
+    ("stability-study", STABILITY.replace("n_grid = 400", "n_grid = 400\n"
+                                          "seed = -3"), "`seed`"),
+    ("concentration-study", CONCENTRATION.format(reps=10, t=5, n=50)
+     .replace("t_count = 5", "t_count = 5\nseed = -3"), "`seed`"),
+    ("gram-report", GRAM.format(extra="n = 50\nseed = -3\n"), "`seed`"),
+    ("rate-study", RATE0.replace("n_grid = 200", "n_grid = 1,200"), "`n_grid`"),
+    ("coverage-study", COVERAGE.format(reps=5, n=1), "`n`"),
+    ("rate-study", RATE0.replace("n_grid = 200", "n_grid = 200\nkrule_c = -1"),
+     "`krule_c`"),
+    ("rate-study", RATE0.replace("n_grid = 200", "n_grid = 200\nkrule_c = nan"),
+     "`krule_c`"),
+    ("coverage-study", COVERAGE.format(reps=5, n=400)
+     .replace("n = 400\n", "n = 400\nkrule_c = 0\n"), "`krule_c`"),
+    ("coverage-study", COVERAGE.format(reps=5, n=400)
+     .replace("n = 400\n", "n = 400\nkrule_c = inf\n"), "`krule_c`"),
+], ids=["rate-seed", "coverage-seed", "stability-seed", "concentration-seed",
+        "gram-seed", "rate-n_grid-1", "coverage-n-1", "rate-krule_c-neg",
+        "rate-krule_c-nan", "coverage-krule_c-0", "coverage-krule_c-inf"])
+def test_negative_seed_short_samples_and_bad_krule_c_exit_2(
+        tmp_path, capsys, command, text, named):
+    cfg = tmp_path / "bad.ini"
+    _write(cfg, text)
+    out = tmp_path / "o"
+    assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and named in err
+    assert not out.exists()
+
+
+def test_negative_seed_flag_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "gram.ini"
+    _write(cfg, GRAM.format(extra="n = 50\n"))
+    out = tmp_path / "o"
+    assert run(["gram-report", "--config", str(cfg), "--out", str(out),
+                "--seed", "-1"]) == 2
+    assert "`seed`" in capsys.readouterr().err
+
+
 def test_zero_generator_runs_under_mixing_regressor(tmp_path):
     # the mixing bound asks every generator for its beta envelope
     cfg = tmp_path / "zero.ini"

@@ -5,8 +5,8 @@ import scipy.linalg
 from sievereg.basis import BasisSpec, build_basis
 from sievereg.gram import (DmsBound, GramFactor, NumericError, dms_bound,
                            empirical_gram, empirical_gram_matrix,
-                           gram_deviation, identifiability_gap,
-                           lambda_constant, lebesgue_constant_empirical,
+                           gram_deviation, lambda_constant,
+                           lebesgue_constant_empirical,
                            lebesgue_constant_theoretical, theoretical_gram,
                            zeta_constant)
 from sievereg.quadrature import (basis_quadrature, sine_density, sup_grid,
@@ -43,12 +43,12 @@ def test_closed_form_linear_spline_gram():
 def test_balanced_design_gram(haar2):
     basis, gram = haar2
     x = np.array([0.125, 0.375, 0.625, 0.875])
-    summary = empirical_gram(basis, x, gram)
-    assert np.max(np.abs(summary.gram_emp - np.eye(4))) < 1e-15
-    assert summary.dev < 1e-14
-    assert summary.zeta == pytest.approx(2.0)
-    assert summary.lam == pytest.approx(1.0)
-    assert summary.bandwidth == 0
+    gram_emp, report = empirical_gram(basis, x, gram)
+    assert np.max(np.abs(gram_emp - np.eye(4))) < 1e-15
+    assert report["dev"] < 1e-14
+    assert report["zeta"] == pytest.approx(2.0)
+    assert report["lambda"] == pytest.approx(1.0)
+    assert report["bandwidth"] == 0
 
 
 def test_dev_matches_dense_recomputation(haar2):
@@ -56,11 +56,11 @@ def test_dev_matches_dense_recomputation(haar2):
     basis, gram = haar2
     rng = np.random.default_rng(21)
     x = rng.uniform(0, 1, 1000)
-    summary = empirical_gram(basis, x, gram)
+    _, report = empirical_gram(basis, x, gram)
     white = np.real(scipy.linalg.sqrtm(np.linalg.inv(gram)))
     mid = white @ empirical_gram_matrix(basis, x) @ white
     dev_dense = np.max(scipy.linalg.svdvals(mid - np.eye(4)))
-    assert abs(summary.dev - dev_dense) < 1e-12
+    assert abs(report["dev"] - dev_dense) < 1e-12
     # the theoretical Gram's factor stands in for the Gram itself
     emp = empirical_gram_matrix(basis, x)
     assert gram_deviation(GramFactor(gram), emp) == gram_deviation(gram, emp)
@@ -113,7 +113,7 @@ def test_identifiability_gap_equals_spectral_norm(haar2):
     basis, gram = haar2
     rng = np.random.default_rng(5)
     x = rng.uniform(0, 1, 200)
-    gap = identifiability_gap(basis, x, gram)
+    gap = gram_deviation(gram, empirical_gram_matrix(basis, x))
     search = _random_search_gap(basis, x, gram, 100000, rng)
     assert search <= gap + 1e-12
     assert search >= 0.99 * gap
@@ -123,7 +123,8 @@ def test_identifiability_constant_function():
     basis = build_basis(BasisSpec.power(0))
     gram = theoretical_gram(basis, UNIFORM)
     rng = np.random.default_rng(2)
-    assert identifiability_gap(basis, rng.uniform(0, 1, 50), gram) < 1e-14
+    x = rng.uniform(0, 1, 50)
+    assert gram_deviation(gram, empirical_gram_matrix(basis, x)) < 1e-14
 
 
 def test_zeta_lambda_constants():
@@ -286,17 +287,22 @@ def test_two_dimensional_haar_gram_identity():
     assert np.max(np.abs(gram - np.eye(16))) < 1e-12
 
 
-_LEBESGUE_SPECS = {"spline": lambda k: BasisSpec.bspline(3, k - 3),
-                   "d2": lambda k: BasisSpec.wavelet(2, int(np.log2(k))),
-                   "power": lambda k: BasisSpec.power(k - 1)}
+_LEBESGUE_SPECS = {
+    "spline": lambda k: BasisSpec.bspline(3, k - 3),
+    "d2": lambda k: BasisSpec.wavelet(2, int(np.log2(k))),
+    "haar": lambda k: BasisSpec.wavelet(1, int(np.log2(k))),
+    "power": lambda k: BasisSpec.power(k - 1),
+    "spline-2d": lambda k: BasisSpec.bspline(3, int(np.sqrt(k)) - 3, dim=2),
+}
 
 
 @pytest.mark.parametrize("k", [16, 64])
 @pytest.mark.parametrize("family", sorted(_LEBESGUE_SPECS))
 def test_lebesgue_blocks_equal_one_shot_products(family, k):
-    # the grid spans three evaluation chunks and a ragged last kernel block
+    # the grouped kernel equals the dense product bit for bit; the grid
+    # spans three evaluation chunks and a ragged last kernel block
     basis = build_basis(_LEBESGUE_SPECS[family](k))
-    grid = sup_grid(basis, base_points=1100)
+    grid = sup_grid(basis, base_points=1100 if basis.spec.dim == 1 else 33)
     assert grid.shape[0] > 1024 and grid.shape[0] % 64
     quad = basis_quadrature(basis, max_nodes_1d=2 ** 12)
     bx = basis.evaluate(grid)
@@ -306,8 +312,34 @@ def test_lebesgue_blocks_equal_one_shot_products(family, k):
     one_shot = float(np.max(np.sum(np.abs(bx @ half) * wq, axis=1)))
     assert lebesgue_constant_theoretical(basis, UNIFORM, quad=quad,
                                          grid=grid) == one_shot
-    x = np.random.default_rng(k).uniform(0, 1, 3000)
+    x = np.random.default_rng(k).uniform(0, 1, (3000, basis.spec.dim))
     vals = basis.evaluate(x)
     half, _ = GramFactor(vals.T @ vals).solve(vals.T)
     one_shot = float(np.max(np.sum(np.abs(bx @ half), axis=1)))
     assert lebesgue_constant_empirical(basis, x, grid=grid).value == one_shot
+
+
+@pytest.mark.parametrize("spec,box", [
+    (BasisSpec.bspline(3, 13), None),
+    (BasisSpec.bspline(4, 9), (0.15, 0.8)),
+    (BasisSpec.wavelet(2, 5), None),
+    (BasisSpec.wavelet(3, 4), (0.3, 0.9)),
+    (BasisSpec.wavelet(1, 5), None),
+    (BasisSpec.power(9), None),
+    (BasisSpec.bspline(3, 3, dim=2), (0.1, 0.7)),
+    (BasisSpec.wavelet(2, 3, dim=2), None),
+], ids=["spline", "spline-box", "d2", "d3-box", "haar", "power", "spline-2d",
+        "d2-2d"])
+def test_grouped_gram_matches_dense_accumulation(spec, box):
+    basis = build_basis(spec)
+    if box is not None:
+        basis = basis.with_weight_box(*box)
+    quad = basis_quadrature(basis, max_nodes_1d=2 ** 12 if spec.dim == 1
+                            else 2 ** 7)
+    density = sine_density(0.4, dim=spec.dim)
+    vals = basis.evaluate(quad.nodes)
+    dense = vals.T @ (vals * (quad.weights * density(quad.nodes))[:, None])
+    grouped = weighted_basis_gram(basis, quad, point_weight=density,
+                                  chunk=5000)
+    scale = np.max(np.abs(dense))
+    assert np.max(np.abs(grouped - dense)) <= 1e-13 * scale
