@@ -10,7 +10,7 @@ bounded Lebesgue constant while the polynomial family does not.
 
 import numpy as np
 
-from sievereg import (BasisSpec, build_basis, lambda_constant,
+from sievereg import (BasisSpec, GramFactor, build_basis,
                       lebesgue_constant_theoretical, theoretical_gram,
                       uniform_density, zeta_constant)
 from sievereg.gram import half_bandwidth
@@ -35,7 +35,7 @@ for name, spec in specs:
     zeta = zeta_constant(basis)
     print(f"{name:<30} {basis.size:>4} "
           f"{zeta / np.sqrt(basis.size):>13.3f} "
-          f"{lambda_constant(gram):>8.3f} "
+          f"{GramFactor(gram).lam:>8.3f} "
           f"{half_bandwidth(gram):>5d} "
           f"{lebesgue_constant_theoretical(basis, uniform):>9.3f}")
 

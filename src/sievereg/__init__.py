@@ -14,19 +14,16 @@ from .concentration import (ConcentrationStudyConfig, GramDeviationGenerator,
                             RademacherGenerator, TailBoundInput,
                             ZeroGenerator, concentration_study,
                             empirical_tail, mixing_bound, tropp_bound)
-from .daubechies import (CascadeError, ScalingFamily, load_family,
-                         save_family, scaling_filter, tabulate_daubechies)
-from .estimator import (FitResult, OracleProjection, fit, holder_kink,
-                        l2_error, project_oracle, smooth_trig, sup_error,
-                        named_target)
+from .daubechies import (CascadeError, ScalingFamily, scaling_filter,
+                         tabulate_daubechies)
+from .estimator import (FitResult, fit, holder_kink, l2_error, project_oracle,
+                        smooth_trig, sup_error, named_target)
 from .gram import (DmsBound, EmpiricalLebesgue, GramFactor, NumericError,
                    dms_bound, empirical_gram, empirical_gram_matrix,
-                   gram_deviation, lambda_constant,
-                   lebesgue_constant_empirical, lebesgue_constant_theoretical,
+                   gram_deviation, lebesgue_constant_empirical, lebesgue_constant_theoretical,
                    theoretical_gram, zeta_constant)
 from .inference import (FunctionalReport, FunctionalSpec, confidence_interval,
-                        functional_report, nonlinear_functional_eval,
-                        omega_hat, riesz_representer, sieve_variance_oracle,
+                        functional_report, omega_hat, riesz_representer, sieve_variance_oracle,
                         sieve_variance_plugin, t_statistic)
 from .quadrature import (Density, Quadrature, basis_quadrature,
                          density_by_name, sine_density, sup_grid,

@@ -35,7 +35,7 @@ import numpy as np
 from . import bsplines
 from .daubechies import tabulate_daubechies
 
-DEFAULT_TAB_DEPTH = 12
+TAB_DEPTH = 12
 
 _FAMILIES = ("bspline", "wavelet", "trig", "power")
 
@@ -192,17 +192,16 @@ class BasisSpec:
 _family_cache = {}
 
 
-def _scaling_family(n_moments, depth):
-    key = (n_moments, depth)
-    if key not in _family_cache:
-        _family_cache[key] = tabulate_daubechies(n_moments, depth)
-    return _family_cache[key]
+def _scaling_family(n_moments):
+    if n_moments not in _family_cache:
+        _family_cache[n_moments] = tabulate_daubechies(n_moments, TAB_DEPTH)
+    return _family_cache[n_moments]
 
 
 class _Univariate:
     """One-dimensional evaluator: values, gradients, supports, breakpoints."""
 
-    def __init__(self, spec, tab_depth):
+    def __init__(self, spec):
         self.spec = spec
         self.size = spec.size_1d
         fam = spec.family
@@ -216,8 +215,8 @@ class _Univariate:
             self.scale = np.sqrt(k0)
             self.family_tab = None
             if spec.n_moments >= 2:
-                self.family_tab = _scaling_family(spec.n_moments, tab_depth)
-            self.supports = _wavelet_supports(spec.n_moments, spec.level)
+                self.family_tab = _scaling_family(spec.n_moments)
+            self.supports = _wavelet_supports(spec.level, self.family_tab)
             self.breakpoints = np.arange(k0 + 1) / k0
         else:
             self.supports = np.tile([0.0, 1.0], (self.size, 1))
@@ -228,8 +227,7 @@ class _Univariate:
         """(first, vals): point i's active functions are first[i] + 0..w-1."""
         fam = self.spec.family
         if fam == "bspline":
-            first, vals = bsplines.design_matrix(self.knots, self.spec.order,
-                                                 x, local=True)
+            first, vals = bsplines.design_matrix(self.knots, self.spec.order, x)
             vals *= self.scale
             return first, vals
         if fam == "wavelet":
@@ -240,15 +238,18 @@ class _Univariate:
         vals = series(x, self.spec.degree)
         return np.zeros(len(vals), dtype=np.intp), vals
 
-    def dense(self, x):
-        first, vals = self.values(x)
+    def _scatter(self, first, vals):
         cols = (first + np.arange(vals.shape[1])[:, None]).T
         return LocalDesign(cols, vals, self.size).dense()
+
+    def dense(self, x):
+        return self._scatter(*self.values(x))
 
     def gradients(self, x):
         fam = self.spec.family
         if fam == "bspline":
-            return bsplines.design_derivative(self.knots, self.spec.order, x) * self.scale
+            local = bsplines.design_derivative(self.knots, self.spec.order, x)
+            return self._scatter(*local) * self.scale
         if fam == "wavelet":
             if self.spec.n_moments == 1:
                 return np.zeros((np.atleast_1d(x).size, self.size))
@@ -269,12 +270,33 @@ def _haar_values(x, level):
     return cells, np.full((x.size, 1), np.sqrt(k0))
 
 
-def _wavelet_supports(n_moments, level):
-    """[(k - N + 1) / 2^J, (k + N) / 2^J] clipped to [0, 1] for function k."""
+def _wavelet_tables(k0, family):
+    """Tables [left..., phi, right...] and per column: its table, the
+    table's first node, and whether it is read at u - 2^J (right edge)."""
+    n = family.n_moments
+    col = np.arange(k0)
+    right = col >= k0 - n
+    tid = np.where(col < n, col, np.where(right, n + k0 - col, n))
+    start = np.where(col < n, 0.0, np.where(right, 1.0 - 2.0 * n, col - n + 1.0))
+    tables = np.vstack([family.left, family.phi, family.right])
+    return tables, tid, start, right
+
+
+def _wavelet_supports(level, family):
+    """[lo, hi] per function, clipped to [0, 1]: a Haar function's cell, or
+    where the interpolant of a Daubechies table is nonzero, which starts one
+    node before its first nonzero value.  A right-edge table starts at
+    phi[0] (7.7e-9 for N = 2 after the cascade), not 0, so its support
+    starts one tabulation step before (k - N + 1) / 2^J."""
     k0 = 2 ** level
-    k = np.arange(k0)
-    return np.column_stack([np.maximum(k - n_moments + 1, 0),
-                            np.minimum(k + n_moments, k0)]) / k0
+    if family is None:
+        return np.column_stack([np.arange(k0), np.arange(1, k0 + 1)]) / k0
+    tables, tid, start, right = _wavelet_tables(k0, family)
+    nonzero = tables != 0.0
+    first = np.maximum(np.argmax(nonzero, axis=1) - 1, 0)
+    end = tables.shape[1] - np.argmax(nonzero[:, ::-1], axis=1)
+    ends = start[:, None] + family.step * np.column_stack([first, end])[tid]
+    return np.clip((ends + np.where(right, k0, 0)[:, None]) / k0, 0.0, 1.0)
 
 
 def _wavelet_values(x, level, family):
@@ -282,11 +304,10 @@ def _wavelet_values(x, level, family):
     (first, vals) with vals of shape (n, 2N).
 
     The window of cell c is the 2N - 1 functions overlapping it plus
-    function c + N: a right-edge table rises from 0 to phi[0] (7.7e-9 for
-    N = 2, not 0, after the cascade) one tabulation step before its
-    support.  Each value is computed as np.interp would on the function's
-    own table (same nodes, slope and formula), so it equals a per-function
-    interpolation.
+    function c + N, whose right-edge table rises from 0 one tabulation step
+    before c + 1 (see `_wavelet_supports`).  Each value is computed as
+    np.interp would on the function's own table (same nodes, slope and
+    formula), so it equals a per-function interpolation.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     k0 = 2 ** level
@@ -295,13 +316,7 @@ def _wavelet_values(x, level, family):
     u = x * k0
     first = np.clip(np.minimum(u.astype(np.intp), k0 - 1) - (n - 1), 0, k0 - w)
     j = first[:, None] + np.arange(w)
-    # per column: its table in [left..., phi, right...], the table's first
-    # node, and whether it is a right-edge function (read at u - 2^J)
-    col = np.arange(k0)
-    right = col >= k0 - n
-    tid = np.where(col < n, col, np.where(right, n + k0 - col, n))
-    start = np.where(col < n, 0.0, np.where(right, 1.0 - 2.0 * n, col - n + 1.0))
-    tables = np.vstack([family.left, family.phi, family.right])
+    tables, tid, start, right = _wavelet_tables(k0, family)
     size = tables.shape[1]
     # a repeated last value: slope 0 at the last node, which then reads exactly
     tables = np.pad(tables, ((0, 0), (0, 1)), mode="edge").ravel()
@@ -477,9 +492,9 @@ class BasisSystem:
         return getattr(self._uni, "family_tab", None)
 
 
-def build_basis(spec, weight_box=None, tab_depth=DEFAULT_TAB_DEPTH):
+def build_basis(spec, weight_box=None):
     """Construct the BasisSystem for `spec` (tabulating wavelets on demand)."""
-    uni = _Univariate(spec, tab_depth)
+    uni = _Univariate(spec)
     return BasisSystem(spec, uni, weight_box=weight_box)
 
 

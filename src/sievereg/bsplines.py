@@ -27,37 +27,31 @@ def knot_vector(order, n_interior):
     return np.concatenate([np.zeros(order), interior, np.ones(order)])
 
 
-def design_matrix(knots, order, x, local=False):
+def _check_end_knots(knots, order):
+    if (np.count_nonzero(knots == knots[0]) < order
+            or np.count_nonzero(knots == knots[-1]) < order):
+        raise ValueError("the local form needs end knots of full multiplicity")
+
+
+def design_matrix(knots, order, x):
     """Evaluate all splines of `order` on `knots` at the points `x`.
 
-    Returns an ``(len(x), K)`` array with ``K = len(knots) - order``.  Only
-    the `order` functions that can be nonzero at a point are computed: the
+    Returns ``(first, vals)``: ``vals[i]`` holds the values of functions
+    ``first[i] + 0..r-1``, the `order` functions that can be nonzero at
+    point i; every other function is 0 there.  Only these are computed: the
     Cox-de Boor triangle runs on them (de Boor, *A Practical Guide to
-    Splines*), with the convention 0/0 = 0 at repeated knots, and the result
-    is scattered into the dense array.  ``local=True`` returns ``(first,
-    vals)`` instead: the values ``vals[i]`` of functions ``first[i] + 0..r-1``;
-    it needs full-multiplicity end knots, as `knot_vector` builds.
+    Splines*), with the convention 0/0 = 0 at repeated knots.  The end knots
+    must have full multiplicity, as `knot_vector` builds.
     """
+    _check_end_knots(knots, order)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    n_funcs = knots.size - order
-    # repeat an end knot up to `order` times so that every point has `order`
-    # candidate functions; the added ones are cut off at the end
-    lead = max(0, order - np.count_nonzero(knots == knots[0]))
-    trail = max(0, order - np.count_nonzero(knots == knots[-1]))
-    t = np.concatenate([np.full(lead, knots[0]), knots,
-                        np.full(trail, knots[-1])])
+    t = knots
     nonempty = np.flatnonzero(t[1:] > t[:-1])
     # knot interval of each point; x = knots[-1] joins the last nonempty one
     span = np.clip(np.searchsorted(t, x, side="right") - 1,
                    nonempty[0], nonempty[-1])
     row = span - nonempty[0]
     spans = np.arange(nonempty[0], nonempty[-1] + 1)
-    if local and lead + trail:
-        raise ValueError("the local form needs end knots of full multiplicity")
-    # the dense output first: allocated after the triangle's temporaries it
-    # fragments the heap and raises the peak resident memory
-    n_all = t.size - order
-    out = None if local else np.zeros((x.size, n_all))
     # vals[1:k] holds the k - 1 active values of order k - 1 at each point,
     # between zeros; order 1 is the indicator of the interval, 0 off the knot
     # range.  Points run along the last axis so every operation is long.
@@ -81,34 +75,33 @@ def design_matrix(knots, order, x, local=False):
                  / at_points(np.where(has_r, denom_r, 1.0))
                  * vals[1:k + 1] * at_points(has_r))
         vals[1:k + 1] = left + right
-    if local:
-        return span - (order - 1), vals[1:].T
-    first = np.arange(x.size) * n_all + span - (order - 1)
-    out.ravel()[first + np.arange(order)[:, None]] = vals[1:]
-    return np.ascontiguousarray(out[:, lead:lead + n_funcs])
+    return span - (order - 1), vals[1:].T
 
 
 def design_derivative(knots, order, x):
-    """First derivative of every spline of `order` at the points `x`.
+    """First derivative of every spline of `order` at the points `x`, as
+    ``(first, vals)`` in the form of `design_matrix`.
 
     Uses the lower-order recursion
     ``N'_{j,r} = (r-1) [N_{j,r-1}/(T_{j+r-1}-T_j) - N_{j+1,r-1}/(T_{j+r}-T_{j+1})]``.
     Order-1 splines are piecewise constant, so their derivative is reported
     as 0 everywhere (including at the knots).
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    n_funcs = knots.size - order
+    _check_end_knots(knots, order)
     if order == 1:
-        return np.zeros((x.size, n_funcs))
-    lower = design_matrix(knots, order - 1, x)
-    j = np.arange(n_funcs)
+        first, vals = design_matrix(knots, 1, x)
+        return first, np.zeros_like(vals)
+    first, lower = design_matrix(knots, order - 1, x)
+    # lower[:, i] is function first + i of order r - 1; 0 beyond them
+    lower = np.pad(lower, ((0, 0), (1, 1)))
+    j = first[:, None] + np.arange(-1, order - 1)
     denom_l = knots[j + order - 1] - knots[j]
     denom_r = knots[j + order] - knots[j + 1]
     has_l, has_r = denom_l > 0.0, denom_r > 0.0
     acc = np.where(has_l, lower[:, :-1] / np.where(has_l, denom_l, 1.0), 0.0)
     acc = np.where(has_r, acc - lower[:, 1:] / np.where(has_r, denom_r, 1.0),
                    acc)
-    return (order - 1) * acc
+    return first - 1, (order - 1) * acc
 
 
 def support_intervals(knots, order):

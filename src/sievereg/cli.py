@@ -328,6 +328,8 @@ _STUDIES = {
         ("mean CI length", fmt(s["mean_ci_length"])),
         ("KS p-value", fmt(s["ks_pvalue"])),
         ("degenerate reps", s["degenerate"]),
+        ("clamped reps", s["clamped"]),
+        ("rank-deficient", s["rank_deficient"]),
     ]),
     "stability-study": (_stability_config, "stability_study", lambda s: [
         (f"{m['family']} K={m['k']} n={m['n']}",

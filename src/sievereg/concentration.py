@@ -140,7 +140,7 @@ class GramDeviationGenerator:
     the latent Gaussian AR(1); a conservative coefficient).
     """
 
-    def __init__(self, basis, gram, n, regressor=None, zeta=None, lam=None):
+    def __init__(self, basis, gram, n, regressor=None):
         self.basis = basis
         self.n = n
         self.k = basis.size
@@ -148,8 +148,7 @@ class GramDeviationGenerator:
         self.regressor = regressor if regressor is not None else RegressorSpec()
         self.factor = GramFactor(gram)
         self.factor.inv_sqrt()        # NumericError now if G is singular
-        zeta = zeta_constant(basis) if zeta is None else zeta
-        lam = self.factor.lam if lam is None else lam
+        zeta, lam = zeta_constant(basis), self.factor.lam
         envelope = zeta * zeta * lam * lam + 1.0
         self.input = TailBoundInput(
             d1=self.k, d2=self.k, n=n,

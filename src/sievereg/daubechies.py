@@ -178,42 +178,3 @@ def tabulate_daubechies(n_moments, depth):
     return ScalingFamily(n_moments=n_moments, depth=depth, phi=phi,
                          left=left, right=right)
 
-
-_CACHE_VERSION = 1
-
-
-def save_family(family, path):
-    """Persist a ScalingFamily to a binary cache file with a version header."""
-    np.savez(
-        path,
-        version=np.array([_CACHE_VERSION]),
-        n_moments=np.array([family.n_moments]),
-        depth=np.array([family.depth]),
-        phi=family.phi,
-        left=family.left,
-        right=family.right,
-    )
-
-
-def load_family(path, n_moments=None, depth=None):
-    """Load a cached ScalingFamily, checking version and (optionally) key."""
-    with np.load(path) as data:
-        version = int(data["version"][0])
-        if version != _CACHE_VERSION:
-            raise ValueError(
-                f"cache version {version} does not match expected {_CACHE_VERSION}"
-            )
-        family = ScalingFamily(
-            n_moments=int(data["n_moments"][0]),
-            depth=int(data["depth"][0]),
-            phi=data["phi"],
-            left=data["left"],
-            right=data["right"],
-        )
-    if n_moments is not None and family.n_moments != n_moments:
-        raise ValueError(
-            f"cache holds n_moments={family.n_moments}, requested {n_moments}"
-        )
-    if depth is not None and family.depth != depth:
-        raise ValueError(f"cache holds depth={family.depth}, requested {depth}")
-    return family

@@ -83,28 +83,10 @@ def fit(basis, x, y):
                      design=design, gram_factor=factor)
 
 
-@dataclass
-class OracleProjection:
-    """Empirical projection of a known target onto the sieve."""
-
-    fit: FitResult
-    target: object
-
-    @property
-    def coeffs(self):
-        return self.fit.coeffs
-
-    def predict(self, pts):
-        return self.fit.predict(pts)
-
-    def __call__(self, pts):
-        return self.fit.predict(pts)
-
-
 def project_oracle(basis, x, h0):
-    """Fit the noiseless responses h0(X_i); the simulation bias oracle."""
+    """The fit of the noiseless responses h0(X_i): the simulation bias oracle."""
     x = points_2d(x)
-    return OracleProjection(fit=fit(basis, x, h0(x)), target=h0)
+    return fit(basis, x, h0(x))
 
 
 def sup_error(f, g, grid):

@@ -109,11 +109,6 @@ def zeta_constant(basis, grid=None):
     return np.sqrt(best)
 
 
-def lambda_constant(gram):
-    """[lambda_min(G)]^{-1/2}; infinite when G is singular."""
-    return GramFactor(gram).lam
-
-
 def half_bandwidth(mat, rel_tol=1e-12):
     """Largest |i - j| whose entry exceeds rel_tol * max|entry|."""
     scale = np.max(np.abs(mat))
@@ -189,7 +184,7 @@ def lebesgue_constant_theoretical(basis, density, quad=None, grid=None,
         quad = basis_quadrature(basis, max_nodes_1d=max_nodes)
     if grid is None:
         grid = sup_grid(basis)
-    gram = weighted_basis_gram(basis, quad, point_weight=density)
+    gram = theoretical_gram(basis, density, quad=quad)
     vals_q = basis.evaluate(quad.nodes)          # (Q, K)
     wq = quad.weights * density(quad.nodes)      # (Q,)
     kernel_half, _ = GramFactor(gram).solve(vals_q.T)  # (K, Q)

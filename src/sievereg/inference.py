@@ -58,52 +58,35 @@ class FunctionalSpec:
         return FunctionalSpec(kind="nonlinear_exp_eval",
                               x0=np.atleast_1d(np.asarray(x0, float)))
 
+    def _linear(self, g, basis, quad):
+        """The linear part applied to g, which maps points to values (n,)
+        or to a design (n, K): g(x0), or the weight-times-quadrature sum of
+        g over the nodes of `quad` (default: the basis' rule)."""
+        if self.kind != "integral":
+            return np.atleast_1d(g(self.x0.reshape(1, -1)))[0]
+        if quad is None:
+            quad = basis_quadrature(basis)
+        gv = np.asarray(g(quad.nodes), dtype=float)
+        wq = quad.weights * np.asarray(self.weight(quad.nodes), dtype=float)
+        # a pairwise sum for a value, one gemv for a design
+        return gv.T @ wq if gv.ndim == 2 else np.sum(wq * gv)
+
     def value(self, h, basis=None, quad=None):
-        """f(h) for an evaluator h; returns (value, clamped_flag)."""
-        if self.kind == "point_eval":
-            return float(np.atleast_1d(h(self.x0.reshape(1, -1)))[0]), False
-        if self.kind == "integral":
-            if quad is None:
-                quad = basis_quadrature(basis)
-            hv = np.asarray(h(quad.nodes), dtype=float)
-            w = np.asarray(self.weight(quad.nodes), dtype=float)
-            return float(np.sum(quad.weights * w * hv)), False
-        val, _, clamped = nonlinear_functional_eval(self, h, basis=None,
-                                                    want_derivative=False)
-        return val, clamped
+        """f(h) for an evaluator h; returns (value, clamped_flag).  The exp
+        functional clamps |h(x0)| at EXP_CLAMP and flags the clamp."""
+        hx = float(self._linear(h, basis, quad))
+        if self.linear:
+            return hx, False
+        return float(np.exp(np.clip(hx, -EXP_CLAMP, EXP_CLAMP))), abs(hx) > EXP_CLAMP
 
     def derivative(self, basis, h=None, quad=None):
         """K-vector of pathwise derivatives along the basis directions."""
-        if self.kind == "point_eval":
-            return np.ravel(basis.evaluate(self.x0.reshape(1, -1)))
-        if self.kind == "integral":
-            if quad is None:
-                quad = basis_quadrature(basis)
-            vals = basis.evaluate(quad.nodes)
-            w = np.asarray(self.weight(quad.nodes), dtype=float)
-            return vals.T @ (quad.weights * w)
+        deriv = self._linear(basis.evaluate, basis, quad)
+        if self.linear:
+            return deriv
         if h is None:
             raise ValueError("nonlinear functional derivative needs the function h")
-        _, deriv, _ = nonlinear_functional_eval(self, h, basis)
-        return deriv
-
-
-def nonlinear_functional_eval(spec, h, basis, want_derivative=True):
-    """Value and derivative vector of exp(h(x0)), overflow-guarded.
-
-    |h(x0)| is clamped at EXP_CLAMP; a clamp sets the flag in the result.
-    Returns (value, derivative_vector_or_None, clamped).
-    """
-    if spec.kind != "nonlinear_exp_eval":
-        raise ValueError("spec is not the exp-evaluation functional")
-    hx = float(np.atleast_1d(h(spec.x0.reshape(1, -1)))[0])
-    clamped = abs(hx) > EXP_CLAMP
-    hx = float(np.clip(hx, -EXP_CLAMP, EXP_CLAMP))
-    value = float(np.exp(hx))
-    deriv = None
-    if want_derivative:
-        deriv = value * np.ravel(basis.evaluate(spec.x0.reshape(1, -1)))
-    return value, deriv, clamped
+        return self.value(h)[0] * deriv
 
 
 def riesz_representer(gram, deriv):

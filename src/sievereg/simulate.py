@@ -31,6 +31,9 @@ from .quadrature import (basis_quadrature, points_2d, sup_grid,
 
 _STUDY_TAGS = {"rate": 1, "coverage": 2, "stability": 3, "concentration": 4}
 
+# error rate (n / log n)^slope of the synthetic-oracle rate study
+_SYNTHETIC_SLOPE = -0.4
+
 
 @dataclass(frozen=True)
 class RegressorSpec:
@@ -223,7 +226,6 @@ class RateStudyConfig:
     seed: int = 0
     threads: int = 1
     synthetic_oracle: bool = False
-    synthetic_slope: float = -0.4
 
     def __post_init__(self):
         _check_at_least(1, reps=self.reps)
@@ -254,7 +256,7 @@ def rate_study(config):
         spec_n = _spec_for_size(config.basis_spec,
                                 k_rule(n, p, dgp.dim, config.krule_c), dgp.dim)
         if config.synthetic_oracle:
-            err = (n / np.log(n)) ** config.synthetic_slope
+            err = (n / np.log(n)) ** _SYNTHETIC_SLOPE
             sups = np.full(config.reps, err)
             l2s = np.full(config.reps, err)
         else:
@@ -350,11 +352,13 @@ def coverage_study(config):
             return None
         covered = rep_out.ci[0] <= f0 <= rep_out.ci[1]
         return (rep, rep_out.fhat, rep_out.vk_hat, rep_out.tstat,
-                rep_out.ci[0], rep_out.ci[1], int(covered))
+                rep_out.ci[0], rep_out.ci[1], int(covered),
+                rep_out.clamped, rep_out.rank_deficient)
 
-    results = _run_indexed(one_rep, config.reps, config.threads)
-    rows = [r for r in results if r is not None]
-    degenerate = sum(1 for r in results if r is None)
+    results = [r for r in _run_indexed(one_rep, config.reps, config.threads)
+               if r is not None]
+    rows = [r[:7] for r in results]
+    degenerate = config.reps - len(results)
     tsample = np.array([r[3] for r in rows])
     covered = np.array([r[6] for r in rows])
     lengths = np.array([r[5] - r[4] for r in rows])
@@ -367,6 +371,8 @@ def coverage_study(config):
         "ks_stat": float(ks.statistic) if ks else np.nan,
         "ks_pvalue": float(ks.pvalue) if ks else np.nan,
         "degenerate": degenerate,
+        "clamped": sum(int(r[7]) for r in results),
+        "rank_deficient": sum(int(r[8]) for r in results),
         "reps": config.reps,
     }
     return StudyReport(kind="coverage", summary=summary, rows=rows,

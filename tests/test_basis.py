@@ -109,6 +109,19 @@ def test_support_bookkeeping_random_pairs():
         assert np.all(picked[outside] == 0.0)
 
 
+@pytest.mark.parametrize("n_moments, level", [(1, 3), (2, 3), (3, 3), (2, 5),
+                                              (3, 5)])
+def test_wavelet_zero_just_left_of_dyadic_edges(n_moments, level):
+    # right-edge tables rise from 0 one tabulation step (2^-(J+12)) before
+    # the dyadic point (k - N + 1) / 2^J; the supports must include it
+    basis = build_basis(BasisSpec.wavelet(n_moments, level))
+    edges = basis.breakpoints_1d[1:]
+    step = 2.0 ** -(level + 12)
+    x = np.concatenate([edges - step / 2, edges - step / 8, edges - 3e-5,
+                        [0.74997, 0.49997, 0.937495]])
+    _assert_zero_off_supports(basis, x, basis.evaluate(x))
+
+
 def test_zeta_bound_families():
     # sup ||b(x)|| <= c sqrt(K) with one constant across K for the local and
     # trig families; the polynomial family grows linearly instead

@@ -2,8 +2,24 @@ import numpy as np
 import pytest
 from scipy.interpolate import BSpline
 
-from sievereg.bsplines import (design_derivative, design_matrix, knot_vector,
-                               support_intervals)
+from sievereg import bsplines
+from sievereg.basis import LocalDesign
+from sievereg.bsplines import knot_vector, support_intervals
+
+
+def _dense(local_form, knots, order):
+    """Scatter a (first, vals) form into the (n, K) array."""
+    first, vals = local_form
+    cols = first[:, None] + np.arange(vals.shape[1])
+    return LocalDesign(cols, vals, knots.size - order).dense()
+
+
+def design_matrix(knots, order, x):
+    return _dense(bsplines.design_matrix(knots, order, x), knots, order)
+
+
+def design_derivative(knots, order, x):
+    return _dense(bsplines.design_derivative(knots, order, x), knots, order)
 
 
 def test_knot_vector_full_multiplicity():
@@ -93,12 +109,15 @@ def test_design_matches_scipy_oracle(order, m):
         assert err <= 1e-14 * np.max(np.abs(d_oracle))
 
 
-def test_knots_without_end_multiplicity_match_scipy():
-    # the same recursion on a knot vector whose ends are not repeated
+def test_knots_without_end_multiplicity_rejected():
+    # the local form needs `order` copies of each end knot
     t = np.array([0.0, 0.1, 0.25, 0.5, 0.55, 0.8, 1.0])
+    # order 1 needs one copy, so it still evaluates on these knots
     x = np.linspace(0.0, 1.0, 201)
-    for order in (1, 2, 3):
-        inside = (x >= t[order - 1]) & (x <= t[-order])
-        oracle = BSpline.design_matrix(x[inside], t, order - 1).toarray()
-        got = design_matrix(t, order, x[inside])
-        assert np.max(np.abs(got - oracle)) <= 1e-14
+    oracle = BSpline.design_matrix(x, t, 0).toarray()
+    assert np.max(np.abs(design_matrix(t, 1, x) - oracle)) <= 1e-14
+    for order in (2, 3):
+        with pytest.raises(ValueError, match="full multiplicity"):
+            bsplines.design_matrix(t, order, np.linspace(0.2, 0.6, 5))
+        with pytest.raises(ValueError, match="full multiplicity"):
+            bsplines.design_derivative(t, order, np.linspace(0.2, 0.6, 5))

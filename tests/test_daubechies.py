@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from sievereg.daubechies import (CascadeError, cascade, grid_inner,
-                                 load_family, save_family, scaling_filter,
-                                 tabulate_daubechies)
+                                 scaling_filter, tabulate_daubechies)
 
 DEPTH = 12
 STEP = 2.0 ** -DEPTH
@@ -104,23 +103,3 @@ def test_depth_precondition():
     with pytest.raises(ValueError):
         tabulate_daubechies(2, 9)
 
-
-def test_cache_roundtrip(tmp_path):
-    fam = tabulate_daubechies(2, 10)
-    path = tmp_path / "db2.npz"
-    save_family(fam, path)
-    loaded = load_family(path, n_moments=2, depth=10)
-    assert np.array_equal(loaded.phi, fam.phi)
-    assert np.array_equal(loaded.left, fam.left)
-    with pytest.raises(ValueError):
-        load_family(path, n_moments=3)
-
-
-def test_cache_version_check(tmp_path):
-    fam = tabulate_daubechies(2, 10)
-    path = tmp_path / "db2.npz"
-    np.savez(path, version=np.array([99]), n_moments=np.array([2]),
-             depth=np.array([10]), phi=fam.phi, left=fam.left,
-             right=fam.right)
-    with pytest.raises(ValueError):
-        load_family(path)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sievereg.basis import BasisSpec, build_basis
 from sievereg.estimator import (fit, holder_kink, l2_error, project_oracle,
@@ -88,17 +89,26 @@ def test_linearity_of_fit():
     assert np.allclose(c12, c1 + c2, atol=1e-10)
 
 
-def test_invariance_under_reparameterization():
-    basis = build_basis(BasisSpec.bspline(3, 5))
-    rng = np.random.default_rng(4)
+@settings(max_examples=40, deadline=None)
+@given(spec=st.sampled_from([BasisSpec.bspline(3, 5), BasisSpec.wavelet(1, 3),
+                             BasisSpec.wavelet(2, 3), BasisSpec.trig(3),
+                             BasisSpec.power(5)]),
+       seed=st.integers(0, 2 ** 32 - 1), cond=st.floats(1.0, 100.0))
+def test_invariance_under_reparameterization(spec, seed, cond):
+    # the fit depends on the span only: composing the basis with an
+    # invertible map M of condition number `cond` leaves predictions alone
+    basis = build_basis(spec)
+    rng = np.random.default_rng(seed)
     x = rng.uniform(0, 1, 300)
     y = smooth_trig(x.reshape(-1, 1)) + rng.normal(0, 0.3, 300)
-    mat = rng.uniform(-1, 1, (basis.size, basis.size)) + 2 * np.eye(basis.size)
-    transformed = _TransformedBasis(basis, mat)
+    k = basis.size
+    q1, _ = np.linalg.qr(rng.normal(size=(k, k)))
+    q2, _ = np.linalg.qr(rng.normal(size=(k, k)))
+    mat = (q1 * np.geomspace(1.0, cond, k)) @ q2.T
     grid = np.linspace(0, 1, 257).reshape(-1, 1)
     p1 = fit(basis, x, y).predict(grid)
-    p2 = fit(transformed, x, y).predict(grid)
-    assert np.max(np.abs(p1 - p2)) < 1e-9
+    p2 = fit(_TransformedBasis(basis, mat), x, y).predict(grid)
+    assert np.max(np.abs(p1 - p2)) <= 1e-9 * np.max(np.abs(p1))
 
 
 def test_rank_deficiency_flagged_not_fatal():

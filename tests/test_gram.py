@@ -5,8 +5,7 @@ import scipy.linalg
 from sievereg.basis import BasisSpec, build_basis
 from sievereg.gram import (DmsBound, GramFactor, NumericError, dms_bound,
                            empirical_gram, empirical_gram_matrix,
-                           gram_deviation, lambda_constant,
-                           lebesgue_constant_empirical,
+                           gram_deviation, lebesgue_constant_empirical,
                            lebesgue_constant_theoretical, theoretical_gram,
                            zeta_constant)
 from sievereg.quadrature import (basis_quadrature, sine_density, sup_grid,
@@ -131,8 +130,8 @@ def test_zeta_lambda_constants():
     basis = build_basis(BasisSpec.bspline(1, 3))
     gram = theoretical_gram(basis, UNIFORM)
     assert zeta_constant(basis) == pytest.approx(2.0)
-    assert lambda_constant(gram) == pytest.approx(1.0)
-    assert lambda_constant(np.zeros((2, 2))) == np.inf
+    assert GramFactor(gram).lam == pytest.approx(1.0)
+    assert GramFactor(np.zeros((2, 2))).lam == np.inf
     assert GramFactor(np.zeros((2, 2))).lam == np.inf
 
 

@@ -5,8 +5,7 @@ from sievereg.basis import BasisSpec, build_basis
 from sievereg.estimator import fit, smooth_trig
 from sievereg.gram import NumericError, theoretical_gram
 from sievereg.inference import (FunctionalSpec, confidence_interval,
-                                functional_report, nonlinear_functional_eval,
-                                omega_hat, riesz_representer,
+                                functional_report, omega_hat, riesz_representer,
                                 sieve_variance_oracle, sieve_variance_plugin,
                                 t_statistic)
 from sievereg.quadrature import basis_quadrature, uniform_density
@@ -136,15 +135,18 @@ def test_nonlinear_exp_eval(haar2):
     basis, _ = haar2
     spec = FunctionalSpec.nonlinear_exp_eval(0.37)
     zero = lambda pts: np.zeros(pts.shape[0])
-    value, deriv, clamped = nonlinear_functional_eval(spec, zero, basis)
+    value, clamped = spec.value(zero)
+    deriv = spec.derivative(basis, h=zero)
     assert value == 1.0 and not clamped
     assert np.array_equal(deriv, basis.evaluate(0.37))
     const = lambda pts: np.full(pts.shape[0], 2.5)
-    value, _, _ = nonlinear_functional_eval(spec, const, basis)
+    value, _ = spec.value(const)
     assert value == pytest.approx(np.exp(2.5))
     huge = lambda pts: np.full(pts.shape[0], 120.0)
-    value, _, clamped = nonlinear_functional_eval(spec, huge, basis)
+    value, clamped = spec.value(huge)
     assert clamped and value == pytest.approx(np.exp(50.0))
+    with pytest.raises(ValueError):
+        spec.derivative(basis)
 
 
 def test_nonlinear_derivative_finite_difference(haar2):
@@ -156,15 +158,13 @@ def test_nonlinear_derivative_finite_difference(haar2):
     def h_of(c):
         return lambda pts: basis.evaluate(pts) @ c
 
-    _, deriv, _ = nonlinear_functional_eval(spec, h_of(coeffs), basis)
+    deriv = spec.derivative(basis, h=h_of(coeffs))
     step = 1e-6
     for k in range(basis.size):
         up = coeffs.copy(); up[k] += step
         dn = coeffs.copy(); dn[k] -= step
-        vu, _, _ = nonlinear_functional_eval(spec, h_of(up), basis,
-                                             want_derivative=False)
-        vd, _, _ = nonlinear_functional_eval(spec, h_of(dn), basis,
-                                             want_derivative=False)
+        vu, _ = spec.value(h_of(up))
+        vd, _ = spec.value(h_of(dn))
         assert abs((vu - vd) / (2 * step) - deriv[k]) < 1e-6
 
 

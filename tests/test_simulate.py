@@ -11,6 +11,7 @@ from sievereg.simulate import (CoverageStudyConfig, DgpSpec, ErrorSpec,
                                coverage_study, derived_rng, error_draws,
                                fit_loglog_slope, gen_sample, k_rule,
                                rate_study, regressor_paths, stability_study)
+from sievereg import inference
 from sievereg.inference import FunctionalSpec
 
 
@@ -168,6 +169,19 @@ def test_coverage_study_smoke():
     assert len(report.rows) + report.summary["degenerate"] == 20
     covered_col = [r[6] for r in report.rows]
     assert set(covered_col) <= {0, 1}
+
+
+def test_coverage_counts_clamped_and_rank_deficient_reps(monkeypatch):
+    # smooth_trig(0.37) is about 0.65, so every fitted h(x0) exceeds the clamp
+    monkeypatch.setattr(inference, "EXP_CLAMP", 0.01)
+    config = CoverageStudyConfig(
+        dgp=DgpSpec(), basis_spec=BasisSpec.wavelet(1, 3), n=400,
+        functional=FunctionalSpec.nonlinear_exp_eval(0.37), reps=6,
+        krule_p=1.0, krule_c=4.0, seed=24)
+    summary = coverage_study(config).summary
+    assert summary["degenerate"] == 0
+    assert summary["clamped"] == config.reps
+    assert summary["rank_deficient"] == 0
 
 
 def test_coverage_noiseless_reported_not_asserted():
