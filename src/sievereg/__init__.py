@@ -23,7 +23,7 @@ from .gram import (DmsBound, EmpiricalLebesgue, GramFactor, NumericError,
                    gram_deviation, lebesgue_constant_empirical, lebesgue_constant_theoretical,
                    theoretical_gram, zeta_constant)
 from .inference import (FunctionalReport, FunctionalSpec, confidence_interval,
-                        functional_report, omega_hat, riesz_representer, sieve_variance_oracle,
+                        functional_report, riesz_representer, sieve_variance_oracle,
                         sieve_variance_plugin, t_statistic)
 from .quadrature import (Density, Quadrature, basis_quadrature,
                          density_by_name, sine_density, sup_grid,

@@ -23,9 +23,10 @@ Conventions:
 * an optional axis-aligned box turns the basis into its weighted version:
   every function is multiplied by the indicator of the box.
 
-Every family is computed in the local form of :class:`LocalDesign`: the
-w**d functions per point that can be nonzero there (w is r for order-r
-splines, 2N for Daubechies-N, 1 for Haar, K0 for trig and power).
+Every family's values and gradients are computed in the local form of
+:class:`LocalDesign`: the w**d functions per point that can be nonzero
+there (w is r for order-r splines, 2N for Daubechies-N (2N + 1 along a
+gradient's axis), 1 for Haar, K0 for trig and power).
 """
 
 from dataclasses import dataclass, replace
@@ -158,36 +159,6 @@ class BasisSpec:
     def size(self):
         return self.size_1d ** self.dim
 
-    def to_config(self):
-        """Flat string key-value block (round-trips through from_config)."""
-        out = {"family": self.family, "dim": str(self.dim)}
-        if self.family == "bspline":
-            out["order"] = str(self.order)
-            out["n_interior"] = str(self.n_interior)
-        elif self.family == "wavelet":
-            out["n_moments"] = str(self.n_moments)
-            out["level"] = str(self.level)
-        else:
-            out["degree"] = str(self.degree)
-        return out
-
-    @staticmethod
-    def from_config(block):
-        known = {"family", "dim", "order", "n_interior", "n_moments",
-                 "level", "degree"}
-        unknown = set(block) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown basis config keys: {sorted(unknown)}"
-            )
-        if "family" not in block:
-            raise ConfigurationError("basis config is missing key 'family'")
-        kwargs = {"family": block["family"]}
-        for key in known - {"family"}:
-            if key in block:
-                kwargs[key] = int(block[key])
-        return BasisSpec(**kwargs)
-
 
 _family_cache = {}
 
@@ -238,29 +209,37 @@ class _Univariate:
         vals = series(x, self.spec.degree)
         return np.zeros(len(vals), dtype=np.intp), vals
 
-    def _scatter(self, first, vals):
-        cols = (first + np.arange(vals.shape[1])[:, None]).T
-        return LocalDesign(cols, vals, self.size).dense()
-
-    def dense(self, x):
-        return self._scatter(*self.values(x))
-
     def gradients(self, x):
+        """(first, grads) in the form of `values`."""
         fam = self.spec.family
         if fam == "bspline":
-            local = bsplines.design_derivative(self.knots, self.spec.order, x)
-            return self._scatter(*local) * self.scale
+            first, grads = bsplines.design_derivative(self.knots,
+                                                      self.spec.order, x)
+            grads *= self.scale
+            return first, grads
         if fam == "wavelet":
             if self.spec.n_moments == 1:
-                return np.zeros((np.atleast_1d(x).size, self.size))
-            # central difference at one tabulation cell (diagnostic use only)
+                first, vals = _haar_values(x, self.spec.level)
+                return first, np.zeros_like(vals)
+            # central difference at one tabulation cell (diagnostic use
+            # only), in a window one wider than the values' that holds both
+            # and ends at column K0 - 1 at the latest
             h = 2.0 ** (-(self.spec.level + self.family_tab.depth))
-            up = self.dense(np.clip(x + h, 0.0, 1.0))
-            dn = self.dense(np.clip(x - h, 0.0, 1.0))
-            return (up - dn) / (2.0 * h)
-        if fam == "trig":
-            return _trig_gradients(x, self.spec.degree)
-        return _legendre_gradients(x, self.spec.degree)
+            f_up, up = self.values(np.clip(x + h, 0.0, 1.0))
+            f_dn, dn = self.values(np.clip(x - h, 0.0, 1.0))
+            first = np.minimum(f_dn, self.size - up.shape[1] - 1)
+            return first, (_widen(up, f_up - first)
+                           - _widen(dn, f_dn - first)) / (2.0 * h)
+        series = _trig_gradients if fam == "trig" else _legendre_gradients
+        grads = series(x, self.spec.degree)
+        return np.zeros(len(grads), dtype=np.intp), grads
+
+
+def _widen(vals, shift):
+    """vals in a window one column wider, starting `shift` (0 or 1) columns
+    before vals' own."""
+    return np.where(shift[:, None] == 1, np.pad(vals, ((0, 0), (1, 0))),
+                    np.pad(vals, ((0, 0), (0, 1))))
 
 
 def _haar_values(x, level):
@@ -441,10 +420,12 @@ class BasisSystem:
         """LocalDesign of b_w at the points: w**d active columns per point."""
         return self._local(self._as_points(x)[0])
 
-    def _local(self, pts):
+    def _local(self, pts, grad_axis=None):
+        """LocalDesign of b_w, or of its derivative along axis grad_axis."""
         n, k0 = pts.shape[0], self.spec.size_1d
         for a in range(self.spec.dim):
-            first, v = self._uni.values(pts[:, a])
+            rule = self._uni.gradients if a == grad_axis else self._uni.values
+            first, v = rule(pts[:, a])
             c = (first + np.arange(v.shape[1])[:, None]).T   # F-ordered
             if a == 0:
                 cols, vals = c, v
@@ -465,20 +446,8 @@ class BasisSystem:
     def evaluate_gradient(self, x):
         """Gradient of the weighted basis: shape (K, d) or (n, K, d)."""
         pts, squeeze = self._as_points(x)
-        d = self.spec.dim
-        vals = [self._uni.dense(pts[:, a]) for a in range(d)]
-        grads = [self._uni.gradients(pts[:, a]) for a in range(d)]
-        n = pts.shape[0]
-        out = np.empty((n, self.size, d))
-        for a in range(d):
-            factors = [grads[b] if b == a else vals[b] for b in range(d)]
-            acc = factors[0]
-            for b in range(1, d):
-                acc = (acc[:, :, None] * factors[b][:, None, :]).reshape(n, -1)
-            out[:, :, a] = acc
-        inside = self._weight(pts)
-        if inside is not None:
-            out[~inside] = 0.0
+        out = np.stack([self._local(pts, a).dense()
+                        for a in range(self.spec.dim)], axis=-1)
         return out[0] if squeeze else out
 
     def with_weight_box(self, lo, hi):

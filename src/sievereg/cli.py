@@ -204,10 +204,6 @@ def _config_values():
         raise ConfigurationError(str(exc)) from exc
 
 
-def _basis_spec(block):
-    return BasisSpec.from_config({k: str(v) for k, v in block.items()})
-
-
 def _dgp_spec(block):
     kwargs = {"regressor": {}, "error": {}, "dgp": {}}
     for key, value in block.items():
@@ -237,7 +233,7 @@ def _print_table(title, pairs):
 
 
 def _cmd_fit(cfg, out_dir, args):
-    spec = _basis_spec(cfg["basis"])
+    spec = BasisSpec(**cfg["basis"])
     path = cfg["fit"]["data"]
     if not os.path.exists(path):
         raise ConfigurationError(f"config key `data`: file not found: {path}")
@@ -284,20 +280,20 @@ def _cmd_fit(cfg, out_dir, args):
 
 def _rate_config(cfg, args):
     return RateStudyConfig(dgp=_dgp_spec(cfg.get("dgp", {})),
-                           basis_spec=_basis_spec(cfg["basis"]),
+                           basis_spec=BasisSpec(**cfg["basis"]),
                            synthetic_oracle=args.synthetic_oracle,
                            **cfg["study"])
 
 
 def _coverage_config(cfg, args):
     return CoverageStudyConfig(dgp=_dgp_spec(cfg.get("dgp", {})),
-                               basis_spec=_basis_spec(cfg["basis"]),
+                               basis_spec=BasisSpec(**cfg["basis"]),
                                functional=_functional_spec(cfg["functional"]),
                                **cfg["study"])
 
 
 def _stability_config(cfg, args):
-    specs = [_basis_spec(cfg[section])
+    specs = [BasisSpec(**cfg[section])
              for section in ("basis", "basis2", "basis3") if section in cfg]
     return StabilityStudyConfig(dgp=_dgp_spec(cfg.get("dgp", {})),
                                 basis_specs=tuple(specs), **cfg["study"])
@@ -306,7 +302,7 @@ def _stability_config(cfg, args):
 def _concentration_config(cfg, args):
     basis = cfg.get("basis")
     return ConcentrationStudyConfig(
-        basis_spec=None if basis is None else _basis_spec(basis),
+        basis_spec=None if basis is None else BasisSpec(**basis),
         **cfg["study"], **cfg["generator"])
 
 
@@ -368,7 +364,7 @@ def _cmd_study(cfg, out_dir, args):
 
 
 def _cmd_gram_report(cfg, out_dir, args):
-    spec = _basis_spec(cfg["basis"])
+    spec = BasisSpec(**cfg["basis"])
     basis = build_basis(spec)
     block = cfg["gram"]
     _check_at_least(0, seed=block.get("seed", 0))

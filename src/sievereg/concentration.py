@@ -97,8 +97,6 @@ def mixing_bound(inp, t, remainder_tail=0.0):
 class ZeroGenerator:
     """All summands identically zero (plumbing check)."""
 
-    d1 = d2 = 1
-
     def __init__(self, n):
         self.n = n
         self.input = TailBoundInput(d1=1, d2=1, n=n, r_bound=0.0)
@@ -112,8 +110,6 @@ class ZeroGenerator:
 
 class RademacherGenerator:
     """Scalar sum of n independent signs; r_bound = 1, sigma2 = n."""
-
-    d1 = d2 = 1
 
     def __init__(self, n):
         self.n = n
@@ -144,7 +140,6 @@ class GramDeviationGenerator:
         self.basis = basis
         self.n = n
         self.k = basis.size
-        self.d1 = self.d2 = self.k
         self.regressor = regressor if regressor is not None else RegressorSpec()
         self.factor = GramFactor(gram)
         self.factor.inv_sqrt()        # NumericError now if G is singular
@@ -234,10 +229,11 @@ class ConcentrationStudyConfig:
             raise ConfigurationError(
                 f"`t_max` must be a finite number >= 0, got {self.t_max}")
         mixing = RegressorSpec(self.regressor, self.rho).mixing
-        if mixing and not 1 <= self.q <= self.n // 2:
+        # the study's mixing bound has no incomplete-final-block term
+        if mixing and not (1 <= self.q <= self.n // 2 and self.n % self.q == 0):
             raise ConfigurationError(
-                f"`q` must be in [1, n/2] = [1, {self.n // 2}] under a mixing "
-                f"regressor, got {self.q}")
+                f"`q` must divide n = {self.n} and lie in [1, n/2] under a "
+                f"mixing regressor, got {self.q}")
 
 
 def concentration_study(config):

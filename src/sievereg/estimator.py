@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gram import GramFactor
-from .quadrature import basis_quadrature, points_2d
+from .quadrature import points_2d
 
 # Smallest lambda_min / lambda_max of B'B/n solved through the normal
 # equations, i.e. a design condition number up to 1e4: the squared condition
@@ -53,9 +53,6 @@ class FitResult:
     def predict(self, pts):
         vals = self.basis.evaluate(pts)
         return vals @ self.coeffs
-
-    def __call__(self, pts):
-        return self.predict(pts)
 
 
 def fit(basis, x, y):
@@ -96,12 +93,9 @@ def sup_error(f, g, grid):
     return float(np.max(np.abs(fv - gv)))
 
 
-def l2_error(f, g, density, basis=None, quad=None):
-    """L2(X) distance of f and g under the closed-form density."""
-    if quad is None:
-        if basis is None:
-            raise ValueError("need either a quadrature rule or a basis")
-        quad = basis_quadrature(basis)
+def l2_error(f, g, density, quad):
+    """L2(X) distance of f and g under the closed-form density, by the
+    quadrature rule `quad`."""
     fv = f(quad.nodes) if callable(f) else np.asarray(f)
     gv = g(quad.nodes) if callable(g) else np.asarray(g)
     diff = fv - gv

@@ -134,15 +134,15 @@ def empirical_gram(basis, x, gram, grid=None):
                       "n": x.shape[0], "k": int(gram.shape[0])}
 
 
-# grid rows per kernel block: a (64, 20000) block is 10 MB, the grid chunk's
-# full (512, 20000) product would be 82 MB
-_KERNEL_ROWS = 64
+# grid points per LocalDesign, and grid rows per kernel block: a (64, 20000)
+# block is 10 MB, the grid chunk's full (512, 20000) product would be 82 MB
+_GRID_CHUNK, _KERNEL_ROWS = 512, 64
 
 
-def _kernel_abs_sup(basis, grid, half, chunk, weights=None):
+def _kernel_abs_sup(basis, grid, half, weights=None):
     """max over grid points x of sum_j |b(x)' half[:, j]| (times weights[j]).
 
-    The grid's LocalDesign is taken `chunk` points at a time and grouped
+    The grid's LocalDesign is taken _GRID_CHUNK points at a time and grouped
     by window, and a group's rows multiply only the window's rows of
     `half`: O(G n w) for G grid points where a dense product is O(G n K).
     A row equal to the one before it (a Haar cell on a sorted grid) is not
@@ -154,8 +154,8 @@ def _kernel_abs_sup(basis, grid, half, chunk, weights=None):
     """
     buf = np.empty((_KERNEL_ROWS, half.shape[1]))
     best = 0.0
-    for start in range(0, grid.shape[0], chunk):
-        local = basis.local(grid[start:start + chunk])
+    for start in range(0, grid.shape[0], _GRID_CHUNK):
+        local = basis.local(grid[start:start + _GRID_CHUNK])
         for cols, rows in local.windows():
             vals = local.vals[rows]
             vals = vals[np.r_[True, np.any(vals[1:] != vals[:-1], axis=1)]]
@@ -172,8 +172,7 @@ def _kernel_abs_sup(basis, grid, half, chunk, weights=None):
     return best
 
 
-def lebesgue_constant_theoretical(basis, density, quad=None, grid=None,
-                                  chunk=512):
+def lebesgue_constant_theoretical(basis, density, quad=None, grid=None):
     """Sup-norm operator norm of the L2(X) projection onto the sieve.
 
     Evaluates sup over the grid in x of the L1(X) norm of the projection
@@ -188,7 +187,7 @@ def lebesgue_constant_theoretical(basis, density, quad=None, grid=None,
     vals_q = basis.evaluate(quad.nodes)          # (Q, K)
     wq = quad.weights * density(quad.nodes)      # (Q,)
     kernel_half, _ = GramFactor(gram).solve(vals_q.T)  # (K, Q)
-    return _kernel_abs_sup(basis, grid, kernel_half, chunk, weights=wq)
+    return _kernel_abs_sup(basis, grid, kernel_half, weights=wq)
 
 
 @dataclass
@@ -197,7 +196,7 @@ class EmpiricalLebesgue:
     rank_deficient: bool
 
 
-def lebesgue_constant_empirical(basis, x, grid=None, chunk=512):
+def lebesgue_constant_empirical(basis, x, grid=None):
     """Sup-norm operator norm of the empirical projection P_{K,w,n}.
 
     Over functions unconstrained off the sample, the norm at a point x is
@@ -209,7 +208,7 @@ def lebesgue_constant_empirical(basis, x, grid=None, chunk=512):
         grid = sup_grid(basis)
     vals = basis.evaluate(x)                       # (n, K)
     half, flagged = GramFactor(vals.T @ vals).solve(vals.T)   # (K, n)
-    best = _kernel_abs_sup(basis, grid, half, chunk)
+    best = _kernel_abs_sup(basis, grid, half)
     return EmpiricalLebesgue(value=best, rank_deficient=flagged)
 
 

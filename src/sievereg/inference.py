@@ -131,18 +131,6 @@ def sieve_variance_oracle(basis, gram, deriv, sigma2, density, quad=None):
     return float(coeffs @ omega @ coeffs)
 
 
-def omega_hat(fit_result, gram):
-    """Whitened residual-weighted second-moment matrix (diagnostic).
-
-    B_tilde' diag(resid^2) B_tilde / n where B_tilde whitens by G^{-1/2};
-    its distance to its population counterpart is monitored, not assumed.
-    """
-    design = fit_result.design
-    tilde = design @ GramFactor(gram).inv_sqrt()
-    r2 = fit_result.residuals ** 2
-    return tilde.T @ (tilde * r2[:, None]) / design.shape[0]
-
-
 def t_statistic(fhat, f0, vk_hat, n):
     """sqrt(n) (f(h_hat) - f0) / sqrt(V_hat)."""
     if vk_hat <= 0.0:
@@ -173,20 +161,6 @@ class FunctionalReport:
     f0: float = None
     clamped: bool = False
     rank_deficient: bool = False
-
-    def to_jsonable(self):
-        return {
-            "fhat": self.fhat,
-            "vk_hat": self.vk_hat,
-            "tstat": None if np.isnan(self.tstat) else self.tstat,
-            "f0": self.f0,
-            "ci_lo": self.ci[0],
-            "ci_hi": self.ci[1],
-            "level": self.level,
-            "n": self.n,
-            "clamped": self.clamped,
-            "rank_deficient": self.rank_deficient,
-        }
 
 
 def functional_report(fit_result, spec, f0=None, level=0.95, quad=None):

@@ -3,8 +3,8 @@
 Regressors are i.i.d. uniform or a uniform-marginal AR copula (latent
 Gaussian AR(1) per coordinate pushed through the normal CDF); errors are
 martingale differences: fresh innovations, independent of the regressor
-path, optionally scaled by a conditional-deviation function of the current
-regressor.  Both uniform variants draw through the normal CDF so the
+path, optionally scaled by the conditional deviation `bump_sigma` of the
+current regressor.  Both uniform variants draw through the normal CDF so the
 rho -> 0 copula reproduces the i.i.d. stream exactly.
 
 Every study derives one RNG per (study, n-index, replication) from the
@@ -60,26 +60,24 @@ class ErrorSpec:
 
     "gaussian": N(0, sigma^2); "student_t": scale * t(df) (df = 3 has a
     finite (2+delta)-th moment for delta < 1 but infinite kurtosis);
-    "heteroskedastic": sigma_fn(X_i) times a unit-variance innovation.
+    "heteroskedastic": bump_sigma(X_i) times a N(0, 1) innovation.
     """
 
     kind: str = "gaussian"
     sigma: float = 1.0
     df: float = 3.0
     scale: float = 1.0
-    innovation: str = "gaussian"
 
     def __post_init__(self):
         if self.kind not in ("gaussian", "student_t", "heteroskedastic"):
             raise ValueError(f"unknown error kind {self.kind!r}")
         if self.kind == "student_t" and self.df <= 2.0:
             raise ValueError(f"student_t needs df > 2 for a finite variance, got {self.df}")
-        if self.innovation not in ("gaussian", "student_t"):
-            raise ValueError(f"unknown innovation kind {self.innovation!r}")
 
 
 def bump_sigma(pts):
-    """Default conditional deviation 0.5 + mean_a x_a (1 - x_a); inf > 0."""
+    """Heteroskedastic conditional deviation 0.5 + mean_a x_a (1 - x_a);
+    inf > 0."""
     pts = points_2d(pts)
     return 0.5 + np.mean(pts * (1.0 - pts), axis=1)
 
@@ -118,7 +116,6 @@ class DgpSpec:
     h0_name: str = "smooth_trig"
     smoothness: float = 2.0
     dim: int = 1
-    sigma_fn: object = None     # heteroskedastic scale; defaults to bump_sigma
     h0: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -144,19 +141,14 @@ def regressor_paths(spec, n, dim, rng, reps=1):
     return ndtr(z)
 
 
-def error_draws(spec, x, rng, sigma_fn=None):
+def error_draws(spec, x, rng):
     """Martingale-difference errors for the sample points x (n, d)."""
     n = x.shape[0]
     if spec.kind == "gaussian":
         return spec.sigma * rng.standard_normal(n)
     if spec.kind == "student_t":
         return spec.scale * rng.standard_t(spec.df, n)
-    if spec.innovation == "student_t":
-        innov = rng.standard_t(spec.df, n) / np.sqrt(spec.df / (spec.df - 2.0))
-    else:
-        innov = rng.standard_normal(n)
-    fn = sigma_fn if sigma_fn is not None else bump_sigma
-    return fn(x) * innov
+    return bump_sigma(x) * rng.standard_normal(n)
 
 
 def gen_sample(dgp, n, seed=None, rng=None):
@@ -164,7 +156,7 @@ def gen_sample(dgp, n, seed=None, rng=None):
     if rng is None:
         rng = np.random.default_rng(seed)
     x = regressor_paths(dgp.regressor, n, dgp.dim, rng, reps=1)[0]
-    eps = error_draws(dgp.error, x, rng, sigma_fn=dgp.sigma_fn)
+    eps = error_draws(dgp.error, x, rng)
     y = dgp.h0(x) + eps
     return x, y
 
@@ -399,6 +391,14 @@ class StabilityStudyConfig:
                         n_grid=self.n_grid)
         _check_at_least(0, seed=self.seed)
         _check_dims(self.dgp, *self.basis_specs)
+        cells = [(spec.family, _spec_for_size(spec, k, self.dgp.dim).size, n)
+                 for spec in self.basis_specs for k in self.k_grid
+                 for n in self.n_grid]
+        if len(set(cells)) < len(cells):
+            twice = next(c for i, c in enumerate(cells) if c in cells[:i])
+            raise ConfigurationError(
+                "stability cells must be distinct, but the basis templates, "
+                f"`k_grid` and `n_grid` give (family, K, n) = {twice} twice")
 
 
 def stability_study(config):

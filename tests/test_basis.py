@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -94,6 +96,45 @@ def test_wavelet_gradient_finite_difference():
     assert np.median(np.abs(grad - fd)) < 1e-3
 
 
+@pytest.mark.parametrize("spec,box", [
+    (BasisSpec.wavelet(2, 3), None),
+    (BasisSpec.wavelet(2, 5), (0.2, 0.9)),
+    (BasisSpec.wavelet(3, 3), None),
+    (BasisSpec.wavelet(3, 4), None),
+    (BasisSpec.bspline(3, 3, dim=2), (0.1, 0.7)),
+    (BasisSpec.wavelet(2, 3, dim=2), None),
+], ids=["d2", "d2-box", "d3", "d3-level4", "spline-2d-box", "d2-2d"])
+def test_gradient_edges_and_tensor_products(spec, box):
+    basis = build_basis(spec)
+    if box is not None:
+        basis = basis.with_weight_box(*box)
+    edges = basis.breakpoints_1d
+    if spec.dim == 1:
+        # the Daubechies gradient is the central difference at one
+        # tabulation step, up to the clipped right-edge window
+        h = 2.0 ** -(spec.level + 12)
+        x = np.clip(np.concatenate([edges + f * h for f in
+                                    (-1.0, -0.5, -0.125, 0.125, 0.5, 1.0)]),
+                    0.0, 1.0)
+        fd = (basis.evaluate(np.clip(x + h, 0.0, 1.0))
+              - basis.evaluate(np.clip(x - h, 0.0, 1.0))) / (2.0 * h)
+        assert np.array_equal(basis.evaluate_gradient(x)[:, :, 0], fd)
+        return
+    # a tensor function's partial derivative is its axis' 1-D gradient
+    # times the other axis' 1-D values
+    pts = np.vstack([np.random.default_rng(8).uniform(0, 1, (200, 2)),
+                     np.column_stack([edges, edges[::-1]])])
+    uni = build_basis(replace(spec, dim=1))
+    vals = [uni.evaluate(pts[:, a]) for a in range(2)]
+    grads = [uni.evaluate_gradient(pts[:, a])[:, :, 0] for a in range(2)]
+    outer = [(grads[0][:, :, None] * vals[1][:, None, :]),
+             (vals[0][:, :, None] * grads[1][:, None, :])]
+    expected = np.stack([o.reshape(pts.shape[0], -1) for o in outer], axis=-1)
+    if box is not None:
+        expected[~np.all((pts >= box[0]) & (pts <= box[1]), axis=1)] = 0.0
+    assert np.array_equal(basis.evaluate_gradient(pts), expected)
+
+
 def test_support_bookkeeping_random_pairs():
     rng = np.random.default_rng(123)
     for spec in (BasisSpec.bspline(3, 13), BasisSpec.wavelet(1, 4),
@@ -172,37 +213,6 @@ def test_invalid_specs():
         BasisSpec.bspline(0, 3)
     with pytest.raises(ConfigurationError):
         BasisSpec(family="mystery")
-
-
-def test_config_roundtrip():
-    for spec in (BasisSpec.bspline(3, 4, dim=2), BasisSpec.wavelet(2, 4),
-                 BasisSpec.trig(5), BasisSpec.power(7)):
-        assert BasisSpec.from_config(spec.to_config()) == spec
-    with pytest.raises(ConfigurationError):
-        BasisSpec.from_config({"family": "bspline", "order": "3",
-                               "n_interior": "2", "typo": "1"})
-
-
-_SPECS = st.one_of(
-    st.builds(BasisSpec.bspline, order=st.integers(1, 6),
-              n_interior=st.integers(0, 60), dim=st.integers(1, 3)),
-    st.builds(BasisSpec.wavelet, n_moments=st.just(1),
-              level=st.integers(1, 10), dim=st.integers(1, 3)),
-    st.builds(BasisSpec.wavelet, n_moments=st.sampled_from([2, 3]),
-              level=st.integers(3, 10), dim=st.integers(1, 3)),
-    st.builds(BasisSpec.trig, degree=st.integers(0, 30),
-              dim=st.integers(1, 3)),
-    st.builds(BasisSpec.power, degree=st.integers(0, 30),
-              dim=st.integers(1, 3)),
-)
-
-
-@settings(max_examples=100, deadline=None)
-@given(spec=_SPECS)
-def test_config_roundtrip_property(spec):
-    block = spec.to_config()
-    assert all(isinstance(v, str) for v in block.values())
-    assert BasisSpec.from_config(block) == spec
 
 
 def test_spec_with_size_families():

@@ -249,6 +249,12 @@ CONCENTRATION_AR = ("[study]\nreps = 10\nt_max = 1.0\n"
 GRAM = "[gram]\n{extra}[basis]\nfamily = wavelet\nn_moments = 1\nlevel = 2\n"
 
 
+STABILITY_D2_D3 = ("[study]\nreps = 2\nk_grid = 16\nn_grid = 2000\n"
+                   "lebesgue = 0\n[basis]\nfamily = wavelet\nn_moments = 2\n"
+                   "level = 3\n[basis2]\nfamily = wavelet\nn_moments = 3\n"
+                   "level = 3\n")
+
+
 @pytest.mark.parametrize("command,text,named", [
     ("rate-study", RATE.format(extra="[dgp]\nregressor = foo\n"), "'foo'"),
     ("rate-study", RATE.format(extra="[dgp]\nregressor = ar_copula\n"
@@ -269,9 +275,17 @@ GRAM = "[gram]\n{extra}[basis]\nfamily = wavelet\nn_moments = 1\nlevel = 2\n"
                                                     regressor="foo"), "'foo'"),
     ("concentration-study", CONCENTRATION.format(reps=10, t=5, n=50)
      .replace("t_max = 1.0", "t_max = -1.0"), "`t_max`"),
+    ("concentration-study", CONCENTRATION_AR.format(kind="rademacher",
+                                                    regressor="ar_copula")
+     .replace("n = 50", "n = 400").replace("q = 2", "q = 7"), "`q`"),
+    ("stability-study", STABILITY_D2_D3, "`k_grid`"),
+    ("rate-study", RATE.format(extra="").replace("n_interior", "n_interor"),
+     "`n_interor`"),
 ], ids=["dgp-regressor", "dgp-rho", "dgp-df", "dgp-h0", "dgp-dim",
         "basis-dim", "coverage-x0", "coverage-level", "gram-density",
-        "gram-amplitude", "concentration-regressor", "concentration-t_max"])
+        "gram-amplitude", "concentration-regressor", "concentration-t_max",
+        "concentration-q-not-dividing-n", "stability-cells-collide",
+        "basis-typo"])
 def test_rejected_config_values_exit_2(tmp_path, capsys, command, text,
                                        named):
     # values that the library specs and study configs reject
@@ -369,4 +383,4 @@ def test_demo_configs_build_their_library_configs(name):
     if command in expected:
         assert isinstance(cli._study_config(cfg, args), expected[command])
     else:
-        assert isinstance(cli._basis_spec(cfg["basis"]), BasisSpec)
+        assert isinstance(BasisSpec(**cfg["basis"]), BasisSpec)

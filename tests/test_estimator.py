@@ -236,8 +236,9 @@ def test_sup_and_l2_error_examples():
     assert sup_error(f, f, grid) == 0.0
     const = lambda pts: np.full(pts.shape[0], 0.7)
     assert sup_error(const, zero, grid) == pytest.approx(0.7)
-    assert l2_error(const, zero, UNIFORM, basis=basis) == pytest.approx(0.7)
-    assert l2_error(f, zero, UNIFORM, basis=basis) == pytest.approx(
+    quad = basis_quadrature(basis)
+    assert l2_error(const, zero, UNIFORM, quad=quad) == pytest.approx(0.7)
+    assert l2_error(f, zero, UNIFORM, quad=quad) == pytest.approx(
         1 / np.sqrt(2), abs=1e-10)
 
 

@@ -5,7 +5,7 @@ from sievereg.basis import BasisSpec, build_basis
 from sievereg.estimator import fit, smooth_trig
 from sievereg.gram import NumericError, theoretical_gram
 from sievereg.inference import (FunctionalSpec, confidence_interval,
-                                functional_report, omega_hat, riesz_representer,
+                                functional_report, riesz_representer,
                                 sieve_variance_oracle, sieve_variance_plugin,
                                 t_statistic)
 from sievereg.quadrature import basis_quadrature, uniform_density
@@ -193,8 +193,7 @@ def test_report_fields_and_positivity(haar2):
     assert report.vk_hat > 0.0
     assert report.ci[0] < report.fhat < report.ci[1]
     assert np.isfinite(report.tstat)
-    payload = report.to_jsonable()
-    assert payload["n"] == 500 and payload["f0"] == f0
+    assert report.n == 500 and report.f0 == f0
 
 
 class _CountingBasis:
@@ -237,13 +236,3 @@ def test_plugin_consistent_for_oracle_variance():
         vk = sieve_variance_plugin(fit(basis, x, y), deriv)
         rels.append(abs(vk / oracle - 1.0))
     assert np.median(rels) < 0.05
-
-
-def test_omega_hat_close_to_identity_under_homoskedastic_noise(haar2):
-    basis, gram = haar2
-    rng = np.random.default_rng(18)
-    x = rng.uniform(0, 1, 20000)
-    y = rng.normal(0, 1, 20000)  # h0 = 0, sigma = 1 => Omega = I
-    res = fit(basis, x, y)
-    om = omega_hat(res, gram)
-    assert np.max(np.abs(om - np.eye(4))) < 0.15

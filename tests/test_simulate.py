@@ -213,6 +213,19 @@ def test_stability_study_shapes_and_determinism():
         assert entry["lebesgue_empirical"] >= 1.0 - 1e-9
 
 
+@pytest.mark.parametrize("specs,k_grid,n_grid", [
+    ((BasisSpec.wavelet(2, 3), BasisSpec.wavelet(3, 3)), (16,), (2000,)),
+    ((BasisSpec.bspline(3, 2), BasisSpec.bspline(4, 2)), (16,), (2000,)),
+    ((BasisSpec.wavelet(1, 3),), (16, 20), (2000,)),
+    ((BasisSpec.bspline(3, 2),), (16,), (400, 400)),
+], ids=["d2-and-d3", "spline-orders", "wavelet-k-16-and-20", "repeated-n"])
+def test_stability_cells_must_be_distinct(specs, k_grid, n_grid):
+    # medians are keyed by (family, K, n): a repeated cell would drop one
+    with pytest.raises(ConfigurationError, match="`k_grid`"):
+        StabilityStudyConfig(dgp=DgpSpec(), basis_specs=specs, k_grid=k_grid,
+                             n_grid=n_grid)
+
+
 def test_derived_rng_streams_differ():
     a = derived_rng(1, "rate", 0, 0).random(4)
     b = derived_rng(1, "rate", 0, 1).random(4)
