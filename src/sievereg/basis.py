@@ -38,7 +38,10 @@ from .daubechies import tabulate_daubechies
 
 TAB_DEPTH = 12
 
-_FAMILIES = ("bspline", "wavelet", "trig", "power")
+# family -> the per-dimension fields it reads; the others must stay 0
+_FAMILIES = {"bspline": ("order", "n_interior"),
+             "wavelet": ("n_moments", "level"),
+             "trig": ("degree",), "power": ("degree",)}
 
 
 class ConfigurationError(ValueError):
@@ -94,8 +97,15 @@ class BasisSpec:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ConfigurationError(
-                f"unknown basis family {self.family!r}; expected one of {_FAMILIES}"
+                f"unknown basis family {self.family!r}; expected one of "
+                f"{tuple(_FAMILIES)}"
             )
+        for key in ("order", "n_interior", "n_moments", "level", "degree"):
+            value = getattr(self, key)
+            if value != 0 and key not in _FAMILIES[self.family]:
+                raise ConfigurationError(
+                    f"`{key}` = {value} is not a parameter of the "
+                    f"{self.family} family")
         if self.dim < 1:
             raise ConfigurationError(f"dim must be >= 1, got {self.dim}")
         if self.family == "bspline":

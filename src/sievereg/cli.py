@@ -188,7 +188,7 @@ def _read_config(args):
             if req and key not in out[section]:
                 raise ConfigurationError(
                     f"missing required config key `{key}` in [{section}]")
-    for key, flag in (("seed", args.seed), ("threads", args.threads or None)):
+    for key, flag in (("seed", args.seed), ("threads", args.threads)):
         for section, (keys, _) in schema.items():
             if flag is not None and key in keys:
                 out[section][key] = flag
@@ -410,8 +410,8 @@ def build_parser():
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
-        p.add_argument("--threads", type=int, default=0,
-                       help="worker threads for replications")
+        p.add_argument("--threads", type=int, default=None,
+                       help="override the config's replication worker threads")
         if name == "rate-study":
             p.add_argument("--synthetic-oracle", action="store_true",
                            help="replace the estimator by an exact-rate oracle")

@@ -10,10 +10,10 @@ sums) with certified envelope constants, so empirical tail frequencies can
 be compared against the bounds.
 
 ``GramDeviationGenerator`` draws replications in chunks, forms each
-replication's Gram ``B'B/n`` of the unwhitened design with one batched
-BLAS product, and hands the chunk's K x K Grams to the theoretical Gram's
-``GramFactor``, which whitens them and takes all their spectral norms in
-one batched ``eigvalsh``.
+replication's Gram ``B'B/n`` of the unwhitened design with one
+``sample_gram`` call per chunk, and hands the chunk's K x K Grams to the
+theoretical Gram's ``GramFactor``, which whitens them and takes all their
+spectral norms at once.
 
 ``concentration_study`` compares one generator's exceedance frequencies
 with the independent bound, or the blocked bound at t/6 under mixing.
@@ -24,7 +24,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .basis import ConfigurationError, build_basis
-from .gram import GramFactor, theoretical_gram, zeta_constant
+from .gram import (GramFactor, sample_gram, theoretical_gram,
+                   zeta_constant)
 from .quadrature import uniform_density
 from .simulate import (RegressorSpec, StudyReport, _check_at_least,
                        regressor_paths)
@@ -160,9 +161,13 @@ class GramDeviationGenerator:
     def sum_norms(self, reps, seed, chunk=64):
         """||sum_i Xi_i|| per replication (exact spectral norms).
 
-        Each replication's Gram B'B/n is one BLAS product of its unwhitened
-        design; the shared factor whitens the K x K Grams of a chunk and
-        takes their spectral deviations in one batched call.
+        A chunk's designs are evaluated in one local form, and
+        `sample_gram` stacks one Gram B'B/n per replication: for a width-1
+        (Haar) basis the diagonals, from one bincount in O(n) per
+        replication, otherwise one batched BLAS product of the dense
+        designs.  The shared factor whitens the chunk's K x K Grams and
+        takes their spectral deviations in one call, read off the diagonals
+        when both it and the Grams are diagonal.
         """
         out = np.empty(reps)
         done = 0
@@ -172,10 +177,9 @@ class GramDeviationGenerator:
             rng = np.random.default_rng([int(seed), 202, c])
             x = regressor_paths(self.regressor, self.n, self.basis.spec.dim,
                                 rng, reps=m)
-            flat = x.reshape(m * self.n, -1)
-            vals = self.basis.evaluate(flat).reshape(m, self.n, self.k)
-            grams = np.swapaxes(vals, 1, 2) @ vals / self.n
-            out[done:done + m] = self.factor.deviation(grams)
+            local = self.basis.local(x.reshape(m * self.n, -1))
+            out[done:done + m] = self.factor.deviation(
+                sample_gram(local, blocks=m))
             done += m
             c += 1
         return out

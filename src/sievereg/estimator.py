@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gram import GramFactor
+from .gram import GramFactor, sample_gram
 from .quadrature import points_2d
 
 # Smallest lambda_min / lambda_max of B'B/n solved through the normal
@@ -58,14 +58,21 @@ class FitResult:
 def fit(basis, x, y):
     """Least-squares fit of y on the weighted basis at the points x.
 
+    The design is evaluated once, in local form (`basis.local`), and
+    scattered to dense once for B'y, the residuals and inference.  The Gram
+    B'B/n comes from `sample_gram`: a diagonal summed in O(n) for a width-1
+    (Haar) design, whose GramFactor then needs no eigendecomposition, and
+    the dense product otherwise.
+
     Raises ValueError when a response is NaN or infinite.
     """
     y = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(y)):
         raise ValueError("responses must be finite")
-    design = basis.evaluate(points_2d(x))
+    local = basis.local(points_2d(x))
+    design = local.dense()
     n, k = design.shape
-    factor = GramFactor(design.T @ design / n)
+    factor = GramFactor(sample_gram(local, design=design))
     lam_min, lam_max = factor.evals[0], factor.evals[-1]
     if lam_min > MIN_GRAM_RCOND * lam_max:
         coeffs, _ = factor.solve(design.T @ y / n)

@@ -30,11 +30,24 @@ class GramFactor:
     Eigenvalues at or below the rank tolerance K * eps * max(lambda_max, 0)
     count as zero: `solve` pseudo-inverts over them and flags it, and
     `inv_sqrt` refuses them.
+
+    A matrix with no nonzero off-diagonal entry (the Gram of a Haar design)
+    is not handed to `eigh`: its eigenvalues are its stably sorted diagonal
+    and its eigenvectors the matching columns of the identity, which is what
+    `eigh` returns for it up to the order and signs of tied columns.  A
+    product with a signed permutation is exact, so `solve`, `inv_sqrt`, `lam`
+    and `deviation` give the same bits on either path.
     """
 
     def __init__(self, mat):
         mat = np.asarray(mat, dtype=float)
-        self.evals, self.evecs = np.linalg.eigh(0.5 * (mat + mat.T))
+        diag = np.diagonal(mat)
+        self.is_diagonal = np.count_nonzero(mat) == np.count_nonzero(diag)
+        if self.is_diagonal:
+            order = np.argsort(diag, kind="stable")
+            self.evals, self.evecs = diag[order], np.eye(diag.size)[:, order]
+        else:
+            self.evals, self.evecs = np.linalg.eigh(0.5 * (mat + mat.T))
         self.tol = mat.shape[0] * np.finfo(float).eps * max(float(self.evals[-1]), 0.0)
 
     @property
@@ -64,12 +77,22 @@ class GramFactor:
         """Spectral norm of G^{-1/2} G_emp G^{-1/2} - I for this factor's G.
 
         gram_emp may be one K x K matrix (returns a float) or a stack
-        (..., K, K) (returns an array of the leading shape).
+        (..., K, K) (returns an array of the leading shape).  When G and
+        every G_emp are diagonal, the whitened matrices are too, and their
+        eigenvalues are read off the diagonal instead of from `eigvalsh`,
+        which returns a diagonal's entries exactly.
         """
         w = self.inv_sqrt()
-        m = w @ gram_emp @ w
-        m = 0.5 * (m + np.swapaxes(m, -1, -2))
-        evals = np.linalg.eigvalsh(m - np.eye(m.shape[-1]))
+        gram_emp = np.asarray(gram_emp, dtype=float)
+        diag = np.diagonal(gram_emp, axis1=-2, axis2=-1)
+        if (self.is_diagonal
+                and np.count_nonzero(gram_emp) == np.count_nonzero(diag)):
+            w = np.diagonal(w)
+            evals = w * diag * w - 1.0
+        else:
+            m = w @ gram_emp @ w
+            m = 0.5 * (m + np.swapaxes(m, -1, -2))
+            evals = np.linalg.eigvalsh(m - np.eye(m.shape[-1]))
         dev = np.max(np.abs(evals), axis=-1)
         return float(dev) if dev.ndim == 0 else dev
 
@@ -81,10 +104,36 @@ def theoretical_gram(basis, density, quad=None):
     return weighted_basis_gram(basis, quad, point_weight=density)
 
 
+def sample_gram(local, blocks=None, design=None):
+    """B'B/n of the LocalDesign `local` (n rows), or the (blocks, K, K) stack
+    of B_b'B_b/n_b over its `blocks` consecutive blocks B_b of
+    n_b = n / blocks rows each.
+
+    A width-1 design (Haar in any dimension: one active column per point)
+    has a diagonal Gram: one bincount of the squared values sums it in O(n).
+    Any other design is scattered to dense once, or taken from `design`,
+    the caller's dense copy of it, and multiplied in O(n K^2).
+    """
+    m = 1 if blocks is None else blocks
+    rows, k = local.vals.shape[0], local.size
+    n = rows // m
+    if local.vals.shape[1] == 1:
+        bins = local.cols[:, 0] + np.repeat(k * np.arange(m), n)
+        diag = np.bincount(bins, weights=local.vals[:, 0] ** 2,
+                           minlength=m * k)
+        grams = np.zeros((m, k, k))
+        grams[:, np.arange(k), np.arange(k)] = diag.reshape(m, k) / n
+        return grams if blocks is not None else grams[0]
+    if design is None:
+        design = local.dense()
+    if blocks is None:
+        return design.T @ design / n
+    design = design.reshape(m, n, k)
+    return np.swapaxes(design, 1, 2) @ design / n
+
+
 def empirical_gram_matrix(basis, x):
-    x = points_2d(x)
-    vals = basis.evaluate(x)
-    return vals.T @ vals / x.shape[0]
+    return sample_gram(basis.local(points_2d(x)))
 
 
 def gram_deviation(gram, gram_emp):

@@ -174,7 +174,7 @@ class StudyReport:
 
 def _run_indexed(task, n_jobs, threads):
     """Evaluate task(i) for i in range(n_jobs), in order, optionally pooled."""
-    if threads and threads > 1:
+    if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(task, range(n_jobs)))
     return [task(i) for i in range(n_jobs)]
@@ -220,7 +220,7 @@ class RateStudyConfig:
     synthetic_oracle: bool = False
 
     def __post_init__(self):
-        _check_at_least(1, reps=self.reps)
+        _check_at_least(1, reps=self.reps, threads=self.threads)
         _check_at_least(2, n_grid=self.n_grid)      # k_rule divides by log n
         _check_at_least(0, seed=self.seed)
         _check_krule_c(self.krule_c)
@@ -307,7 +307,7 @@ class CoverageStudyConfig:
     threads: int = 1
 
     def __post_init__(self):
-        _check_at_least(1, reps=self.reps)
+        _check_at_least(1, reps=self.reps, threads=self.threads)
         _check_at_least(2, n=self.n)                # k_rule divides by log n
         _check_at_least(0, seed=self.seed)
         _check_krule_c(self.krule_c)
@@ -388,7 +388,7 @@ class StabilityStudyConfig:
 
     def __post_init__(self):
         _check_at_least(1, reps=self.reps, k_grid=self.k_grid,
-                        n_grid=self.n_grid)
+                        n_grid=self.n_grid, threads=self.threads)
         _check_at_least(0, seed=self.seed)
         _check_dims(self.dgp, *self.basis_specs)
         cells = [(spec.family, _spec_for_size(spec, k, self.dgp.dim).size, n)

@@ -213,6 +213,15 @@ def test_invalid_specs():
         BasisSpec.bspline(0, 3)
     with pytest.raises(ConfigurationError):
         BasisSpec(family="mystery")
+    # a nonzero field of another family is an error, not ignored
+    for fields, key in (
+            (dict(family="trig", degree=2, order=3), "order"),
+            (dict(family="power", level=3), "level"),
+            (dict(family="bspline", order=3, degree=2), "degree"),
+            (dict(family="wavelet", n_moments=1, level=3, n_interior=2),
+             "n_interior")):
+        with pytest.raises(ConfigurationError, match=f"`{key}`"):
+            BasisSpec(**fields)
 
 
 def test_spec_with_size_families():

@@ -281,11 +281,22 @@ STABILITY_D2_D3 = ("[study]\nreps = 2\nk_grid = 16\nn_grid = 2000\n"
     ("stability-study", STABILITY_D2_D3, "`k_grid`"),
     ("rate-study", RATE.format(extra="").replace("n_interior", "n_interor"),
      "`n_interor`"),
+    ("gram-report", "[gram]\n[basis]\nfamily = trig\ndegree = 2\norder = 3\n"
+     "level = 9\n", "`order`"),
+    ("stability-study", STABILITY_D2_D3.replace(
+        "n_moments = 3\n", "n_moments = 3\ndegree = 4\n"), "`degree`"),
+    ("rate-study", RATE.format(extra="threads = 0\n"), "`threads`"),
+    ("coverage-study", COVERAGE.format(reps=5, n=400)
+     .replace("n = 400\n", "n = 400\nthreads = -2\n"), "`threads`"),
+    ("stability-study", STABILITY_D2_D3.replace("lebesgue = 0", "threads = 0"),
+     "`threads`"),
 ], ids=["dgp-regressor", "dgp-rho", "dgp-df", "dgp-h0", "dgp-dim",
         "basis-dim", "coverage-x0", "coverage-level", "gram-density",
         "gram-amplitude", "concentration-regressor", "concentration-t_max",
         "concentration-q-not-dividing-n", "stability-cells-collide",
-        "basis-typo"])
+        "basis-typo", "basis-key-of-another-family",
+        "basis2-key-of-another-family", "rate-threads-0",
+        "coverage-threads-neg", "stability-threads-0"])
 def test_rejected_config_values_exit_2(tmp_path, capsys, command, text,
                                        named):
     # values that the library specs and study configs reject
@@ -343,6 +354,18 @@ def test_negative_seed_flag_exits_2(tmp_path, capsys):
     assert run(["gram-report", "--config", str(cfg), "--out", str(out),
                 "--seed", "-1"]) == 2
     assert "`seed`" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_flag_below_one_exits_2(tmp_path, capsys, threads):
+    # 0 is a value like any other, not "unset"
+    cfg = tmp_path / "rate.ini"
+    _write(cfg, RATE0)
+    out = tmp_path / "o"
+    assert run(["rate-study", "--config", str(cfg), "--out", str(out),
+                "--synthetic-oracle", "--threads", threads]) == 2
+    assert "`threads`" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_zero_generator_runs_under_mixing_regressor(tmp_path):

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sievereg.basis import BasisSpec, build_basis
+from sievereg.basis import BasisSpec, LocalDesign, build_basis
 from sievereg.estimator import (fit, holder_kink, l2_error, project_oracle,
                                 smooth_trig, sup_error, named_target)
-from sievereg.gram import (lebesgue_constant_empirical, theoretical_gram,
-                           gram_deviation, empirical_gram_matrix)
+from sievereg.gram import (GramFactor, lebesgue_constant_empirical,
+                           theoretical_gram, gram_deviation,
+                           empirical_gram_matrix)
 from sievereg.inference import FunctionalSpec, functional_report
 from sievereg.quadrature import basis_quadrature, sup_grid, uniform_density
 
@@ -27,6 +28,11 @@ class _TransformedBasis:
 
     def evaluate(self, x):
         return self.base.evaluate(x) @ self.mat
+
+    def local(self, x):
+        vals = np.atleast_2d(self.evaluate(x))
+        cols = np.broadcast_to(np.arange(self.size), vals.shape)
+        return LocalDesign(cols, vals, self.size)
 
 
 def test_constant_basis_fits_mean():
@@ -143,27 +149,37 @@ def test_fit_matches_lstsq(spec, lo, hi):
 
 
 def test_fit_and_report_factor_the_gram_once_without_svd(monkeypatch):
-    basis = build_basis(BasisSpec.wavelet(1, 4))
+    # one GramFactor per fit and report; a Haar Gram is diagonal and takes no
+    # eigh, an order-3 spline Gram takes exactly one
     rng = np.random.default_rng(7)
     x = rng.uniform(0, 1, 500)
     y = smooth_trig(x.reshape(-1, 1)) + rng.normal(0, 0.5, 500)
-    calls = []
-    eigh = np.linalg.eigh
+    factors, eighs = [], []
+    init, eigh = GramFactor.__init__, np.linalg.eigh
+
+    def counting_init(self, *args, **kwargs):
+        factors.append(1)
+        init(self, *args, **kwargs)
 
     def counting_eigh(*args, **kwargs):
-        calls.append(1)
+        eighs.append(1)
         return eigh(*args, **kwargs)
 
     def no_svd(*args, **kwargs):
         raise AssertionError("SVD path taken")
 
+    monkeypatch.setattr(GramFactor, "__init__", counting_init)
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     monkeypatch.setattr(np.linalg, "lstsq", no_svd)
     monkeypatch.setattr(np.linalg, "svd", no_svd)
-    res = fit(basis, x, y)
-    report = functional_report(res, FunctionalSpec.point_eval([0.3]), f0=0.0)
-    assert len(calls) == 1
-    assert np.isfinite(report.vk_hat) and not report.rank_deficient
+    for spec, n_eigh in ((BasisSpec.wavelet(1, 4), 0),
+                         (BasisSpec.bspline(3, 9), 1)):
+        factors.clear(), eighs.clear()
+        res = fit(build_basis(spec), x, y)
+        report = functional_report(res, FunctionalSpec.point_eval([0.3]),
+                                   f0=0.0)
+        assert len(factors) == 1 and len(eighs) == n_eigh, spec
+        assert np.isfinite(report.vk_hat) and not report.rank_deficient
 
 
 def test_weighted_fit_zero_outside_region():

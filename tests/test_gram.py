@@ -6,8 +6,8 @@ from sievereg.basis import BasisSpec, build_basis
 from sievereg.gram import (DmsBound, GramFactor, NumericError, dms_bound,
                            empirical_gram, empirical_gram_matrix,
                            gram_deviation, lebesgue_constant_empirical,
-                           lebesgue_constant_theoretical, theoretical_gram,
-                           zeta_constant)
+                           lebesgue_constant_theoretical, sample_gram,
+                           theoretical_gram, zeta_constant)
 from sievereg.quadrature import (basis_quadrature, sine_density, sup_grid,
                                   uniform_density, weighted_basis_gram)
 
@@ -87,6 +87,91 @@ def test_singular_gram_error(haar2):
         empirical_gram(basis, np.array([0.1, 0.6]), np.zeros((4, 4)))
     with pytest.raises(NumericError, match="theoretical Gram not invertible"):
         GramFactor(np.diag([1.0, 0.0])).inv_sqrt()
+
+
+def _eigh_built(mat):
+    """The factor the general path builds: eigh's decomposition of mat."""
+    ref = GramFactor(mat)
+    ref.evals, ref.evecs = np.linalg.eigh(0.5 * (mat + mat.T))
+    ref.is_diagonal = False
+    return ref
+
+
+@pytest.mark.parametrize("diag", [
+    [2.0, 0.5, 2.0, 1.0 / 3.0, 3.0, 0.5],     # ties
+    [2.0, 0.5, 2.0, 0.0, 3.0, 0.5],           # ties and a zero: singular
+])
+def test_diagonal_factor_matches_eigh_bit_for_bit(diag):
+    mat = np.diag(diag)
+    fast, ref = GramFactor(mat), _eigh_built(mat)
+    assert fast.is_diagonal and np.array_equal(fast.evals, ref.evals)
+    assert fast.tol == ref.tol and fast.lam == ref.lam
+    rhs = np.random.default_rng(4).normal(size=(6, 3))
+    for b in (rhs, rhs[:, 0]):
+        (x_fast, flag_fast), (x_ref, flag_ref) = fast.solve(b), ref.solve(b)
+        assert np.array_equal(x_fast, x_ref) and flag_fast == flag_ref
+    singular = 0.0 in diag
+    assert flag_fast == singular
+    if singular:
+        # the pseudo-inverse: 0 in the null direction, 1/d elsewhere
+        d = mat.diagonal()
+        expected = np.divide(rhs[:, 0], d, out=np.zeros(6), where=d > 0)
+        assert np.allclose(x_fast, expected, rtol=1e-15, atol=0.0)
+        for factor in (fast, ref):
+            with pytest.raises(NumericError):
+                factor.inv_sqrt()
+        return
+    assert np.array_equal(fast.inv_sqrt(), ref.inv_sqrt())
+    # stacked deviations of diagonal Grams (read off the diagonal) and of
+    # full ones (eigvalsh on both sides)
+    basis = build_basis(BasisSpec.wavelet(1, 3))
+    x = np.random.default_rng(6).uniform(0, 1, (5 * 40, 1))
+    haar = sample_gram(basis.local(x), blocks=5)[:, 1:7, 1:7]
+    full = haar + 0.01 * np.random.default_rng(7).normal(size=(6, 6))
+    for stack in (haar, full):
+        assert np.array_equal(fast.deviation(stack), ref.deviation(stack))
+        assert fast.deviation(stack[0]) == ref.deviation(stack[0])
+
+
+@pytest.mark.parametrize("level,n", [(3, 500), (4, 500), (5, 500), (6, 500),
+                                     (7, 500), (5, 2000), (7, 2000)])
+def test_width1_gram_matches_dense_product(level, n):
+    # one active column per point: B'B/n is the bincount of squared values.
+    # At even levels the values are sqrt(K) = 2^(level/2) and every partial
+    # sum is exact; at odd levels the rounded squares may sum to 1 ulp away
+    # from the dense product's fused multiply-adds.
+    basis = build_basis(BasisSpec.wavelet(1, level))
+    x = np.random.default_rng(11).uniform(0, 1, (n, 1))
+    design = basis.evaluate(x)
+    dense = design.T @ design / n
+    gram = sample_gram(basis.local(x))
+    off = ~np.eye(basis.size, dtype=bool)
+    assert not np.any(gram[off]) and not np.any(dense[off])
+    ulps = np.abs(gram - dense).diagonal() / np.spacing(dense.diagonal())
+    assert np.max(ulps) <= (0 if level % 2 == 0 else 1)
+    assert np.array_equal(empirical_gram_matrix(basis, x), gram)
+
+
+@pytest.mark.parametrize("spec, box", [
+    (BasisSpec.wavelet(1, 5), None),
+    (BasisSpec.wavelet(1, 2, dim=2), None),
+    (BasisSpec.wavelet(1, 4), (0.2, 0.7)),
+    (BasisSpec.bspline(3, 5), None),
+])
+def test_stacked_sample_grams_match_each_block(spec, box):
+    basis = build_basis(spec)
+    if box is not None:
+        basis = basis.with_weight_box(*box)
+    blocks, n = 4, 300
+    x = np.random.default_rng(12).uniform(0, 1, (blocks * n, spec.dim))
+    stack = sample_gram(basis.local(x), blocks=blocks)
+    for b in range(blocks):
+        block = basis.local(x[b * n:(b + 1) * n])
+        assert np.array_equal(stack[b], sample_gram(block))
+    if spec.family == "wavelet" and spec.level % 2 == 0:
+        # exact squares (see above): the dense product's bits
+        design = basis.evaluate(x[:n])
+        assert np.array_equal(stack[0], design.T @ design / n)
 
 
 def _random_search_gap(basis, x, gram, draws, rng):

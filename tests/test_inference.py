@@ -197,7 +197,8 @@ def test_report_fields_and_positivity(haar2):
 
 
 class _CountingBasis:
-    """Test helper: a basis that records the row count of each evaluation."""
+    """Test helper: a basis that records the row count of each evaluation,
+    dense or local."""
 
     def __init__(self, base):
         self.base = base
@@ -209,6 +210,11 @@ class _CountingBasis:
         vals = self.base.evaluate(x)
         self.rows.append(np.atleast_2d(vals).shape[0])
         return vals
+
+    def local(self, x):
+        local = self.base.local(x)
+        self.rows.append(local.vals.shape[0])
+        return local
 
 
 def test_report_evaluates_design_once_per_fit(haar2):
