@@ -25,7 +25,7 @@ Conventions:
 
 Every family's values and gradients are computed in the local form of
 :class:`LocalDesign`: the w**d functions per point that can be nonzero
-there (w is r for order-r splines, 2N for Daubechies-N (2N + 1 along a
+there (w is r for order-r splines, 2N - 1 for Daubechies-N (2N along a
 gradient's axis), 1 for Haar, K0 for trig and power).
 """
 
@@ -192,12 +192,13 @@ class _Univariate:
             self.supports = bsplines.support_intervals(self.knots, spec.order)
             self.breakpoints = np.unique(self.knots)
         elif fam == "wavelet":
-            k0 = self.size
-            self.scale = np.sqrt(k0)
-            self.family_tab = None
-            if spec.n_moments >= 2:
-                self.family_tab = _scaling_family(spec.n_moments)
-            self.supports = _wavelet_supports(spec.level, self.family_tab)
+            k0, n = self.size, spec.n_moments
+            self.family_tab = _scaling_family(n) if n >= 2 else None
+            # function k lives on [k - N + 1, k + N] / 2^J clipped to [0, 1]:
+            # a shift of phi, the edge function replacing it, or a Haar cell
+            k = np.arange(k0)
+            self.supports = np.clip(np.column_stack([k - n + 1, k + n]),
+                                    0, k0) / k0
             self.breakpoints = np.arange(k0 + 1) / k0
         else:
             self.supports = np.tile([0.0, 1.0], (self.size, 1))
@@ -259,53 +260,29 @@ def _haar_values(x, level):
     return cells, np.full((x.size, 1), np.sqrt(k0))
 
 
-def _wavelet_tables(k0, family):
-    """Tables [left..., phi, right...] and per column: its table, the
-    table's first node, and whether it is read at u - 2^J (right edge)."""
+def _wavelet_values(x, level, family):
+    """Tabulated Daubechies scaling functions on each point's window:
+    (first, vals) with vals of shape (n, 2N - 1).
+
+    The window of cell c is the 2N - 1 functions whose supports overlap it
+    (`_Univariate.supports`), shifted to stay inside 0..2^J - 1.  Each
+    value is computed as np.interp would on the function's own table (same
+    nodes, slope and formula), so it equals a per-function interpolation.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    k0 = 2 ** level
     n = family.n_moments
+    w = 2 * n - 1
+    u = x * k0
+    first = np.clip(np.minimum(u.astype(np.intp), k0 - 1) - (n - 1), 0, k0 - w)
+    j = first[:, None] + np.arange(w)
+    # per column: its table in [left..., phi, right...], the table's first
+    # node, and whether it is read at u - 2^J (right edge)
     col = np.arange(k0)
     right = col >= k0 - n
     tid = np.where(col < n, col, np.where(right, n + k0 - col, n))
     start = np.where(col < n, 0.0, np.where(right, 1.0 - 2.0 * n, col - n + 1.0))
     tables = np.vstack([family.left, family.phi, family.right])
-    return tables, tid, start, right
-
-
-def _wavelet_supports(level, family):
-    """[lo, hi] per function, clipped to [0, 1]: a Haar function's cell, or
-    where the interpolant of a Daubechies table is nonzero, which starts one
-    node before its first nonzero value.  A right-edge table starts at
-    phi[0] (7.7e-9 for N = 2 after the cascade), not 0, so its support
-    starts one tabulation step before (k - N + 1) / 2^J."""
-    k0 = 2 ** level
-    if family is None:
-        return np.column_stack([np.arange(k0), np.arange(1, k0 + 1)]) / k0
-    tables, tid, start, right = _wavelet_tables(k0, family)
-    nonzero = tables != 0.0
-    first = np.maximum(np.argmax(nonzero, axis=1) - 1, 0)
-    end = tables.shape[1] - np.argmax(nonzero[:, ::-1], axis=1)
-    ends = start[:, None] + family.step * np.column_stack([first, end])[tid]
-    return np.clip((ends + np.where(right, k0, 0)[:, None]) / k0, 0.0, 1.0)
-
-
-def _wavelet_values(x, level, family):
-    """Tabulated Daubechies scaling functions on each point's window:
-    (first, vals) with vals of shape (n, 2N).
-
-    The window of cell c is the 2N - 1 functions overlapping it plus
-    function c + N, whose right-edge table rises from 0 one tabulation step
-    before c + 1 (see `_wavelet_supports`).  Each value is computed as
-    np.interp would on the function's own table (same nodes, slope and
-    formula), so it equals a per-function interpolation.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    k0 = 2 ** level
-    n = family.n_moments
-    w = 2 * n
-    u = x * k0
-    first = np.clip(np.minimum(u.astype(np.intp), k0 - 1) - (n - 1), 0, k0 - w)
-    j = first[:, None] + np.arange(w)
-    tables, tid, start, right = _wavelet_tables(k0, family)
     size = tables.shape[1]
     # a repeated last value: slope 0 at the last node, which then reads exactly
     tables = np.pad(tables, ((0, 0), (0, 1)), mode="edge").ravel()
@@ -471,10 +448,9 @@ class BasisSystem:
         return getattr(self._uni, "family_tab", None)
 
 
-def build_basis(spec, weight_box=None):
+def build_basis(spec):
     """Construct the BasisSystem for `spec` (tabulating wavelets on demand)."""
-    uni = _Univariate(spec)
-    return BasisSystem(spec, uni, weight_box=weight_box)
+    return BasisSystem(spec, _Univariate(spec))
 
 
 def spec_with_size(spec, size_1d):

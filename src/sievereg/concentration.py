@@ -31,6 +31,11 @@ from .simulate import (RegressorSpec, StudyReport, _check_at_least,
                        regressor_paths)
 
 
+# Replications per chunk in `GramDeviationGenerator.sum_norms`; each chunk
+# draws from its own RNG stream, so the size keys the sums a seed gives.
+_CHUNK = 64
+
+
 @dataclass(frozen=True)
 class TailBoundInput:
     """Constants entering the tail bounds.
@@ -158,7 +163,7 @@ class GramDeviationGenerator:
             return 0.0
         return 4.0 * abs(self.regressor.rho) ** q
 
-    def sum_norms(self, reps, seed, chunk=64):
+    def sum_norms(self, reps, seed):
         """||sum_i Xi_i|| per replication (exact spectral norms).
 
         A chunk's designs are evaluated in one local form, and
@@ -173,7 +178,7 @@ class GramDeviationGenerator:
         done = 0
         c = 0
         while done < reps:
-            m = min(chunk, reps - done)
+            m = min(_CHUNK, reps - done)
             rng = np.random.default_rng([int(seed), 202, c])
             x = regressor_paths(self.regressor, self.n, self.basis.spec.dim,
                                 rng, reps=m)

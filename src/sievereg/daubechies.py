@@ -50,6 +50,10 @@ def cascade(filt, depth, tol=1e-8, max_iter=60):
     Starts from the unit box and applies the two-scale map on the fixed grid
     until the sup change falls below `tol`.  Raises CascadeError when the
     iteration has not converged after `max_iter` steps.
+
+    At node 0 the map reads phi(0) = sqrt(2) h_0 phi(0), so phi(0) = 0
+    unless sqrt(2) h_0 = 1 (Haar); the iteration only shrinks it (to 7.7e-9
+    for N = 2), so it is set to 0 on return.
     """
     n_taps = filt.size
     width = n_taps - 1
@@ -70,6 +74,8 @@ def cascade(filt, depth, tol=1e-8, max_iter=60):
         delta = np.max(np.abs(nxt - phi))
         phi = nxt
         if delta <= tol:
+            if not np.isclose(sqrt2 * filt[0], 1.0):
+                phi[0] = 0.0
             return phi
     raise CascadeError(
         f"refinement iteration still changing by {delta:.2e} (> {tol:.0e}) "
@@ -132,10 +138,6 @@ class ScalingFamily:
     @property
     def step(self):
         return 2.0 ** (-self.depth)
-
-    @property
-    def width(self):
-        return 2 * self.n_moments - 1
 
 
 def tabulate_daubechies(n_moments, depth):

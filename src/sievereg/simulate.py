@@ -399,6 +399,20 @@ class StabilityStudyConfig:
             raise ConfigurationError(
                 "stability cells must be distinct, but the basis templates, "
                 f"`k_grid` and `n_grid` give (family, K, n) = {twice} twice")
+        keys = {}
+        for k in self.k_grid:
+            for i_n, n in enumerate(self.n_grid):
+                other = keys.setdefault(_stream_key(i_n, k), (k, n))
+                if other != (k, n):
+                    raise ConfigurationError(
+                        f"stability cells (K target, n) = {other} and {(k, n)} "
+                        f"share the regressor stream key {_stream_key(i_n, k)}"
+                        " = 1000 * (`n_grid` index) + K target")
+
+
+def _stream_key(i_n, k_target):
+    """Replication stream key of the stability cell (n_grid[i_n], k_target)."""
+    return 1000 * i_n + int(k_target)
 
 
 def stability_study(config):
@@ -418,7 +432,7 @@ def stability_study(config):
                 def one_rep(rep, basis=basis, factor_th=factor_th, grid=grid,
                             n=n, i_n=i_n, k_target=k_target):
                     rng = derived_rng(config.seed, "stability",
-                                      1000 * i_n + int(k_target), rep)
+                                      _stream_key(i_n, k_target), rep)
                     x = regressor_paths(dgp.regressor, n, dgp.dim, rng)[0]
                     dev = gram_deviation(factor_th,
                                          empirical_gram_matrix(basis, x))

@@ -153,14 +153,25 @@ def test_support_bookkeeping_random_pairs():
 @pytest.mark.parametrize("n_moments, level", [(1, 3), (2, 3), (3, 3), (2, 5),
                                               (3, 5)])
 def test_wavelet_zero_just_left_of_dyadic_edges(n_moments, level):
-    # right-edge tables rise from 0 one tabulation step (2^-(J+12)) before
-    # the dyadic point (k - N + 1) / 2^J; the supports must include it
-    basis = build_basis(BasisSpec.wavelet(n_moments, level))
-    edges = basis.breakpoints_1d[1:]
+    # phi(0) = 0, so function k is exactly 0 off [k - N + 1, k + N] / 2^J
+    # (clipped to [0, 1]), also 1/2 and 1/8 of a tabulation step
+    # (2^-(J+12)) left of a support start; alone and in a 2-D product
+    k0 = 2 ** level
+    k = np.arange(k0)
+    closed = np.clip(np.column_stack([k - n_moments + 1, k + n_moments]),
+                     0, k0) / k0
+    edges = np.arange(k0 + 1) / k0
     step = 2.0 ** -(level + 12)
-    x = np.concatenate([edges - step / 2, edges - step / 8, edges - 3e-5,
-                        [0.74997, 0.49997, 0.937495]])
-    _assert_zero_off_supports(basis, x, basis.evaluate(x))
+    x = np.clip(np.concatenate([edges, edges - step / 2, edges - step / 8,
+                                edges - 3e-5, [0.74997, 0.49997, 0.937495]]),
+                0.0, 1.0)
+    for dim, pts in ((1, x[:, None]), (2, np.column_stack([x, x[::-1]]))):
+        basis = build_basis(BasisSpec.wavelet(n_moments, level, dim=dim))
+        idx = np.indices((k0,) * dim).reshape(dim, -1).T
+        assert np.array_equal(basis.supports, closed[idx])
+        lo, hi = basis.supports[..., 0], basis.supports[..., 1]
+        outside = np.any((pts[:, None] < lo) | (pts[:, None] > hi), axis=2)
+        assert np.all(basis.evaluate(pts)[outside] == 0.0)
 
 
 def test_zeta_bound_families():
@@ -240,18 +251,20 @@ def test_trig_norm_constant():
 
 
 def test_active_function_counts():
-    # at any point at most `order` splines (per dim) and at most 2N wavelet
-    # scaling functions (per dim) are nonzero
+    # at any point at most `order` splines (per dim) and at most 2N - 1
+    # wavelet scaling functions (per dim) are nonzero, and the local form
+    # holds exactly that many
     rng = np.random.default_rng(99)
     x = rng.uniform(0, 1, 2000)
     for spec, cap in ((BasisSpec.bspline(3, 13), 3),
                       (BasisSpec.bspline(1, 7), 1),
                       (BasisSpec.wavelet(1, 4), 1),
-                      (BasisSpec.wavelet(2, 4), 4),
-                      (BasisSpec.wavelet(3, 4), 6)):
+                      (BasisSpec.wavelet(2, 4), 3),
+                      (BasisSpec.wavelet(3, 4), 5)):
         basis = build_basis(spec)
         active = np.count_nonzero(basis.evaluate(x), axis=1)
         assert np.max(active) <= cap
+        assert basis.local(x).vals.shape == (x.size, cap)
 
 
 _POINTS = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40)

@@ -290,13 +290,16 @@ STABILITY_D2_D3 = ("[study]\nreps = 2\nk_grid = 16\nn_grid = 2000\n"
      .replace("n = 400\n", "n = 400\nthreads = -2\n"), "`threads`"),
     ("stability-study", STABILITY_D2_D3.replace("lebesgue = 0", "threads = 0"),
      "`threads`"),
+    ("stability-study", "[study]\nreps = 2\nk_grid = 1,1001\nn_grid = 200,400\n"
+     + BASIS_BLOCK, "stream key 1001"),
 ], ids=["dgp-regressor", "dgp-rho", "dgp-df", "dgp-h0", "dgp-dim",
         "basis-dim", "coverage-x0", "coverage-level", "gram-density",
         "gram-amplitude", "concentration-regressor", "concentration-t_max",
         "concentration-q-not-dividing-n", "stability-cells-collide",
         "basis-typo", "basis-key-of-another-family",
         "basis2-key-of-another-family", "rate-threads-0",
-        "coverage-threads-neg", "stability-threads-0"])
+        "coverage-threads-neg", "stability-threads-0",
+        "stability-stream-keys-collide"])
 def test_rejected_config_values_exit_2(tmp_path, capsys, command, text,
                                        named):
     # values that the library specs and study configs reject

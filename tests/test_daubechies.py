@@ -30,6 +30,12 @@ def test_haar_cascade_is_box():
     assert phi[m] == 0.0
 
 
+@pytest.mark.parametrize("n_moments, at_zero", [(1, 1.0), (2, 0.0), (3, 0.0)])
+def test_cascade_value_at_zero_is_exact(n_moments, at_zero):
+    # phi(0) = sqrt(2) h_0 phi(0): 0 unless sqrt(2) h_0 = 1 (Haar)
+    assert cascade(scaling_filter(n_moments), DEPTH)[0] == at_zero
+
+
 def test_two_moment_values_at_integers():
     # classic closed forms at the integer points of the support
     phi = cascade(scaling_filter(2), DEPTH)
@@ -64,7 +70,8 @@ def test_boundary_counts_and_supports():
     # left function k has support [0, N + k]: zero beyond
     assert np.all(fam.left[0][(2 + 0) * m + 1:] == 0.0)
     # right function k (stored for k = 1..N) vanishes below -(N + k - 1)
-    assert np.all(fam.right[0][: (3 - 2) * m] == 0.0)
+    # and at it
+    assert np.all(fam.right[0][: (3 - 2) * m + 1] == 0.0)
 
 
 def _independent_level_gram(fam, level):

@@ -226,6 +226,15 @@ def test_stability_cells_must_be_distinct(specs, k_grid, n_grid):
                              n_grid=n_grid)
 
 
+def test_stability_stream_keys_must_not_collide():
+    # the key 1000 * (n index) + K target of (n = 200, K 1001) is that of
+    # (n = 400, K 1): the two cells would draw the same regressor paths
+    with pytest.raises(ConfigurationError) as err:
+        StabilityStudyConfig(dgp=DgpSpec(), basis_specs=(BasisSpec.wavelet(1, 3),),
+                             k_grid=(1, 1001), n_grid=(200, 400))
+    assert "(1, 400) and (1001, 200)" in str(err.value)
+
+
 def test_derived_rng_streams_differ():
     a = derived_rng(1, "rate", 0, 0).random(4)
     b = derived_rng(1, "rate", 0, 1).random(4)
