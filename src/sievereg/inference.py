@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .gram import GramFactor, NumericError
 from .quadrature import basis_quadrature
@@ -142,7 +142,7 @@ def t_statistic(fhat, f0, vk_hat, n):
 @lru_cache(maxsize=16)
 def _normal_quantile(level):
     """Two-sided normal critical value, computed once per level."""
-    return norm.ppf(0.5 + level / 2.0)
+    return ndtri(0.5 + level / 2.0)
 
 
 def confidence_interval(fhat, vk_hat, n, level=0.95):

@@ -1,0 +1,77 @@
+"""Each command imports only what it runs.
+
+`scipy.stats` (directly, or through `scipy.signal`) costs about as much as
+the rest of the package's imports together.  Only the coverage study needs
+it, for its KS p-value, and it must load before the first replication so
+that the cost counts as set-up.  Each check runs in a fresh interpreter, so
+`sys.modules` starts clean.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+
+HEAVY = ("scipy.stats", "scipy.signal")
+
+
+def loaded_after(body):
+    """Run `body` in a fresh interpreter; the HEAVY modules then loaded."""
+    code = textwrap.dedent(body) + textwrap.dedent(f"""
+        import json, sys
+        print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))
+    """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_package_and_cli_import_no_stats_or_signal():
+    assert loaded_after("import sievereg, sievereg.cli") == []
+
+
+def test_iid_rate_and_ar_concentration_studies_skip_stats():
+    assert loaded_after("""
+        from sievereg import BasisSpec, DgpSpec, RateStudyConfig, rate_study
+        rate_study(RateStudyConfig(
+            dgp=DgpSpec(), basis_spec=BasisSpec.bspline(3, 2), n_grid=(200,),
+            reps=2))
+    """) == []
+    assert loaded_after("""
+        from sievereg import (BasisSpec, ConcentrationStudyConfig,
+                              concentration_study)
+        concentration_study(ConcentrationStudyConfig(
+            kind="gram_deviation", n=64, reps=128, t_max=2.0, t_count=4,
+            regressor="ar_copula", rho=0.7, q=8,
+            basis_spec=BasisSpec.wavelet(1, 3)))
+    """) == []
+
+
+def test_coverage_study_loads_stats_before_its_first_replication():
+    loaded = loaded_after("""
+        import sys
+        from sievereg import (BasisSpec, CoverageStudyConfig, DgpSpec,
+                              FunctionalSpec, simulate)
+        before = "scipy.stats" in sys.modules
+        seen = []
+        derived_rng = simulate.derived_rng
+
+        def recording(*args):
+            seen.append("scipy.stats" in sys.modules)
+            return derived_rng(*args)
+
+        simulate.derived_rng = recording
+        simulate.coverage_study(CoverageStudyConfig(
+            dgp=DgpSpec(), basis_spec=BasisSpec.wavelet(1, 3), n=200,
+            functional=FunctionalSpec.point_eval(0.37), reps=3, krule_p=1.0,
+            krule_c=4.0))
+        assert not before and seen == [True] * 3, (before, seen)
+    """)
+    assert "scipy.stats" in loaded

@@ -251,6 +251,43 @@ def test_iid_uniform_matches_probit_of_normals():
     assert np.array_equal(x, ndtr(z))
 
 
+class _KeepDraws:
+    """A generator that keeps every array it hands out."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.drawn = []
+
+    def standard_normal(self, shape):
+        self.drawn.append(self.rng.standard_normal(shape))
+        return self.drawn[-1]
+
+
+@pytest.mark.parametrize("rho", [0.7, 0.5, 0.95, -0.3])
+@pytest.mark.parametrize("reps,dim", [(3, 2), (1, 1)])
+def test_ar_paths_match_scalar_recursion(rho, reps, dim):
+    # the batched bidiagonal solve against z[t] = e[t] + rho z[t-1], path by
+    # path: pins which column of the solve is which (rep, coordinate)
+    n = 300
+    rng = _KeepDraws([41, reps, dim])
+    u = regressor_paths(RegressorSpec("ar_copula", rho), n, dim, rng, reps=reps)
+    z = np.random.default_rng([41, reps, dim]).standard_normal((reps, n, dim))
+    assert len(rng.drawn) == 1 and np.array_equal(rng.drawn[0], z)  # not mutated
+    e = z * np.sqrt(1.0 - rho * rho)
+    e[:, 0, :] = z[:, 0, :]
+    latent = e.copy()
+    for r in range(reps):
+        for a in range(dim):
+            for t in range(1, n):
+                latent[r, t, a] = e[r, t, a] + rho * latent[r, t - 1, a]
+    assert u.shape == (reps, n, dim) and u.flags.c_contiguous
+    if rho == 0.5:      # rho * z is exact, so a fused multiply-add changes nothing
+        assert np.array_equal(u, ndtr(latent))
+    else:               # ndtr has slope <= 0.4: a few ulp of 1 at most
+        np.testing.assert_allclose(u, ndtr(latent), rtol=0.0,
+                                   atol=4 * np.finfo(float).eps)
+
+
 _STUDY_CONFIGS = {
     "rate": lambda **kw: RateStudyConfig(**{
         "dgp": DgpSpec(), "basis_spec": BasisSpec.bspline(3, 2),
