@@ -16,8 +16,8 @@ from .concentration import (ConcentrationStudyConfig, GramDeviationGenerator,
                             empirical_tail, mixing_bound, tropp_bound)
 from .daubechies import (CascadeError, ScalingFamily, scaling_filter,
                          tabulate_daubechies)
-from .estimator import (FitResult, fit, holder_kink, l2_error, project_oracle,
-                        smooth_trig, sup_error, named_target)
+from .estimator import (FitResult, fit, fixed_design, holder_kink, l2_error,
+                        project_oracle, smooth_trig, sup_error, named_target)
 from .gram import (DmsBound, EmpiricalLebesgue, GramFactor, NumericError,
                    dms_bound, empirical_gram, empirical_gram_matrix,
                    gram_deviation, lebesgue_constant_empirical, lebesgue_constant_theoretical,

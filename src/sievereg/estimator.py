@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .basis import LocalDesign
 from .gram import GramFactor, sample_gram
 from .quadrature import points_2d
 
@@ -35,10 +36,13 @@ class FitResult:
     """Series LS solution: coefficients, residuals, and rank diagnostics.
 
     `predict` evaluates the fitted function (0 outside the weighting
-    region).  `cond` is the condition number of the design; `design` is the
-    (n, K) matrix of the weighted basis at the sample points and
-    `gram_factor` the GramFactor of its empirical Gram B'B/n, which
-    inference reuses instead of evaluating or decomposing them again.
+    region) at points, or takes a precomputed `LocalDesign` of the basis at
+    them (see `fixed_design`) as is; either way the fitted values are the
+    one product of the dense design with the coefficients.  `cond` is the
+    condition number of the design; `design` is the (n, K) matrix of the
+    weighted basis at the sample points and `gram_factor` the GramFactor of
+    its empirical Gram B'B/n, which inference reuses instead of evaluating
+    or decomposing them again.
     """
 
     basis: object
@@ -51,8 +55,21 @@ class FitResult:
     gram_factor: GramFactor = field(repr=False, default=None)
 
     def predict(self, pts):
-        vals = self.basis.evaluate(pts)
-        return vals @ self.coeffs
+        design = (pts.dense() if isinstance(pts, LocalDesign)
+                  else self.basis.evaluate(pts))
+        return design @ self.coeffs
+
+
+def fixed_design(basis, pts):
+    """The basis at fixed (m, d) points, for every fit that predicts there.
+
+    It is evaluated once, by `basis.evaluate`, and kept as the full-width
+    LocalDesign, whose `dense()` is that (m, K) array itself: `predict` on
+    it gives the bits of `predict` on the points without evaluating again.
+    """
+    dense = basis.evaluate(pts)
+    cols = np.broadcast_to(np.arange(dense.shape[1]), dense.shape)
+    return LocalDesign(cols, dense, dense.shape[1])
 
 
 def fit(basis, x, y):

@@ -59,30 +59,51 @@ class FunctionalSpec:
         return FunctionalSpec(kind="nonlinear_exp_eval",
                               x0=np.atleast_1d(np.asarray(x0, float)))
 
-    def _linear(self, g, basis, quad):
-        """The linear part applied to g, which maps points to values (n,)
-        or to a design (n, K): g(x0), or the weight-times-quadrature sum of
-        g over the nodes of `quad` (default: the basis' rule)."""
+    def _points(self, basis, quad):
+        """Where the linear part looks and how it weighs: x0 as one row and
+        no weights, or the nodes of `quad` (default: the basis' rule) and
+        quad.weights * weight(nodes)."""
         if self.kind != "integral":
-            return np.atleast_1d(g(self.x0.reshape(1, -1)))[0]
+            return self.x0.reshape(1, -1), None
         if quad is None:
             quad = basis_quadrature(basis)
-        gv = np.asarray(g(quad.nodes), dtype=float)
-        wq = quad.weights * np.asarray(self.weight(quad.nodes), dtype=float)
-        # a pairwise sum for a value, one gemv for a design
+        return quad.nodes, quad.weights * np.asarray(self.weight(quad.nodes),
+                                                     dtype=float)
+
+    def linear_part(self, basis, quad=None):
+        """(design, weights): the basis at the points of the linear part,
+        the (1, K) row b_w(x0) or the (m, K) design at the quadrature nodes.
+        It depends on no fit, so a study builds it once per basis and hands
+        it to every `functional_report`."""
+        pts, wq = self._points(basis, quad)
+        return basis.evaluate(pts), wq
+
+    @staticmethod
+    def _apply(gv, wq):
+        """The linear part of values (m,) or of a design (m, K) at its
+        points: row 0, or the weighted sum (a pairwise sum for values, one
+        gemv for a design)."""
+        if wq is None:
+            return np.atleast_1d(gv)[0]
+        gv = np.asarray(gv, dtype=float)
         return gv.T @ wq if gv.ndim == 2 else np.sum(wq * gv)
 
-    def value(self, h, basis=None, quad=None):
-        """f(h) for an evaluator h; returns (value, clamped_flag).  The exp
-        functional clamps |h(x0)| at EXP_CLAMP and flags the clamp."""
-        hx = float(self._linear(h, basis, quad))
+    def _outer(self, hx):
+        """(f(h), clamped_flag) from the linear part hx of h."""
+        hx = float(hx)
         if self.linear:
             return hx, False
         return float(np.exp(np.clip(hx, -EXP_CLAMP, EXP_CLAMP))), abs(hx) > EXP_CLAMP
 
+    def value(self, h, basis=None, quad=None):
+        """f(h) for an evaluator h; returns (value, clamped_flag).  The exp
+        functional clamps |h(x0)| at EXP_CLAMP and flags the clamp."""
+        pts, wq = self._points(basis, quad)
+        return self._outer(self._apply(h(pts), wq))
+
     def derivative(self, basis, h=None, quad=None):
         """K-vector of pathwise derivatives along the basis directions."""
-        deriv = self._linear(basis.evaluate, basis, quad)
+        deriv = self._apply(*self.linear_part(basis, quad))
         if self.linear:
             return deriv
         if h is None:
@@ -170,15 +191,21 @@ class FunctionalReport:
     rank_deficient: bool = False
 
 
-def functional_report(fit_result, spec, f0=None, level=0.95, quad=None):
+def functional_report(fit_result, spec, f0=None, level=0.95, quad=None,
+                      part=None):
     """Full plug-in inference for one functional of one fit.
 
+    `part` is the functional's `linear_part` on the fit's basis (built here
+    from `quad` when not given); a study builds it once for all its fits.
     The t statistic against the true value is only meaningful in
     simulation, so it is filled only when f0 is given.
     """
-    basis = fit_result.basis
-    fhat, clamped = spec.value(fit_result.predict, basis=basis, quad=quad)
-    deriv = spec.derivative(basis, h=fit_result.predict, quad=quad)
+    design, wq = (spec.linear_part(fit_result.basis, quad) if part is None
+                  else part)
+    fhat, clamped = spec._outer(spec._apply(design @ fit_result.coeffs, wq))
+    deriv = spec._apply(design, wq)
+    if not spec.linear:
+        deriv = fhat * deriv          # d exp(h(x0)) = exp(h(x0)) b_w(x0)
     n = fit_result.design.shape[0]
     riesz_coeffs, flagged = fit_result.gram_factor.solve(deriv)
     vk_hat = sieve_variance_plugin(fit_result, deriv)

@@ -23,7 +23,7 @@ from scipy.linalg.lapack import dtbtrs
 from scipy.special import ndtr
 
 from .basis import ConfigurationError, build_basis, spec_with_size
-from .estimator import fit, l2_error, named_target, sup_error
+from .estimator import fit, fixed_design, l2_error, named_target, sup_error
 from .gram import (GramFactor, NumericError, empirical_gram_matrix,
                    gram_deviation, lebesgue_constant_empirical,
                    theoretical_gram)
@@ -265,14 +265,19 @@ def rate_study(config):
             quad = basis_quadrature(basis)
             h0_grid = dgp.h0(grid)
             h0_quad = dgp.h0(quad.nodes)
+            # the error points are the same for every replication at this n
+            at_grid = fixed_design(basis, grid)
+            at_quad = fixed_design(basis, quad.nodes)
 
             def one_rep(rep, basis=basis, grid=grid, quad=quad,
-                        h0_grid=h0_grid, h0_quad=h0_quad, n=n, i_n=i_n):
+                        h0_grid=h0_grid, h0_quad=h0_quad, at_grid=at_grid,
+                        at_quad=at_quad, n=n, i_n=i_n):
                 rng = derived_rng(config.seed, "rate", i_n, rep)
                 x, y = gen_sample(dgp, n, rng=rng)
                 fr = fit(basis, x, y)
-                return (sup_error(fr.predict, h0_grid, grid),
-                        l2_error(fr.predict, h0_quad, density, quad=quad),
+                return (sup_error(fr.predict(at_grid), h0_grid, grid),
+                        l2_error(fr.predict(at_quad), h0_quad, density,
+                                 quad=quad),
                         fr.rank_deficient, fr.cond)
 
             out = _run_indexed(one_rep, config.reps, config.threads)
@@ -340,6 +345,7 @@ def coverage_study(config):
     basis = build_basis(spec_n)
     quad = basis_quadrature(basis)
     f0, _ = config.functional.value(dgp.h0, quad=quad)
+    part = config.functional.linear_part(basis, quad)
     # the package's one scipy.stats use, imported before the replications
     from scipy.stats import kstest
 
@@ -349,7 +355,7 @@ def coverage_study(config):
         fr = fit(basis, x, y)
         try:
             rep_out = functional_report(fr, config.functional, f0=f0,
-                                        level=config.level, quad=quad)
+                                        level=config.level, part=part)
         except NumericError:
             return None
         covered = rep_out.ci[0] <= f0 <= rep_out.ci[1]

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sievereg.basis import BasisSpec, LocalDesign, build_basis
-from sievereg.estimator import (fit, holder_kink, l2_error, project_oracle,
-                                smooth_trig, sup_error, named_target)
+from sievereg.estimator import (fit, fixed_design, holder_kink, l2_error,
+                                project_oracle, smooth_trig, sup_error,
+                                named_target)
 from sievereg.gram import (GramFactor, lebesgue_constant_empirical,
                            theoretical_gram, gram_deviation,
                            empirical_gram_matrix)
@@ -308,3 +309,24 @@ def test_two_dimensional_fit_reproduces_span_element():
     grid = rng.uniform(0, 1, (50, 2))
     want = 0.4 + 0.9 * grid[:, 0] - 1.3 * grid[:, 1]
     assert np.max(np.abs(res.predict(grid) - want)) < 1e-9
+
+
+@pytest.mark.parametrize("spec", [
+    BasisSpec.bspline(3, 6), BasisSpec.wavelet(1, 3), BasisSpec.wavelet(2, 3),
+    BasisSpec.power(4), BasisSpec.bspline(3, 2, dim=2)],
+    ids=["bspline", "haar", "d2", "power", "bspline_2d"])
+def test_predict_on_fixed_design_bitwise(spec):
+    # a design evaluated once gives every fit the bits of evaluating again
+    basis = build_basis(spec)
+    rng = np.random.default_rng(31)
+    dim = spec.dim
+    grid = sup_grid(basis)
+    nodes = basis_quadrature(basis).nodes
+    at_grid, at_nodes = fixed_design(basis, grid), fixed_design(basis, nodes)
+    for _ in range(3):
+        x = rng.uniform(0, 1, (400, dim))
+        res = fit(basis, x, smooth_trig(x) + rng.normal(0, 0.3, 400))
+        assert np.array_equal(res.predict(at_grid), res.predict(grid))
+        assert np.array_equal(res.predict(at_nodes), res.predict(nodes))
+    # a LocalDesign from basis.local is scattered, then takes the same product
+    assert np.array_equal(res.predict(basis.local(grid)), res.predict(grid))

@@ -252,3 +252,28 @@ def test_plugin_consistent_for_oracle_variance():
         vk = sieve_variance_plugin(fit(basis, x, y), deriv)
         rels.append(abs(vk / oracle - 1.0))
     assert np.median(rels) < 0.05
+
+
+@pytest.mark.parametrize("spec", [
+    FunctionalSpec.point_eval(0.37), FunctionalSpec.nonlinear_exp_eval(0.37),
+    FunctionalSpec.integral(lambda pts: 1.0 + pts[:, 0])],
+    ids=["point_eval", "nonlinear_exp_eval", "integral"])
+def test_report_linear_part_bitwise(spec):
+    # one linear part for many fits gives the bits of building it per call,
+    # and of the per-call value and derivative on the points
+    basis = build_basis(BasisSpec.bspline(3, 6))
+    quad = basis_quadrature(basis)
+    part = spec.linear_part(basis, quad)
+    rng = np.random.default_rng(18)
+    for _ in range(3):
+        x = rng.uniform(0, 1, 300)
+        res = fit(basis, x, smooth_trig(x.reshape(-1, 1)) + rng.normal(0, 1, 300))
+        shared = functional_report(res, spec, f0=0.5, part=part)
+        alone = functional_report(res, spec, f0=0.5, quad=quad)
+        for got in (shared, alone):
+            assert (got.fhat, got.clamped) == spec.value(res.predict, basis, quad)
+            assert np.array_equal(
+                got.deriv, spec.derivative(basis, h=res.predict, quad=quad))
+        assert np.array_equal(shared.deriv, alone.deriv)
+        assert (shared.fhat, shared.vk_hat, shared.ci, shared.tstat) == (
+            alone.fhat, alone.vk_hat, alone.ci, alone.tstat)

@@ -3,14 +3,17 @@ import pytest
 from scipy import stats
 from scipy.special import ndtr
 
-from sievereg.basis import BasisSpec, ConfigurationError
+from sievereg.basis import BasisSpec, ConfigurationError, build_basis
 from sievereg.concentration import ConcentrationStudyConfig
+from sievereg.estimator import fit, l2_error, sup_error
+from sievereg.quadrature import basis_quadrature, sup_grid, uniform_density
 from sievereg.simulate import (CoverageStudyConfig, DgpSpec, ErrorSpec,
                                RateStudyConfig, RegressorSpec,
-                               StabilityStudyConfig, bump_sigma,
-                               coverage_study, derived_rng, error_draws,
-                               fit_loglog_slope, gen_sample, k_rule,
-                               rate_study, regressor_paths, stability_study)
+                               StabilityStudyConfig, _spec_for_size,
+                               bump_sigma, coverage_study, derived_rng,
+                               error_draws, fit_loglog_slope, gen_sample,
+                               k_rule, rate_study, regressor_paths,
+                               stability_study)
 from sievereg import inference
 from sievereg.inference import FunctionalSpec
 
@@ -156,6 +159,30 @@ def test_rate_study_reports_fit_health():
         dgp=DgpSpec(), basis_spec=BasisSpec.bspline(3, 2), n_grid=(500, 1000),
         reps=2, synthetic_oracle=True)).summary
     assert oracle["rank_deficient"] == 0 and np.isnan(oracle["max_cond"])
+
+
+def test_rate_study_fixed_designs_bitwise():
+    # the study's once-per-n grid and quadrature designs give the rows of
+    # a loop that evaluates the basis at the error points for every fit
+    dgp = DgpSpec(regressor=RegressorSpec("ar_copula", 0.5),
+                  error=ErrorSpec("student_t"), h0_name="holder",
+                  smoothness=1.5)
+    config = RateStudyConfig(dgp=dgp, basis_spec=BasisSpec.bspline(3, 2),
+                             n_grid=(200, 400, 800), reps=2, krule_c=3.0,
+                             seed=5)
+    want = []
+    for i_n, n in enumerate(config.n_grid):
+        spec = _spec_for_size(config.basis_spec, k_rule(n, 1.5, 1, 3.0), 1)
+        basis = build_basis(spec)
+        grid, quad = sup_grid(basis), basis_quadrature(basis)
+        for rep in range(config.reps):
+            rng = derived_rng(config.seed, "rate", i_n, rep)
+            fr = fit(basis, *gen_sample(dgp, n, rng=rng))
+            want.append((n, spec.size, rep,
+                         sup_error(fr.predict(grid), dgp.h0(grid), grid),
+                         l2_error(fr.predict(quad.nodes), dgp.h0(quad.nodes),
+                                  uniform_density(), quad=quad)))
+    assert rate_study(config).rows == want
 
 
 def test_coverage_study_smoke():
