@@ -19,9 +19,7 @@ Conventions:
 * ``power`` spans polynomials up to `degree`, represented in the shifted
   Legendre orthonormal basis (raw monomial Grams are numerically singular
   beyond K ~ 12, and every quantity downstream is invariant to the choice
-  of basis within the span);
-* an optional axis-aligned box turns the basis into its weighted version:
-  every function is multiplied by the indicator of the box.
+  of basis within the span).
 
 Every family's values and gradients are computed in the local form of
 :class:`LocalDesign`: the w**d functions per point that can be nonzero
@@ -353,22 +351,13 @@ class BasisSystem:
     """Immutable evaluator for the K tensor-product basis functions.
 
     Construction is single-threaded; evaluation is pure and safe to call
-    concurrently.  All evaluation is 0 outside the weighting box (when one
-    is set) and exactly 0 off each function's recorded support.
+    concurrently.  Every function is exactly 0 off its recorded support.
     """
 
-    def __init__(self, spec, univariate, weight_box=None):
+    def __init__(self, spec, univariate):
         self.spec = spec
         self._uni = univariate
         self.size = spec.size
-        self.weight_box = None
-        if weight_box is not None:
-            box = np.asarray(weight_box, dtype=float).reshape(2, spec.dim)
-            if np.any(box[0] > box[1]) or np.any(box[0] < 0) or np.any(box[1] > 1):
-                raise ConfigurationError(
-                    "weight box must satisfy 0 <= lo <= hi <= 1 per coordinate"
-                )
-            self.weight_box = box
         k0 = spec.size_1d
         idx = np.indices((k0,) * spec.dim).reshape(spec.dim, -1)
         # (K, dim, 2): per-coordinate support interval of each tensor function
@@ -396,19 +385,12 @@ class BasisSystem:
             raise ValueError("evaluation points must lie in [0, 1]^d")
         return pts, squeeze
 
-    def _weight(self, pts):
-        if self.weight_box is None:
-            return None
-        inside = np.all((pts >= self.weight_box[0]) & (pts <= self.weight_box[1]),
-                        axis=1)
-        return inside
-
     def local(self, x):
-        """LocalDesign of b_w at the points: w**d active columns per point."""
+        """LocalDesign of b at the points: w**d active columns per point."""
         return self._local(self._as_points(x)[0])
 
     def _local(self, pts, grad_axis=None):
-        """LocalDesign of b_w, or of its derivative along axis grad_axis."""
+        """LocalDesign of b, or of its derivative along axis grad_axis."""
         n, k0 = pts.shape[0], self.spec.size_1d
         for a in range(self.spec.dim):
             rule = self._uni.gradients if a == grad_axis else self._uni.values
@@ -419,29 +401,20 @@ class BasisSystem:
             else:
                 cols = (cols[:, :, None] * k0 + c[:, None, :]).reshape(n, -1)
                 vals = (vals[:, :, None] * v[:, None, :]).reshape(n, -1)
-        inside = self._weight(pts)
-        if inside is not None:
-            vals[~inside] = 0.0
         return LocalDesign(cols, vals, self.size)
 
     def evaluate(self, x):
-        """Weighted basis vector b_w(x): shape (K,) or (n, K)."""
+        """Basis vector b(x): shape (K,) or (n, K)."""
         pts, squeeze = self._as_points(x)
         out = self._local(pts).dense()
         return out[0] if squeeze else out
 
     def evaluate_gradient(self, x):
-        """Gradient of the weighted basis: shape (K, d) or (n, K, d)."""
+        """Gradient of the basis: shape (K, d) or (n, K, d)."""
         pts, squeeze = self._as_points(x)
         out = np.stack([self._local(pts, a).dense()
                         for a in range(self.spec.dim)], axis=-1)
         return out[0] if squeeze else out
-
-    def with_weight_box(self, lo, hi):
-        """Copy of this basis weighted by the indicator of [lo, hi] (per axis)."""
-        box = np.array([np.broadcast_to(lo, (self.spec.dim,)),
-                        np.broadcast_to(hi, (self.spec.dim,))], dtype=float)
-        return BasisSystem(self.spec, self._uni, weight_box=box)
 
     @property
     def tab_family(self):

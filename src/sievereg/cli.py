@@ -370,7 +370,11 @@ def _cmd_gram_report(cfg, out_dir, args):
     _check_at_least(0, seed=block.get("seed", 0))
     with _config_values():
         density = density_by_name(block.get("density", "uniform"), spec.dim)
-        if block.get("density") == "sine" and "amplitude" in block:
+        if "amplitude" in block:
+            if density.name != "sine":
+                raise ConfigurationError(
+                    f"config key `amplitude` applies only to density = "
+                    f"sine, not {density.name!r}")
             density = sine_density(block["amplitude"], dim=spec.dim)
     gram_th = theoretical_gram(basis, density)
     os.makedirs(out_dir, exist_ok=True)

@@ -1,6 +1,6 @@
-"""Weighted series least-squares fits and error functionals.
+"""Series least-squares fits and error functionals.
 
-``fit`` regresses responses on the K weighted basis functions by solving the
+``fit`` regresses responses on the K basis functions by solving the
 normal equations ``(B'B/n) c = B'y/n`` through the fit's one
 :class:`~sievereg.gram.GramFactor` of the empirical Gram, which inference
 then reuses.  Normal equations square the condition number of the design.
@@ -35,14 +35,13 @@ MIN_GRAM_RCOND = 1e-8
 class FitResult:
     """Series LS solution: coefficients, residuals, and rank diagnostics.
 
-    `predict` evaluates the fitted function (0 outside the weighting
-    region) at points, or takes a precomputed `LocalDesign` of the basis at
-    them (see `fixed_design`) as is; either way the fitted values are the
-    one product of the dense design with the coefficients.  `cond` is the
-    condition number of the design; `design` is the (n, K) matrix of the
-    weighted basis at the sample points and `gram_factor` the GramFactor of
-    its empirical Gram B'B/n, which inference reuses instead of evaluating
-    or decomposing them again.
+    `predict` evaluates the fitted function at points, or takes a
+    precomputed `LocalDesign` of the basis at them (see `fixed_design`) as
+    is; either way the fitted values are the one product of the dense
+    design with the coefficients.  `cond` is the condition number of the
+    design; `design` is the (n, K) matrix of the basis at the sample points
+    and `gram_factor` the GramFactor of its empirical Gram B'B/n, which
+    inference reuses instead of evaluating or decomposing them again.
     """
 
     basis: object
@@ -73,7 +72,7 @@ def fixed_design(basis, pts):
 
 
 def fit(basis, x, y):
-    """Least-squares fit of y on the weighted basis at the points x.
+    """Least-squares fit of y on the basis at the points x.
 
     The design is evaluated once, in local form (`basis.local`), and
     scattered to dense once for B'y, the residuals and inference.  The Gram

@@ -1,21 +1,24 @@
 """Gram matrices, orthonormalized deviations, and projection sup norms.
 
-The theoretical Gram ``G = E[b_w(X) b_w(X)']`` is computed by the
-basis-aligned quadrature of :mod:`sievereg.quadrature`; the empirical Gram is
-``B_w' B_w / n``.  The deviation ``||G^{-1/2} (B'B/n) G^{-1/2} - I||`` (spectral
-norm) measures how far the empirical and theoretical L2 norms are from
-agreeing over the sieve; it equals the worst relative discrepancy of the
-empirical second moment over unit-L2(X) functions in the span.
+The theoretical Gram ``G = E[b(X) b(X)']`` is the d-fold Kronecker power of
+the 1-D Gram, which the basis-aligned rule of :mod:`sievereg.quadrature`
+integrates; the empirical Gram is ``B'B/n``.  The deviation
+``||G^{-1/2} (B'B/n) G^{-1/2} - I||`` (spectral norm) measures how far the
+empirical and theoretical L2 norms are from agreeing over the sieve; it
+equals the worst relative discrepancy of the empirical second moment over
+unit-L2(X) functions in the span.
 
 Also here: the Lebesgue constants (sup-norm operator norms) of the
 theoretical and empirical L2 projections onto the sieve, and the
 banded-inverse bound with its exponential off-diagonal decay envelope.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
+from .basis import build_basis
 from .quadrature import (basis_quadrature, points_2d, sup_grid,
                          weighted_basis_gram)
 
@@ -97,11 +100,19 @@ class GramFactor:
         return float(dev) if dev.ndim == 0 else dev
 
 
-def theoretical_gram(basis, density, quad=None):
-    """K x K matrix of L2(X) inner products of the weighted basis."""
-    if quad is None:
-        quad = basis_quadrature(basis)
-    return weighted_basis_gram(basis, quad, point_weight=density)
+def theoretical_gram(basis, density):
+    """K x K matrix of L2(X) inner products of the basis.
+
+    The basis is a tensor product of one univariate basis and the density
+    a product of one identical factor per coordinate (see `Density`), so
+    the Gram is the d-fold Kronecker power of the univariate basis' Gram
+    under that factor, integrated by its 1-D `basis_quadrature` rule.
+    """
+    d = basis.spec.dim
+    basis_1d = basis if d == 1 else build_basis(replace(basis.spec, dim=1))
+    gram_1d = weighted_basis_gram(basis_1d, basis_quadrature(basis_1d),
+                                  point_weight=density)
+    return reduce(np.kron, [gram_1d] * d)
 
 
 def sample_gram(local, blocks=None, design=None):
@@ -148,7 +159,7 @@ def gram_deviation(gram, gram_emp):
 
 
 def zeta_constant(basis, grid=None):
-    """sup_x ||b_w(x)|| over the certification grid."""
+    """sup_x ||b(x)|| over the certification grid."""
     if grid is None:
         grid = sup_grid(basis)
     best = 0.0
@@ -171,7 +182,7 @@ def empirical_gram(basis, x, gram, grid=None):
     """(B'B/n, report) for a sample, given the theoretical Gram G.
 
     The report holds dev (the whitened deviation), zeta (the grid sup of
-    ||b_w(x)||), lambda ([lambda_min(G)]^{-1/2}), bandwidth (the half-band
+    ||b(x)||), lambda ([lambda_min(G)]^{-1/2}), bandwidth (the half-band
     of G: max |i-j| with a nonzero entry), n and k.
     """
     x = points_2d(x)
@@ -232,7 +243,7 @@ def lebesgue_constant_theoretical(basis, density, quad=None, grid=None):
         quad = basis_quadrature(basis, max_nodes_1d=max_nodes)
     if grid is None:
         grid = sup_grid(basis)
-    gram = theoretical_gram(basis, density, quad=quad)
+    gram = weighted_basis_gram(basis, quad, point_weight=density)
     vals_q = basis.evaluate(quad.nodes)          # (Q, K)
     wq = quad.weights * density(quad.nodes)      # (Q,)
     kernel_half, _ = GramFactor(gram).solve(vals_q.T)  # (K, Q)

@@ -72,7 +72,7 @@ class FunctionalSpec:
 
     def linear_part(self, basis, quad=None):
         """(design, weights): the basis at the points of the linear part,
-        the (1, K) row b_w(x0) or the (m, K) design at the quadrature nodes.
+        the (1, K) row b(x0) or the (m, K) design at the quadrature nodes.
         It depends on no fit, so a study builds it once per basis and hands
         it to every `functional_report`."""
         pts, wq = self._points(basis, quad)
@@ -205,7 +205,7 @@ def functional_report(fit_result, spec, f0=None, level=0.95, quad=None,
     fhat, clamped = spec._outer(spec._apply(design @ fit_result.coeffs, wq))
     deriv = spec._apply(design, wq)
     if not spec.linear:
-        deriv = fhat * deriv          # d exp(h(x0)) = exp(h(x0)) b_w(x0)
+        deriv = fhat * deriv          # d exp(h(x0)) = exp(h(x0)) b(x0)
     n = fit_result.design.shape[0]
     riesz_coeffs, flagged = fit_result.gram_factor.solve(deriv)
     vk_hat = sieve_variance_plugin(fit_result, deriv)

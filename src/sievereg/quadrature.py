@@ -5,7 +5,11 @@ its functions lose smoothness: knot panels for splines (Gauss-Legendre,
 exact for the polynomial integrands), dyadic cells for Haar, the tabulation
 cells for Daubechies wavelets (two-point Gauss per cell, exact for the
 piecewise-linear tabulated functions), and uniform panels for trig/power
-series.  Multivariate rules are tensor products.
+series.  Theoretical Grams need only the 1-D rule (see
+:func:`sievereg.gram.theoretical_gram`); the d-fold product rule serves the
+integrals of functions that are not tensor products: `l2_error`, the
+integral functional, `lebesgue_constant_theoretical` and
+`sieve_variance_oracle`.
 """
 
 from dataclasses import dataclass
@@ -23,10 +27,13 @@ def points_2d(x):
 class Density:
     """Closed-form density on [0, 1]^d with known bounds.
 
-    `pdf` maps an (n, d) array of points to (n,) values; `inf`/`sup` bound it
+    A density is a product of identical per-coordinate factors: `sample`
+    draws each coordinate alone, and `theoretical_gram` integrates one 1-D
+    Gram under the factor.  `pdf` maps an (n, d) array of points to (n,)
+    values, so on one-column points it is the factor; `inf`/`sup` bound it
     on the cube (used by the Gram eigenvalue sandwich and the banded-inverse
-    bound).  `cdf_1d` is the per-coordinate marginal CDF when the density is
-    a coordinate product; it enables i.i.d. sampling by CDF inversion.
+    bound).  `cdf_1d` is the factor's CDF, for i.i.d. sampling by CDF
+    inversion; without it the factor is uniform.
     """
 
     pdf: object
@@ -109,9 +116,6 @@ def gauss_panels(breakpoints, n_nodes):
 def _univariate_rule(basis, max_nodes):
     spec = basis.spec
     edges = basis.breakpoints_1d
-    if basis.weight_box is not None:
-        extra = np.concatenate([basis.weight_box[0], basis.weight_box[1]])
-        edges = np.union1d(edges, np.clip(extra, 0.0, 1.0))
     if spec.family == "bspline":
         return gauss_panels(edges, max(8, spec.order))
     if spec.family == "wavelet":
@@ -140,8 +144,10 @@ def basis_quadrature(basis, max_nodes_1d=None):
     exact only when it refines every dyadic cell down to the tabulation
     step, which needs 2^(J + 13) nodes per axis.  Above `max_nodes_1d`
     (default 2**19 for d = 1, 2**12 per axis for d >= 2) it stops short of
-    that step and is not exact: the capped 1-D D2 Gram is 1.8e-5 off at
-    J = 3 with 2**12 nodes, and 7.1e-7 off at J = 7 with 2**19.
+    that step and is not exact.  That matters for 1-D Daubechies rules at
+    J >= 7 (the D2 Gram is 7.1e-7 off at J = 7) and for the product-rule
+    users named above (a D2 rule with 2**12 nodes is 1.8e-5 off at J = 3);
+    theoretical Grams use only the 1-D rule.
     """
     if max_nodes_1d is None:
         max_nodes_1d = 2 ** 19 if basis.spec.dim == 1 else 2 ** 12

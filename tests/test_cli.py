@@ -140,6 +140,24 @@ def test_gram_report_outputs(tmp_path):
     assert "dev" in summary
 
 
+def test_gram_report_2d_gram_is_kron_of_1d(tmp_path):
+    # a 2-D D2 report under the sine density: the Kronecker square of the
+    # 1-D report's matrix, bit for bit
+    mats = []
+    for dim in (1, 2):
+        cfg = tmp_path / f"gram{dim}.ini"
+        _write(cfg, "[gram]\ndensity = sine\namplitude = 0.4\n[basis]\n"
+                    f"family = wavelet\nn_moments = 2\nlevel = 3\ndim = {dim}\n")
+        out = tmp_path / f"out{dim}"
+        assert run(["gram-report", "--config", str(cfg),
+                    "--out", str(out)]) == 0
+        table = np.genfromtxt(out / "gram.csv", delimiter=",", names=True)
+        k = int(np.sqrt(table.shape[0]))
+        mats.append(table["value"].reshape(k, k))
+    assert mats[1].shape == (64, 64)
+    assert np.array_equal(mats[1], np.kron(mats[0], mats[0]))
+
+
 @pytest.mark.parametrize("row", ["0.5,", ",0.5", "0.5,nan"])
 def test_fit_rejects_empty_or_non_finite_cell(tmp_path, capsys, row):
     data = tmp_path / "bad.csv"
@@ -271,6 +289,7 @@ STABILITY_D2_D3 = ("[study]\nreps = 2\nk_grid = 16\nn_grid = 2000\n"
     ("gram-report", GRAM.format(extra="density = foo\n"), "'foo'"),
     ("gram-report", GRAM.format(extra="density = sine\namplitude = 1.5\n"),
      "amplitude"),
+    ("gram-report", GRAM.format(extra="amplitude = 0.3\n"), "`amplitude`"),
     ("concentration-study", CONCENTRATION_AR.format(kind="rademacher",
                                                     regressor="foo"), "'foo'"),
     ("concentration-study", CONCENTRATION.format(reps=10, t=5, n=50)
@@ -294,7 +313,7 @@ STABILITY_D2_D3 = ("[study]\nreps = 2\nk_grid = 16\nn_grid = 2000\n"
      + BASIS_BLOCK, "stream key 1001"),
 ], ids=["dgp-regressor", "dgp-rho", "dgp-df", "dgp-h0", "dgp-dim",
         "basis-dim", "coverage-x0", "coverage-level", "gram-density",
-        "gram-amplitude", "concentration-regressor", "concentration-t_max",
+        "gram-amplitude", "gram-amplitude-without-sine", "concentration-regressor", "concentration-t_max",
         "concentration-q-not-dividing-n", "stability-cells-collide",
         "basis-typo", "basis-key-of-another-family",
         "basis2-key-of-another-family", "rate-threads-0",

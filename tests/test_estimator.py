@@ -23,7 +23,6 @@ class _TransformedBasis:
         self.mat = mat
         self.size = base.size
         self.spec = base.spec
-        self.weight_box = base.weight_box
         self.breakpoints_1d = base.breakpoints_1d
         self.supports = base.supports
 
@@ -181,18 +180,6 @@ def test_fit_and_report_factor_the_gram_once_without_svd(monkeypatch):
                                    f0=0.0)
         assert len(factors) == 1 and len(eighs) == n_eigh, spec
         assert np.isfinite(report.vk_hat) and not report.rank_deficient
-
-
-def test_weighted_fit_zero_outside_region():
-    basis = build_basis(BasisSpec.bspline(2, 6)).with_weight_box(0.25, 0.75)
-    rng = np.random.default_rng(5)
-    x = rng.uniform(0, 1, 500)
-    y = 1.0 + x
-    res = fit(basis, x, y)
-    grid = np.linspace(0, 1, 101).reshape(-1, 1)
-    pred = res.predict(grid)
-    outside = (grid[:, 0] < 0.25) | (grid[:, 0] > 0.75)
-    assert np.all(pred[outside] == 0.0)
 
 
 def test_oracle_projection_and_variance_term_linearity():
