@@ -300,51 +300,49 @@ def _wavelet_values(x, level, family):
 
 
 def _trig_values(x, degree):
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty((x.size, 2 * degree + 1))
-    out[:, 0] = 1.0
+    # on contiguous (K0, n) rows, as below; returns the C-ordered transpose
+    out = np.empty((2 * degree + 1, x.size))
+    out[0] = 1.0
     root2 = np.sqrt(2.0)
     for l in range(1, degree + 1):
-        out[:, 2 * l - 1] = root2 * np.cos(2.0 * np.pi * l * x)
-        out[:, 2 * l] = root2 * np.sin(2.0 * np.pi * l * x)
-    return out
+        out[2 * l - 1] = root2 * np.cos(2.0 * np.pi * l * x)
+        out[2 * l] = root2 * np.sin(2.0 * np.pi * l * x)
+    return np.ascontiguousarray(out.T)
 
 
 def _trig_gradients(x, degree):
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.zeros((x.size, 2 * degree + 1))
+    out = np.zeros((2 * degree + 1, x.size))
     root2 = np.sqrt(2.0)
     for l in range(1, degree + 1):
         w = 2.0 * np.pi * l
-        out[:, 2 * l - 1] = -root2 * w * np.sin(w * x)
-        out[:, 2 * l] = root2 * w * np.cos(w * x)
-    return out
+        out[2 * l - 1] = -root2 * w * np.sin(w * x)
+        out[2 * l] = root2 * w * np.cos(w * x)
+    return np.ascontiguousarray(out.T)
 
 
 def _legendre_values(x, degree):
     """Shifted Legendre polynomials, orthonormal on L2([0,1])."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
     u = 2.0 * x - 1.0
-    p = np.empty((x.size, degree + 1))
-    p[:, 0] = 1.0
+    p = np.empty((degree + 1, u.size))
+    p[0] = 1.0
     if degree >= 1:
-        p[:, 1] = u
+        p[1] = u
     for k in range(1, degree):
-        p[:, k + 1] = ((2 * k + 1) * u * p[:, k] - k * p[:, k - 1]) / (k + 1)
-    return p * np.sqrt(2.0 * np.arange(degree + 1) + 1.0)
+        p[k + 1] = ((2 * k + 1) * u * p[k] - k * p[k - 1]) / (k + 1)
+    return np.ascontiguousarray(
+        (p * np.sqrt(2.0 * np.arange(degree + 1) + 1.0)[:, None]).T)
 
 
 def _legendre_gradients(x, degree):
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    u = 2.0 * x - 1.0
-    p = _legendre_values(x, degree) / np.sqrt(2.0 * np.arange(degree + 1) + 1.0)
-    dp = np.zeros((x.size, degree + 1))
+    scale = np.sqrt(2.0 * np.arange(degree + 1) + 1.0)[:, None]
+    p = np.ascontiguousarray(_legendre_values(x, degree).T) / scale
+    dp = np.zeros_like(p)
     if degree >= 1:
-        dp[:, 1] = 1.0
+        dp[1] = 1.0
     for k in range(1, degree):
-        dp[:, k + 1] = dp[:, k - 1] + (2 * k + 1) * p[:, k]
+        dp[k + 1] = dp[k - 1] + (2 * k + 1) * p[k]
     # chain rule for the [0,1] -> [-1,1] map
-    return 2.0 * dp * np.sqrt(2.0 * np.arange(degree + 1) + 1.0)
+    return np.ascontiguousarray((2.0 * dp * scale).T)
 
 
 class BasisSystem:

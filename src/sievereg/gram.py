@@ -199,36 +199,75 @@ def empirical_gram(basis, x, gram, grid=None):
 _GRID_CHUNK, _KERNEL_ROWS = 512, 64
 
 
-def _kernel_abs_sup(basis, grid, half, weights=None):
-    """max over grid points x of sum_j |b(x)' half[:, j]| (times weights[j]).
+def _row_sums(block, sub, weights, buf):
+    """Row sums of |block @ sub| (times weights), formed in the flat buf."""
+    kern = np.matmul(block, sub, out=buf[:block.shape[0] * sub.shape[1]]
+                     .reshape(block.shape[0], sub.shape[1]))
+    np.abs(kern, out=kern)
+    if weights is not None:
+        kern *= weights
+    return np.sum(kern, axis=1)
 
-    The grid's LocalDesign is taken _GRID_CHUNK points at a time and grouped
-    by window, and a group's rows multiply only the window's rows of
-    `half`: O(G n w) for G grid points where a dense product is O(G n K).
-    A row equal to the one before it (a Haar cell on a sorted grid) is not
-    formed again.  Products are formed _KERNEL_ROWS rows at a time into one
-    reused buffer, overwritten in place by |.| and the weights.  The row
-    sums are numpy reductions, not a threaded BLAS gemv whose row split
-    moves with the block size and thread count, so the result does not
-    depend on the blocking.
+
+def _kernel_abs_sup(basis, grid, half, design, weights=None):
+    """max over grid points x of sum_j |b(x)' half[:, j]| (times weights[j]);
+    column j of `half` belongs to row j of the sample (or node) `design`.
+
+    Each _GRID_CHUNK of grid points is grouped by window; a row equal to
+    the one before (a Haar cell on a sorted grid) is dropped and the rest
+    cut into blocks of _KERNEL_ROWS that multiply the window's rows of
+    `half`.  The value is one block's largest numpy row sum, so this fixed
+    partition pins its bits.
+    Blocks are formed in descending order of a bound on that sum (NaN read
+    as +inf) until one falls below (1 - 1e-8) x the running maximum: |v| @ F
+    with F_c = sum_j |half[c, j]| w_j, or for a block that it leaves, the
+    exact sum over the samples whose design row peaks within one column of
+    the window plus |v| @ F over the rest (small by the inverse's decay).
     """
-    buf = np.empty((_KERNEL_ROWS, half.shape[1]))
-    best = 0.0
+    k, n = half.shape
+    buf, blocks = np.empty(_KERNEL_ROWS * n), []
     for start in range(0, grid.shape[0], _GRID_CHUNK):
         local = basis.local(grid[start:start + _GRID_CHUNK])
         for cols, rows in local.windows():
             vals = local.vals[rows]
             vals = vals[np.r_[True, np.any(vals[1:] != vals[:-1], axis=1)]]
-            lo, hi = cols[0], cols[-1] + 1
-            # (w**d, n): a view when the window's columns are consecutive
-            sub = half[lo:hi] if hi - lo == cols.size else half[cols]
-            for row in range(0, vals.shape[0], _KERNEL_ROWS):
-                block = vals[row:row + _KERNEL_ROWS]
-                kern = np.matmul(block, sub, out=buf[:block.shape[0]])
-                np.abs(kern, out=kern)
-                if weights is not None:
-                    kern *= weights
-                best = max(best, float(np.max(np.sum(kern, axis=1))))
+            blocks += [(cols, vals[row:row + _KERNEL_ROWS])
+                       for row in range(0, vals.shape[0], _KERNEL_ROWS)]
+    keys = np.argmax(design, axis=1)    # the column where row j peaks
+    scale = 1.0 if weights is None else weights
+    table = np.array([np.bincount(keys, np.abs(r) * scale, minlength=k)
+                      for r in half])   # [c, t]: |half[c]| w over key t
+    by_key = np.argsort(keys, kind="stable")
+    edges = np.r_[0, np.cumsum(np.bincount(keys, minlength=k))]
+
+    def sub_of(cols):   # a view when the window's columns are consecutive
+        lo, hi = cols[0], cols[-1] + 1
+        return half[lo:hi] if hi - lo == cols.size else half[cols]
+
+    def exact(cols, block):
+        return float(np.max(_row_sums(block, sub_of(cols), weights, buf)))
+
+    def near_bound(cols, block):
+        lo, hi = max(cols[0] - 1, 0), min(cols[-1] + 2, k)
+        near = by_key[edges[lo]:edges[hi]]
+        if near.size == n:      # a full-width window: no sample is far
+            return np.inf
+        far = table[cols, :lo].sum(axis=1) + table[cols, hi:].sum(axis=1)
+        return np.max(np.abs(block) @ far + _row_sums(
+            block, sub_of(cols)[:, near],
+            None if weights is None else weights[near], buf))
+
+    cheap = np.array([np.max(np.abs(v) @ table[c].sum(1)) for c, v in blocks])
+    cheap[np.isnan(cheap)] = np.inf       # NaN never rules a block out
+    order = np.argsort(-cheap, kind="stable")
+    best = max(0.0, exact(*blocks[order[0]]))
+    live = order[1:][cheap[order[1:]] >= (1.0 - 1e-8) * best]
+    # fmin: a NaN near bound leaves the first bound standing
+    sharp = np.array([np.fmin(cheap[i], near_bound(*blocks[i])) for i in live])
+    for i in np.argsort(-sharp, kind="stable"):
+        if sharp[i] < (1.0 - 1e-8) * best:
+            break
+        best = max(best, exact(*blocks[live[i]]))
     return best
 
 
@@ -247,7 +286,7 @@ def lebesgue_constant_theoretical(basis, density, quad=None, grid=None):
     vals_q = basis.evaluate(quad.nodes)          # (Q, K)
     wq = quad.weights * density(quad.nodes)      # (Q,)
     kernel_half, _ = GramFactor(gram).solve(vals_q.T)  # (K, Q)
-    return _kernel_abs_sup(basis, grid, kernel_half, weights=wq)
+    return _kernel_abs_sup(basis, grid, kernel_half, vals_q, weights=wq)
 
 
 @dataclass
@@ -268,7 +307,7 @@ def lebesgue_constant_empirical(basis, x, grid=None):
         grid = sup_grid(basis)
     vals = basis.evaluate(x)                       # (n, K)
     half, flagged = GramFactor(vals.T @ vals).solve(vals.T)   # (K, n)
-    best = _kernel_abs_sup(basis, grid, half)
+    best = _kernel_abs_sup(basis, grid, half, vals)
     return EmpiricalLebesgue(value=best, rank_deficient=flagged)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sievereg import basis as basis_module
 from sievereg.basis import (BasisSpec, ConfigurationError, build_basis,
                             spec_with_size)
 
@@ -233,6 +234,50 @@ def test_trig_norm_constant():
     xs = np.linspace(0, 1, 513)
     norms = np.linalg.norm(basis.evaluate(xs), axis=1)
     assert np.max(np.abs(norms - np.sqrt(basis.size))) < 1e-12
+
+
+def _columnwise_series(x, degree):
+    """Per-column recurrences on an (n, K0) array: shifted Legendre and trig
+    values and gradients, written one strided column at a time."""
+    u = 2.0 * x - 1.0
+    scale = np.sqrt(2.0 * np.arange(degree + 1) + 1.0)
+    p = np.empty((x.size, degree + 1))
+    p[:, 0] = 1.0
+    if degree >= 1:
+        p[:, 1] = u
+    for k in range(1, degree):
+        p[:, k + 1] = ((2 * k + 1) * u * p[:, k] - k * p[:, k - 1]) / (k + 1)
+    leg = p * scale
+    p = leg / scale
+    dp = np.zeros((x.size, degree + 1))
+    if degree >= 1:
+        dp[:, 1] = 1.0
+    for k in range(1, degree):
+        dp[:, k + 1] = dp[:, k - 1] + (2 * k + 1) * p[:, k]
+    trig = np.empty((x.size, 2 * degree + 1))
+    dtrig = np.zeros((x.size, 2 * degree + 1))
+    trig[:, 0] = 1.0
+    root2 = np.sqrt(2.0)
+    for l in range(1, degree + 1):
+        trig[:, 2 * l - 1] = root2 * np.cos(2.0 * np.pi * l * x)
+        trig[:, 2 * l] = root2 * np.sin(2.0 * np.pi * l * x)
+        w = 2.0 * np.pi * l
+        dtrig[:, 2 * l - 1] = -root2 * w * np.sin(w * x)
+        dtrig[:, 2 * l] = root2 * w * np.cos(w * x)
+    return {"_legendre_values": leg, "_legendre_gradients": 2.0 * dp * scale,
+            "_trig_values": trig, "_trig_gradients": dtrig}
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 7, 40, 127])
+def test_series_rows_match_columnwise_recurrence_bitwise(degree):
+    # the row recurrences do the same elementwise arithmetic as a per-column
+    # recurrence and return C-ordered (n, K0) arrays
+    x = np.r_[0.0, 1.0, 0.5, np.random.default_rng(degree).uniform(0, 1, 997)]
+    for name, expected in _columnwise_series(x, degree).items():
+        got = getattr(basis_module, name)(x, degree)
+        assert got.flags.c_contiguous, name
+        assert got.shape == expected.shape, name
+        assert got.tobytes() == expected.tobytes(), name
 
 
 def test_active_function_counts():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from sievereg import gram as gram_module
 from sievereg.basis import BasisSpec, build_basis
 from sievereg.gram import (DmsBound, GramFactor, NumericError, dms_bound,
                            empirical_gram, empirical_gram_matrix,
@@ -10,6 +11,7 @@ from sievereg.gram import (DmsBound, GramFactor, NumericError, dms_bound,
                            theoretical_gram, zeta_constant)
 from sievereg.quadrature import (basis_quadrature, sine_density, sup_grid,
                                   uniform_density, weighted_basis_gram)
+from sievereg.simulate import RegressorSpec, regressor_paths
 
 UNIFORM = uniform_density()
 
@@ -445,6 +447,139 @@ def test_lebesgue_blocks_equal_one_shot_products(family, k):
     half, _ = GramFactor(vals.T @ vals).solve(vals.T)
     one_shot = float(np.max(np.sum(np.abs(bx @ half), axis=1)))
     assert lebesgue_constant_empirical(basis, x, grid=grid).value == one_shot
+
+
+def _exhaustive_abs_sup(basis, grid, half, weights=None):
+    """The Lebesgue kernel sup with every block of the fixed partition
+    formed: grid chunks, windows, de-duplicated rows, 64-row slices."""
+    best, rows_per_block = 0.0, gram_module._KERNEL_ROWS
+    for start in range(0, grid.shape[0], gram_module._GRID_CHUNK):
+        local = basis.local(grid[start:start + gram_module._GRID_CHUNK])
+        for cols, rows in local.windows():
+            vals = local.vals[rows]
+            vals = vals[np.r_[True, np.any(vals[1:] != vals[:-1], axis=1)]]
+            for row in range(0, vals.shape[0], rows_per_block):
+                kern = np.abs(vals[row:row + rows_per_block] @ half[cols])
+                if weights is not None:
+                    kern *= weights
+                best = max(best, float(np.max(np.sum(kern, axis=1))))
+    return best
+
+
+def _sample_half(basis, x):
+    vals = basis.evaluate(x)
+    return GramFactor(vals.T @ vals).solve(vals.T)[0]
+
+
+_PRUNED_SPECS = {
+    **{f"spline{r}": BasisSpec.bspline(r, 12 - r) for r in (2, 3, 4)},
+    "haar": BasisSpec.wavelet(1, 4), "d2": BasisSpec.wavelet(2, 4),
+    "d3": BasisSpec.wavelet(3, 4), "trig": BasisSpec.trig(5),
+    "power": BasisSpec.power(9),
+    **{f"spline{r}-2d": BasisSpec.bspline(r, 5 - r, dim=2) for r in (2, 3, 4)},
+    "haar-2d": BasisSpec.wavelet(1, 2, dim=2),
+    "d2-2d": BasisSpec.wavelet(2, 3, dim=2),
+    "d3-2d": BasisSpec.wavelet(3, 3, dim=2),
+    "trig-2d": BasisSpec.trig(2, dim=2), "power-2d": BasisSpec.power(3, dim=2),
+}
+
+
+@pytest.mark.parametrize("sample", ["iid", "ar", "theoretical"])
+@pytest.mark.parametrize("family", sorted(_PRUNED_SPECS))
+def test_pruned_lebesgue_equals_exhaustive_bitwise(family, sample):
+    # the bound-pruned search gives the bits of forming every block; the
+    # 1-D grid spans three evaluation chunks and ragged last blocks
+    basis = build_basis(_PRUNED_SPECS[family])
+    dim = basis.spec.dim
+    grid = sup_grid(basis, base_points=1100 if dim == 1 else 33)
+    if sample == "theoretical":
+        density = sine_density(0.4, dim=dim)
+        quad = basis_quadrature(basis, max_nodes_1d=2 ** 12 if dim == 1
+                                else 2 ** 6)
+        half, _ = GramFactor(weighted_basis_gram(
+            basis, quad, point_weight=density)).solve(
+                basis.evaluate(quad.nodes).T)
+        wq = quad.weights * density(quad.nodes)
+        assert (lebesgue_constant_theoretical(basis, density, quad=quad,
+                                              grid=grid)
+                == _exhaustive_abs_sup(basis, grid, half, wq))
+        return
+    regressor = RegressorSpec(*(("ar_copula", 0.9) if sample == "ar"
+                                else ("iid_uniform",)))
+    x = regressor_paths(regressor, 3000, dim, np.random.default_rng(5))[0]
+    assert (lebesgue_constant_empirical(basis, x, grid=grid).value
+            == _exhaustive_abs_sup(basis, grid, _sample_half(basis, x)))
+
+
+@pytest.mark.parametrize("spec", [BasisSpec.bspline(3, 9),
+                                  BasisSpec.wavelet(2, 4),
+                                  BasisSpec.bspline(3, 2, dim=2)],
+                         ids=["spline", "d2", "spline-2d"])
+def test_pruned_lebesgue_rank_deficient_bitwise(spec):
+    # n < K: the pseudo-inverse half, flagged
+    basis = build_basis(spec)
+    grid = sup_grid(basis, base_points=1100 if spec.dim == 1 else 33)
+    x = np.random.default_rng(3).uniform(0, 1, (basis.size - 3, spec.dim))
+    res = lebesgue_constant_empirical(basis, x, grid=grid)
+    assert res.rank_deficient
+    assert res.value == _exhaustive_abs_sup(basis, grid,
+                                            _sample_half(basis, x))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("spec", [BasisSpec.bspline(3, 9),
+                                  BasisSpec.wavelet(2, 4)],
+                         ids=["spline", "d2"])
+def test_pruned_lebesgue_non_finite_half(spec, bad):
+    # a non-finite entry makes some bounds inf or NaN (0 * inf); neither may
+    # skip a block, so the result is still the exhaustive one
+    basis = build_basis(spec)
+    grid = sup_grid(basis, base_points=1100)
+    x = np.random.default_rng(4).uniform(0, 1, (2000, 1))
+    half = _sample_half(basis, x)
+    half[4, 17] = bad
+    with np.errstate(invalid="ignore", over="ignore"):
+        pruned = gram_module._kernel_abs_sup(basis, grid, half,
+                                             basis.evaluate(x))
+        assert pruned == _exhaustive_abs_sup(basis, grid, half)
+
+
+def test_pruned_lebesgue_nan_bound_block_is_formed():
+    # column 9's sum overflows to inf; the D2 row at 0.5 has b_9(0.5) = 0,
+    # so its bound is 0 * inf = NaN while its kernel row sum is finite and
+    # the largest: the NaN bound must not skip it
+    basis = build_basis(BasisSpec.wavelet(2, 4))
+    x = np.random.default_rng(4).uniform(0, 1, (2000, 1))
+    half = _sample_half(basis, x)
+    half[9, :2] = 1e308
+    grid = np.array([[0.1], [0.5]])
+    assert basis.local(grid[1:]).vals[0, -1] == 0.0
+    with np.errstate(invalid="ignore", over="ignore"):
+        pruned = gram_module._kernel_abs_sup(basis, grid, half,
+                                             basis.evaluate(x))
+        assert pruned == _exhaustive_abs_sup(basis, grid[1:], half)
+        assert pruned > _exhaustive_abs_sup(basis, grid[:1], half)
+
+
+@pytest.mark.parametrize("spec", [BasisSpec.wavelet(2, 7),
+                                  BasisSpec.bspline(3, 125)],
+                         ids=["d2", "spline"])
+def test_pruned_lebesgue_forms_few_blocks(spec, monkeypatch):
+    # at K = 128, n = 20000 the bounds leave a few of the 127-134 blocks
+    basis = build_basis(spec)
+    grid = sup_grid(basis)
+    x = np.random.default_rng(6).uniform(0, 1, (20000, 1))
+    row_sums, formed = gram_module._row_sums, []
+
+    def counting(block, sub, weights, buf):
+        formed.append(sub.shape[1] == x.shape[0])   # a whole block
+        return row_sums(block, sub, weights, buf)
+
+    monkeypatch.setattr(gram_module, "_row_sums", counting)
+    value = lebesgue_constant_empirical(basis, x, grid=grid).value
+    assert 1 <= sum(formed) <= 3
+    monkeypatch.undo()
+    assert value == _exhaustive_abs_sup(basis, grid, _sample_half(basis, x))
 
 
 @pytest.mark.parametrize("spec", [
