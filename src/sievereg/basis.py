@@ -67,6 +67,40 @@ class LocalDesign:
         out.ravel()[self.cols + (self.size * np.arange(n))[:, None]] = self.vals
         return out
 
+    def gram(self, weights=None, blocks=None):
+        """sum_i w_i b_i b_i' over the rows b_i, or B'B/n without `weights`;
+        with `blocks`, the stack of these over equal consecutive row blocks.
+
+        Width 1 (Haar): one bincount of the squared values onto the diagonal.
+        Full width (trig, power, `fixed_design`): one product.  Otherwise one
+        bincount per pair a <= b of window offsets fills the upper triangle,
+        which is mirrored: O(n w^2), no BLAS.
+        """
+        m = 1 if blocks is None else blocks
+        rows, w = self.vals.shape
+        k, n = self.size, rows // m
+        scale, div = (1.0, n) if weights is None else (weights, 1)
+        if w == k:
+            v = self.vals.reshape(m, n, k)
+            rhs = v if weights is None else v * weights.reshape(m, n, 1)
+            grams = np.swapaxes(v, 1, 2) @ rhs / div
+        elif w == 1:
+            diag = np.bincount(self.cols[:, 0] + np.repeat(k * np.arange(m), n),
+                               self.vals[:, 0] ** 2 * scale, m * k)
+            grams = np.zeros((m, k, k))
+            grams[:, np.arange(k), np.arange(k)] = diag.reshape(m, k) / div
+        else:
+            at = self.cols * k + np.repeat(k * k * np.arange(m), n)[:, None]
+            flat = np.zeros(m * k * k)
+            for a in range(w):
+                for b in range(a, w):
+                    flat += np.bincount(at[:, a] + self.cols[:, b],
+                                        self.vals[:, a] * self.vals[:, b]
+                                        * scale, m * k * k)
+            upper = flat.reshape(m, k, k) / div
+            grams = upper + np.swapaxes(np.triu(upper, 1), 1, 2)
+        return grams if blocks is not None else grams[0]
+
     def windows(self):
         """Yield (cols, rows) per window: its columns and its row indices."""
         order = np.argsort(self.cols[:, 0], kind="stable")

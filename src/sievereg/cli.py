@@ -152,7 +152,8 @@ for _command, _table in _ACCEPTANCE.items():
 
 def _read_config(args):
     """The command's config, parsed against its schema, with the --seed and
-    --threads flags applied to the section that has those keys."""
+    --threads flags applied to the section that has those keys (a flag
+    that no section takes is a config error)."""
     path, command = args.config, args.command
     if not os.path.exists(path):
         raise ConfigurationError(f"config file not found: {path}")
@@ -189,9 +190,13 @@ def _read_config(args):
                 raise ConfigurationError(
                     f"missing required config key `{key}` in [{section}]")
     for key, flag in (("seed", args.seed), ("threads", args.threads)):
-        for section, (keys, _) in schema.items():
-            if flag is not None and key in keys:
-                out[section][key] = flag
+        if flag is None:
+            continue
+        owners = [name for name, (keys, _) in schema.items() if key in keys]
+        if not owners:
+            raise ConfigurationError(f"`--{key}` does not apply to {command}")
+        for section in owners:
+            out[section][key] = flag
     return out
 
 

@@ -11,9 +11,9 @@ be compared against the bounds.
 
 ``GramDeviationGenerator`` draws replications in chunks, forms each
 replication's Gram ``B'B/n`` of the unwhitened design with one
-``sample_gram`` call per chunk, and hands the chunk's K x K Grams to the
-theoretical Gram's ``GramFactor``, which whitens them and takes all their
-spectral norms at once.
+``LocalDesign.gram`` call per chunk, and hands the chunk's K x K Grams to
+the theoretical Gram's ``GramFactor``, which whitens them and takes all
+their spectral norms at once.
 
 ``concentration_study`` compares one generator's exceedance frequencies
 with the independent bound, or the blocked bound at t/6 under mixing.
@@ -24,8 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .basis import ConfigurationError, build_basis
-from .gram import (GramFactor, sample_gram, theoretical_gram,
-                   zeta_constant)
+from .gram import GramFactor, theoretical_gram, zeta_constant
 from .quadrature import uniform_density
 from .simulate import (RegressorSpec, StudyReport, _check_at_least,
                        regressor_paths)
@@ -167,12 +166,13 @@ class GramDeviationGenerator:
         """||sum_i Xi_i|| per replication (exact spectral norms).
 
         A chunk's designs are evaluated in one local form, and
-        `sample_gram` stacks one Gram B'B/n per replication: for a width-1
-        (Haar) basis the diagonals, from one bincount in O(n) per
-        replication, otherwise one batched BLAS product of the dense
-        designs.  The shared factor whitens the chunk's K x K Grams and
-        takes their spectral deviations in one call, read off the diagonals
-        when both it and the Grams are diagonal.
+        `LocalDesign.gram` stacks one Gram B'B/n per replication: for a
+        width-1 (Haar) basis the diagonals, from one bincount in O(n) per
+        replication, otherwise one bincount per pair of window offsets
+        (one batched product for a full-width basis).  The shared factor
+        whitens the chunk's K x K Grams and takes their spectral deviations
+        in one call, read off the diagonals when both it and the Grams are
+        diagonal.
         """
         out = np.empty(reps)
         done = 0
@@ -184,7 +184,7 @@ class GramDeviationGenerator:
                                 rng, reps=m)
             local = self.basis.local(x.reshape(m * self.n, -1))
             out[done:done + m] = self.factor.deviation(
-                sample_gram(local, blocks=m))
+                local.gram(blocks=m))
             done += m
             c += 1
         return out

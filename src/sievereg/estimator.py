@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import LocalDesign
-from .gram import GramFactor, sample_gram
+from .gram import GramFactor
 from .quadrature import points_2d
 
 # Smallest lambda_min / lambda_max of B'B/n solved through the normal
@@ -76,9 +76,9 @@ def fit(basis, x, y):
 
     The design is evaluated once, in local form (`basis.local`), and
     scattered to dense once for B'y, the residuals and inference.  The Gram
-    B'B/n comes from `sample_gram`: a diagonal summed in O(n) for a width-1
-    (Haar) design, whose GramFactor then needs no eigendecomposition, and
-    the dense product otherwise.
+    B'B/n comes from `LocalDesign.gram` in O(n w^2): a diagonal for a
+    width-1 (Haar) design, whose GramFactor then needs no
+    eigendecomposition.
 
     Raises ValueError when a response is NaN or infinite.
     """
@@ -88,7 +88,7 @@ def fit(basis, x, y):
     local = basis.local(points_2d(x))
     design = local.dense()
     n, k = design.shape
-    factor = GramFactor(sample_gram(local, design=design))
+    factor = GramFactor(local.gram())
     lam_min, lam_max = factor.evals[0], factor.evals[-1]
     if lam_min > MIN_GRAM_RCOND * lam_max:
         coeffs, _ = factor.solve(design.T @ y / n)

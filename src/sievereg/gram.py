@@ -115,36 +115,8 @@ def theoretical_gram(basis, density):
     return reduce(np.kron, [gram_1d] * d)
 
 
-def sample_gram(local, blocks=None, design=None):
-    """B'B/n of the LocalDesign `local` (n rows), or the (blocks, K, K) stack
-    of B_b'B_b/n_b over its `blocks` consecutive blocks B_b of
-    n_b = n / blocks rows each.
-
-    A width-1 design (Haar in any dimension: one active column per point)
-    has a diagonal Gram: one bincount of the squared values sums it in O(n).
-    Any other design is scattered to dense once, or taken from `design`,
-    the caller's dense copy of it, and multiplied in O(n K^2).
-    """
-    m = 1 if blocks is None else blocks
-    rows, k = local.vals.shape[0], local.size
-    n = rows // m
-    if local.vals.shape[1] == 1:
-        bins = local.cols[:, 0] + np.repeat(k * np.arange(m), n)
-        diag = np.bincount(bins, weights=local.vals[:, 0] ** 2,
-                           minlength=m * k)
-        grams = np.zeros((m, k, k))
-        grams[:, np.arange(k), np.arange(k)] = diag.reshape(m, k) / n
-        return grams if blocks is not None else grams[0]
-    if design is None:
-        design = local.dense()
-    if blocks is None:
-        return design.T @ design / n
-    design = design.reshape(m, n, k)
-    return np.swapaxes(design, 1, 2) @ design / n
-
-
 def empirical_gram_matrix(basis, x):
-    return sample_gram(basis.local(points_2d(x)))
+    return basis.local(points_2d(x)).gram()
 
 
 def gram_deviation(gram, gram_emp):

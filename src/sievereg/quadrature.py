@@ -185,21 +185,13 @@ def sup_grid(basis, base_points=None):
 
 
 def weighted_basis_gram(basis, quad, point_weight=None, chunk=65536):
-    """Accumulate sum_q w_q g(y_q) b(y_q) b(y_q)' in node chunks.
-
-    Each window's nodes add V' (V w) to the window's block of the Gram:
-    O(Q w^2d) for Q nodes where a dense product is O(Q K^2).
-    """
-    k = basis.size
-    gram = np.zeros((k, k))
-    nodes, weights = quad.nodes, quad.weights
-    for start in range(0, nodes.shape[0], chunk):
-        pts = nodes[start:start + chunk]
-        w = weights[start:start + chunk]
+    """sum_q w_q g(y_q) b(y_q) b(y_q)' by `LocalDesign.gram` over node
+    chunks: O(Q w^2d) for Q nodes where a dense product is O(Q K^2)."""
+    gram = np.zeros((basis.size,) * 2)
+    for start in range(0, quad.nodes.shape[0], chunk):
+        pts = quad.nodes[start:start + chunk]
+        w = quad.weights[start:start + chunk]
         if point_weight is not None:
             w = w * point_weight(pts)
-        local = basis.local(pts)
-        for cols, rows in local.windows():
-            vals = local.vals[rows]
-            gram[np.ix_(cols, cols)] += vals.T @ (vals * w[rows, None])
+        gram += basis.local(pts).gram(weights=w)
     return 0.5 * (gram + gram.T)

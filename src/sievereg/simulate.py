@@ -73,6 +73,10 @@ class ErrorSpec:
     def __post_init__(self):
         if self.kind not in ("gaussian", "student_t", "heteroskedastic"):
             raise ValueError(f"unknown error kind {self.kind!r}")
+        for name in ("sigma", "df", "scale"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(
+                    f"`{name}` must be finite, got {getattr(self, name)}")
         if self.kind == "student_t" and self.df <= 2.0:
             raise ValueError(f"student_t needs df > 2 for a finite variance, got {self.df}")
 
@@ -97,9 +101,13 @@ def _check_at_least(low, **fields):
                 f"got {value!r}")
 
 
-def _check_krule_c(c):
-    if not (np.isfinite(c) and c > 0.0):
-        raise ConfigurationError(f"`krule_c` must be a finite number > 0, got {c}")
+def _check_positive(**fields):
+    """ConfigurationError unless each value other than None is a finite
+    number > 0."""
+    for name, value in fields.items():
+        if value is not None and not (np.isfinite(value) and value > 0.0):
+            raise ConfigurationError(
+                f"`{name}` must be a finite number > 0, got {value}")
 
 
 def _check_dims(dgp, *specs):
@@ -122,6 +130,7 @@ class DgpSpec:
 
     def __post_init__(self):
         _check_at_least(1, dim=self.dim)
+        _check_positive(p=self.smoothness)
         object.__setattr__(self, "h0",
                            named_target(self.h0_name, p=self.smoothness))
 
@@ -231,7 +240,7 @@ class RateStudyConfig:
         _check_at_least(1, reps=self.reps, threads=self.threads)
         _check_at_least(2, n_grid=self.n_grid)      # k_rule divides by log n
         _check_at_least(0, seed=self.seed)
-        _check_krule_c(self.krule_c)
+        _check_positive(krule_c=self.krule_c, krule_p=self.krule_p)
         _check_dims(self.dgp, self.basis_spec)
 
 
@@ -323,7 +332,7 @@ class CoverageStudyConfig:
         _check_at_least(1, reps=self.reps, threads=self.threads)
         _check_at_least(2, n=self.n)                # k_rule divides by log n
         _check_at_least(0, seed=self.seed)
-        _check_krule_c(self.krule_c)
+        _check_positive(krule_c=self.krule_c, krule_p=self.krule_p)
         _check_dims(self.dgp, self.basis_spec)
         if not 0.0 < self.level < 1.0:
             raise ConfigurationError(f"`level` must be in (0, 1), got {self.level}")

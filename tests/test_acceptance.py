@@ -357,8 +357,12 @@ def test_criterion_10_determinism(tmp_path):
         for run_name, threads in ((f"{name}_a", "1"), (f"{name}_b", "1"),
                                   (f"{name}_c", "3")):
             out = tmp_path / run_name
+            # the concentration study has no replication threads and
+            # refuses the flag; its three runs are plain reruns
+            flags = ([] if command == "concentration-study"
+                     else ["--threads", threads])
             code = cli_run([command, "--config", str(cfg), "--out", str(out),
-                            "--threads", threads])
+                            *flags])
             assert code == 0
             outs.append(out)
         for other in outs[1:]:

@@ -311,6 +311,18 @@ STABILITY_D2_D3 = ("[study]\nreps = 2\nk_grid = 16\nn_grid = 2000\n"
      "`threads`"),
     ("stability-study", "[study]\nreps = 2\nk_grid = 1,1001\nn_grid = 200,400\n"
      + BASIS_BLOCK, "stream key 1001"),
+    ("rate-study", RATE.format(extra="[dgp]\nsigma = nan\n"), "`sigma`"),
+    ("rate-study", RATE.format(extra="[dgp]\nsigma = inf\n"), "`sigma`"),
+    ("rate-study", RATE.format(extra="[dgp]\nerror = student_t\n"
+                                     "scale = nan\n"), "`scale`"),
+    ("rate-study", RATE.format(extra="[dgp]\nerror = student_t\ndf = nan\n"),
+     "`df`"),
+    ("rate-study", RATE.format(extra="[dgp]\nerror = student_t\ndf = inf\n"),
+     "`df`"),
+    ("rate-study", RATE.format(extra="[dgp]\np = nan\n"), "`p`"),
+    ("rate-study", RATE.format(extra="[dgp]\np = -0.5\n"), "`p`"),
+    ("coverage-study", COVERAGE.format(reps=5, n=400) + "[dgp]\np = 0\n",
+     "`p`"),
 ], ids=["dgp-regressor", "dgp-rho", "dgp-df", "dgp-h0", "dgp-dim",
         "basis-dim", "coverage-x0", "coverage-level", "gram-density",
         "gram-amplitude", "gram-amplitude-without-sine", "concentration-regressor", "concentration-t_max",
@@ -318,7 +330,9 @@ STABILITY_D2_D3 = ("[study]\nreps = 2\nk_grid = 16\nn_grid = 2000\n"
         "basis-typo", "basis-key-of-another-family",
         "basis2-key-of-another-family", "rate-threads-0",
         "coverage-threads-neg", "stability-threads-0",
-        "stability-stream-keys-collide"])
+        "stability-stream-keys-collide", "dgp-sigma-nan", "dgp-sigma-inf",
+        "dgp-scale-nan", "dgp-df-nan", "dgp-df-inf", "dgp-p-nan",
+        "dgp-p-neg", "coverage-dgp-p-0"])
 def test_rejected_config_values_exit_2(tmp_path, capsys, command, text,
                                        named):
     # values that the library specs and study configs reject
@@ -355,9 +369,19 @@ STABILITY = f"[study]\nreps = 2\nk_grid = 8\nn_grid = 400\n{BASIS_BLOCK}"
      .replace("n = 400\n", "n = 400\nkrule_c = 0\n"), "`krule_c`"),
     ("coverage-study", COVERAGE.format(reps=5, n=400)
      .replace("n = 400\n", "n = 400\nkrule_c = inf\n"), "`krule_c`"),
+    ("rate-study", RATE0.replace("n_grid = 200", "n_grid = 200\nkrule_p = -0.5"),
+     "`krule_p`"),
+    ("rate-study", RATE0.replace("n_grid = 200", "n_grid = 200\nkrule_p = -2"),
+     "`krule_p`"),
+    ("coverage-study", COVERAGE.format(reps=5, n=400)
+     .replace("n = 400\n", "n = 400\nkrule_p = nan\n"), "`krule_p`"),
+    ("coverage-study", COVERAGE.format(reps=5, n=400)
+     .replace("n = 400\n", "n = 400\nkrule_p = 0\n"), "`krule_p`"),
 ], ids=["rate-seed", "coverage-seed", "stability-seed", "concentration-seed",
         "gram-seed", "rate-n_grid-1", "coverage-n-1", "rate-krule_c-neg",
-        "rate-krule_c-nan", "coverage-krule_c-0", "coverage-krule_c-inf"])
+        "rate-krule_c-nan", "coverage-krule_c-0", "coverage-krule_c-inf",
+        "rate-krule_p-neg-half", "rate-krule_p-neg", "coverage-krule_p-nan",
+        "coverage-krule_p-0"])
 def test_negative_seed_short_samples_and_bad_krule_c_exit_2(
         tmp_path, capsys, command, text, named):
     cfg = tmp_path / "bad.ini"
@@ -387,6 +411,25 @@ def test_threads_flag_below_one_exits_2(tmp_path, capsys, threads):
     assert run(["rate-study", "--config", str(cfg), "--out", str(out),
                 "--synthetic-oracle", "--threads", threads]) == 2
     assert "`threads`" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("fit", "--seed"), ("fit", "--threads"), ("gram-report", "--threads"),
+    ("concentration-study", "--threads")])
+def test_flag_that_no_config_key_takes_exits_2(tmp_path, capsys, sample_csv,
+                                              command, flag):
+    # a flag must change the run or be refused, never be dropped
+    text = {"fit": f"[fit]\ndata = {sample_csv}\n{BASIS_BLOCK}",
+            "gram-report": GRAM.format(extra="n = 50\n"),
+            "concentration-study": CONCENTRATION.format(reps=10, t=5, n=50)}
+    cfg = tmp_path / "cfg.ini"
+    _write(cfg, text[command])
+    out = tmp_path / "o"
+    assert run([command, "--config", str(cfg), "--out", str(out),
+                flag, "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and f"`{flag}`" in err
     assert not out.exists()
 
 

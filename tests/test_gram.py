@@ -7,8 +7,8 @@ from sievereg.basis import BasisSpec, build_basis
 from sievereg.gram import (DmsBound, GramFactor, NumericError, dms_bound,
                            empirical_gram, empirical_gram_matrix,
                            gram_deviation, lebesgue_constant_empirical,
-                           lebesgue_constant_theoretical, sample_gram,
-                           theoretical_gram, zeta_constant)
+                           lebesgue_constant_theoretical, theoretical_gram,
+                           zeta_constant)
 from sievereg.quadrature import (basis_quadrature, sine_density, sup_grid,
                                   uniform_density, weighted_basis_gram)
 from sievereg.simulate import RegressorSpec, regressor_paths
@@ -128,7 +128,7 @@ def test_diagonal_factor_matches_eigh_bit_for_bit(diag):
     # full ones (eigvalsh on both sides)
     basis = build_basis(BasisSpec.wavelet(1, 3))
     x = np.random.default_rng(6).uniform(0, 1, (5 * 40, 1))
-    haar = sample_gram(basis.local(x), blocks=5)[:, 1:7, 1:7]
+    haar = basis.local(x).gram(blocks=5)[:, 1:7, 1:7]
     full = haar + 0.01 * np.random.default_rng(7).normal(size=(6, 6))
     for stack in (haar, full):
         assert np.array_equal(fast.deviation(stack), ref.deviation(stack))
@@ -146,7 +146,7 @@ def test_width1_gram_matches_dense_product(level, n):
     x = np.random.default_rng(11).uniform(0, 1, (n, 1))
     design = basis.evaluate(x)
     dense = design.T @ design / n
-    gram = sample_gram(basis.local(x))
+    gram = basis.local(x).gram()
     off = ~np.eye(basis.size, dtype=bool)
     assert not np.any(gram[off]) and not np.any(dense[off])
     ulps = np.abs(gram - dense).diagonal() / np.spacing(dense.diagonal())
@@ -159,21 +159,38 @@ def test_width1_gram_matches_dense_product(level, n):
     (BasisSpec.wavelet(1, 2, dim=2), None),
     (BasisSpec.wavelet(1, 4), (0.2, 0.7)),
     (BasisSpec.bspline(3, 5), None),
+    (BasisSpec.wavelet(2, 4), None),
+    (BasisSpec.wavelet(3, 4), None),
+    (BasisSpec.bspline(1, 6), None),
+    (BasisSpec.bspline(4, 5), None),
+    (BasisSpec.bspline(3, 2, dim=2), None),
+    (BasisSpec.wavelet(2, 3, dim=2), None),
+    (BasisSpec.trig(3), None),
+    (BasisSpec.power(5, dim=2), None),
 ])
 def test_stacked_sample_grams_match_each_block(spec, span):
     # a span confines the points to part of [0, 1], so some Haar cells are
     # empty and their diagonal entries 0
     basis = build_basis(spec)
     blocks, n = 4, 300
-    x = np.random.default_rng(12).uniform(*(span or (0, 1)),
-                                          (blocks * n, spec.dim))
-    stack = sample_gram(basis.local(x), blocks=blocks)
+    rng = np.random.default_rng(12)
+    x = rng.uniform(*(span or (0, 1)), (blocks * n, spec.dim))
+    stack = basis.local(x).gram(blocks=blocks)
     for b in range(blocks):
         block = basis.local(x[b * n:(b + 1) * n])
-        assert np.array_equal(stack[b], sample_gram(block))
-    if spec.family == "wavelet" and spec.level % 2 == 0:
-        # exact squares (see above): the dense product's bits
-        design = basis.evaluate(x[:n])
+        assert np.array_equal(stack[b], block.gram())
+    # every branch (width 1, full width, pairs of window offsets) against
+    # the dense V' diag(w) V, unweighted (w = 1/n) and weighted
+    local, design = basis.local(x[:n]), basis.evaluate(x[:n])
+    w = rng.uniform(0.5, 2.0, n)
+    for gram, dense in ((stack[0], design.T @ design / n),
+                        (local.gram(weights=w),
+                         design.T @ (design * w[:, None]))):
+        assert np.max(np.abs(gram - dense)) <= 1e-14 * np.max(np.abs(dense))
+    assert np.array_equal(stack[0], stack[0].T)
+    width = local.vals.shape[1]
+    if width == basis.size or (width == 1 and spec.level % 2 == 0):
+        # one product, or exact squares (see above): the dense product's bits
         assert np.array_equal(stack[0], design.T @ design / n)
 
 
