@@ -181,7 +181,7 @@ def _row_sums(block, sub, weights, buf):
     return np.sum(kern, axis=1)
 
 
-def _kernel_abs_sup(basis, grid, half, design, weights=None):
+def _kernel_abs_sup(basis, grid, half, design, weights=None, root=None):
     """max over grid points x of sum_j |b(x)' half[:, j]| (times weights[j]);
     column j of `half` belongs to row j of the sample (or node) `design`.
 
@@ -190,9 +190,14 @@ def _kernel_abs_sup(basis, grid, half, design, weights=None):
     cut into blocks of _KERNEL_ROWS that multiply the window's rows of
     `half`.  The value is one block's largest numpy row sum, so this fixed
     partition pins its bits.
-    Blocks are formed in descending order of a bound on that sum (NaN read
-    as +inf) until one falls below (1 - 1e-8) x the running maximum: |v| @ F
-    with F_c = sum_j |half[c, j]| w_j, or for a block that it leaves, the
+    Blocks are formed in descending order of a bound on that sum (a
+    non-finite bound read as +inf) until one falls below (1 - 1e-8) x the
+    running maximum.  The first bound is the smaller of |v| @ F with
+    F_c = sum_j |half[c, j]| w_j (the triangle inequality) and, given
+    `root` (see `_cs_root`), the Cauchy-Schwarz bound
+    sqrt(sum_j w_j * sum((v @ root[cols])**2)) x (1 + 1e-6); it is dropped
+    when `half` or the weights hold a non-finite entry.  A block that the
+    first bound leaves, and whose window has more than one column, gets the
     exact sum over the samples whose design row peaks within one column of
     the window plus |v| @ F over the rest (small by the inverse's decay).
     """
@@ -211,6 +216,9 @@ def _kernel_abs_sup(basis, grid, half, design, weights=None):
                       for r in half])   # [c, t]: |half[c]| w over key t
     by_key = np.argsort(keys, kind="stable")
     edges = np.r_[0, np.cumsum(np.bincount(keys, minlength=k))]
+    if not np.all(np.isfinite(table)):  # root no longer describes half
+        root = None
+    total = n if weights is None else float(np.sum(weights))
 
     def sub_of(cols):   # a view when the window's columns are consecutive
         lo, hi = cols[0], cols[-1] + 1
@@ -219,7 +227,14 @@ def _kernel_abs_sup(basis, grid, half, design, weights=None):
     def exact(cols, block):
         return float(np.max(_row_sums(block, sub_of(cols), weights, buf)))
 
+    def first_bound(cols, block):   # fmin: a NaN bound leaves the other
+        tri = np.max(np.abs(block) @ table[cols].sum(1))
+        return tri if root is None else np.fmin(tri, (1.0 + 1e-6) * np.sqrt(
+            total * np.max(np.sum((block @ root[cols]) ** 2, axis=1))))
+
     def near_bound(cols, block):
+        if cols.size == 1:      # |v| @ F is already the exact row sum
+            return np.inf
         lo, hi = max(cols[0] - 1, 0), min(cols[-1] + 2, k)
         near = by_key[edges[lo]:edges[hi]]
         if near.size == n:      # a full-width window: no sample is far
@@ -229,7 +244,7 @@ def _kernel_abs_sup(basis, grid, half, design, weights=None):
             block, sub_of(cols)[:, near],
             None if weights is None else weights[near], buf))
 
-    cheap = np.array([np.max(np.abs(v) @ table[c].sum(1)) for c, v in blocks])
+    cheap = np.array([first_bound(*b) for b in blocks])
     cheap[np.isnan(cheap)] = np.inf       # NaN never rules a block out
     order = np.argsort(-cheap, kind="stable")
     best = max(0.0, exact(*blocks[order[0]]))
@@ -243,6 +258,30 @@ def _kernel_abs_sup(basis, grid, half, design, weights=None):
     return best
 
 
+def _cs_root(factor, scale, length):
+    """R with R R' = (scale * mat)^{-1} for the factor's mat, the M of the
+    Cauchy-Schwarz kernel bound; None where that bound is not trusted.
+
+    The bound has to hold for the kernel as computed.  Rounding in the
+    Gram (sums of `length` terms), in `eigh` and in the products that form
+    `half` (sums of K terms) is a backward error delta in the Gram with
+    ||delta|| <~ (K + length) eps lambda_max.  As G + delta >= (1 - kappa
+    ||delta|| / lambda_max) G, it moves v'Mv by a relative
+    kappa (K + length) eps at most, times a modest constant.  The guard
+    keeps that at or below 1e-9, so the margin of 1e-6 covers it about 1e3
+    times over, and the square root halves it again.  Forming a kernel row
+    adds (K + length) eps relative to |v| @ F, which is up to about 150 x
+    the row sum in the benchmark's power cells; that term stays below the
+    margin while the ratio stays below 1e-6 / ((K + length) eps).
+    A rank-deficient mat (a pseudo-inverse half) gets no bound.
+    """
+    evals = factor.evals
+    if (evals[0] <= factor.tol or evals[-1] / evals[0]
+            * (evals.size + length) * np.finfo(float).eps > 1e-9):
+        return None
+    return factor.evecs / np.sqrt(scale * evals)
+
+
 def lebesgue_constant_theoretical(basis, density, quad=None, grid=None):
     """Sup-norm operator norm of the L2(X) projection onto the sieve.
 
@@ -254,11 +293,12 @@ def lebesgue_constant_theoretical(basis, density, quad=None, grid=None):
         quad = basis_quadrature(basis, max_nodes_1d=max_nodes)
     if grid is None:
         grid = sup_grid(basis)
-    gram = weighted_basis_gram(basis, quad, point_weight=density)
+    factor = GramFactor(weighted_basis_gram(basis, quad, point_weight=density))
     vals_q = basis.evaluate(quad.nodes)          # (Q, K)
     wq = quad.weights * density(quad.nodes)      # (Q,)
-    kernel_half, _ = GramFactor(gram).solve(vals_q.T)  # (K, Q)
-    return _kernel_abs_sup(basis, grid, kernel_half, vals_q, weights=wq)
+    kernel_half, _ = factor.solve(vals_q.T)      # (K, Q)
+    return _kernel_abs_sup(basis, grid, kernel_half, vals_q, weights=wq,
+                           root=_cs_root(factor, 1.0, wq.size))
 
 
 @dataclass
@@ -267,19 +307,26 @@ class EmpiricalLebesgue:
     rank_deficient: bool
 
 
-def lebesgue_constant_empirical(basis, x, grid=None):
+def lebesgue_constant_empirical(basis, x, grid=None, gram=None):
     """Sup-norm operator norm of the empirical projection P_{K,w,n}.
 
     Over functions unconstrained off the sample, the norm at a point x is
     sum_i |b(x)' (B'B)^- b(X_i)|; the result takes the sup over the grid.
     A rank-deficient design switches to the pseudo-inverse and is flagged.
+    `gram` is the sample's B'B/n (`empirical_gram_matrix`) when the caller
+    already has it; it is factored instead of forming B'B here, which moves
+    the value only by rounding.
     """
     x = points_2d(x)
     if grid is None:
         grid = sup_grid(basis)
     vals = basis.evaluate(x)                       # (n, K)
-    half, flagged = GramFactor(vals.T @ vals).solve(vals.T)   # (K, n)
-    best = _kernel_abs_sup(basis, grid, half, vals)
+    scale = 1.0 if gram is None else x.shape[0]    # gram is B'B/n
+    factor = GramFactor(vals.T @ vals if gram is None else gram)
+    half, flagged = factor.solve(vals.T)           # (K, n)
+    half /= scale
+    best = _kernel_abs_sup(basis, grid, half, vals,
+                           root=_cs_root(factor, scale, x.shape[0]))
     return EmpiricalLebesgue(value=best, rank_deficient=flagged)
 
 

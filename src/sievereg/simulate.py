@@ -459,11 +459,12 @@ def stability_study(config):
                     rng = derived_rng(config.seed, "stability",
                                       _stream_key(i_n, k_target), rep)
                     x = regressor_paths(dgp.regressor, n, dgp.dim, rng)[0]
-                    dev = gram_deviation(factor_th,
-                                         empirical_gram_matrix(basis, x))
+                    gram_emp = empirical_gram_matrix(basis, x)
+                    dev = gram_deviation(factor_th, gram_emp)
                     if not config.lebesgue:
                         return dev, np.nan, False
-                    leb = lebesgue_constant_empirical(basis, x, grid=grid)
+                    leb = lebesgue_constant_empirical(basis, x, grid=grid,
+                                                      gram=gram_emp)
                     return dev, leb.value, leb.rank_deficient
 
                 out = _run_indexed(one_rep, config.reps, config.threads)

@@ -498,7 +498,12 @@ _PRUNED_SPECS = {
     "d2-2d": BasisSpec.wavelet(2, 3, dim=2),
     "d3-2d": BasisSpec.wavelet(3, 3, dim=2),
     "trig-2d": BasisSpec.trig(2, dim=2), "power-2d": BasisSpec.power(3, dim=2),
+    # K = 64-81: full-width windows that the Cauchy-Schwarz bound prunes
+    "power-k64": BasisSpec.power(63), "trig-k65": BasisSpec.trig(32),
+    "power-k64-2d": BasisSpec.power(7, dim=2),
+    "trig-k81-2d": BasisSpec.trig(4, dim=2),
 }
+_FULL_WIDTH = ["power-k64", "power-k64-2d", "trig-k65", "trig-k81-2d"]
 
 
 @pytest.mark.parametrize("sample", ["iid", "ar", "theoretical"])
@@ -578,11 +583,13 @@ def test_pruned_lebesgue_nan_bound_block_is_formed():
         assert pruned > _exhaustive_abs_sup(basis, grid[:1], half)
 
 
-@pytest.mark.parametrize("spec", [BasisSpec.wavelet(2, 7),
-                                  BasisSpec.bspline(3, 125)],
-                         ids=["d2", "spline"])
-def test_pruned_lebesgue_forms_few_blocks(spec, monkeypatch):
-    # at K = 128, n = 20000 the bounds leave a few of the 127-134 blocks
+@pytest.mark.parametrize("spec,most", [(BasisSpec.wavelet(2, 7), 3),
+                                       (BasisSpec.bspline(3, 125), 3),
+                                       (BasisSpec.power(127), 4)],
+                         ids=["d2", "spline", "power"])
+def test_pruned_lebesgue_forms_few_blocks(spec, most, monkeypatch):
+    # at K = 128, n = 20000 the bounds leave a few of the 72-134 blocks;
+    # power's full-width windows are pruned by the Cauchy-Schwarz bound
     basis = build_basis(spec)
     grid = sup_grid(basis)
     x = np.random.default_rng(6).uniform(0, 1, (20000, 1))
@@ -594,9 +601,98 @@ def test_pruned_lebesgue_forms_few_blocks(spec, monkeypatch):
 
     monkeypatch.setattr(gram_module, "_row_sums", counting)
     value = lebesgue_constant_empirical(basis, x, grid=grid).value
-    assert 1 <= sum(formed) <= 3
+    assert 1 <= sum(formed) <= most
     monkeypatch.undo()
     assert value == _exhaustive_abs_sup(basis, grid, _sample_half(basis, x))
+
+
+def _full_width_case(family, sample):
+    """(basis, grid, x) for the Cauchy-Schwarz cases: K = 64-81."""
+    basis = build_basis(_PRUNED_SPECS[family])
+    dim = basis.spec.dim
+    rng = np.random.default_rng(8)
+    n = {"iid": 3000, "beta": 3000, "rank-deficient": basis.size - 5}[sample]
+    x = (rng.beta(0.05, 0.05, (n, dim)) if sample == "beta"
+         else rng.uniform(0, 1, (n, dim)))
+    return basis, sup_grid(basis, base_points=1100 if dim == 1 else 33), x
+
+
+def _gram_half(basis, x):
+    """The half that lebesgue_constant_empirical forms from gram=B'B/n."""
+    half, _ = GramFactor(empirical_gram_matrix(basis, x)).solve(
+        basis.evaluate(x).T)
+    half /= x.shape[0]
+    return half
+
+
+@pytest.mark.parametrize("sample", ["iid", "beta", "rank-deficient"])
+@pytest.mark.parametrize("family", _FULL_WIDTH)
+def test_cs_pruned_lebesgue_equals_exhaustive_bitwise(family, sample):
+    # with the factor of B'B or of a given B'B/n, near-singular (where the
+    # conditioning guard drops the Cauchy-Schwarz bound) or rank deficient
+    basis, grid, x = _full_width_case(family, sample)
+    own = lebesgue_constant_empirical(basis, x, grid=grid)
+    assert own.rank_deficient == (sample == "rank-deficient")
+    assert own.value == _exhaustive_abs_sup(basis, grid,
+                                            _sample_half(basis, x))
+    shared = lebesgue_constant_empirical(
+        basis, x, grid=grid, gram=empirical_gram_matrix(basis, x))
+    assert shared.value == _exhaustive_abs_sup(basis, grid,
+                                               _gram_half(basis, x))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("where", ["half", "root"])
+@pytest.mark.parametrize("family", ["power-k64", "trig-k81-2d"])
+def test_cs_pruned_lebesgue_non_finite(family, where, bad):
+    # a non-finite half entry leaves a root that no longer describes it,
+    # and a non-finite root gives an inf or NaN bound: neither may skip a
+    # block, so the result is still the exhaustive one
+    basis, grid, x = _full_width_case(family, "iid")
+    vals = basis.evaluate(x)
+    factor = GramFactor(vals.T @ vals)
+    half = factor.solve(vals.T)[0]
+    root = gram_module._cs_root(factor, 1.0, x.shape[0])
+    assert root is not None
+    (half if where == "half" else root)[4, 17] = bad
+    with np.errstate(invalid="ignore", over="ignore"):
+        pruned = gram_module._kernel_abs_sup(basis, grid, half, vals,
+                                             root=root)
+        assert pruned == _exhaustive_abs_sup(basis, grid, half)
+
+
+def test_pruned_lebesgue_cs_root_guard():
+    # no root for a pseudo-inverse or a factor too ill-conditioned to trust
+    factor = GramFactor(np.diag([1.0, 2.0, 4.0]))
+    root = gram_module._cs_root(factor, 2.0, 10)
+    assert np.allclose(root @ root.T, np.diag([0.5, 0.25, 0.125]),
+                       rtol=1e-15, atol=0.0)
+    assert gram_module._cs_root(GramFactor(np.diag([0.0, 1.0])), 1.0, 10) \
+        is None
+    assert gram_module._cs_root(GramFactor(np.diag([1e-8, 1.0])), 1.0,
+                                10 ** 4) is None
+
+
+@pytest.mark.parametrize("sample", ["iid", "rank-deficient"])
+@pytest.mark.parametrize("family", sorted(_PRUNED_SPECS))
+def test_pruned_lebesgue_given_gram_matches_own_gram(family, sample):
+    # passing the sample's B'B/n factors it instead of forming B'B: the
+    # same rank flag, and the same constant up to rounding, which the
+    # condition number of the kept spectrum amplifies (up to about 2e13 for
+    # a pseudo-inverse at n < K)
+    basis = build_basis(_PRUNED_SPECS[family])
+    dim = basis.spec.dim
+    grid = sup_grid(basis, base_points=1100 if dim == 1 else 33)
+    n = 3000 if sample == "iid" else basis.size - 3
+    x = np.random.default_rng(9).uniform(0, 1, (n, dim))
+    gram = empirical_gram_matrix(basis, x)
+    own = lebesgue_constant_empirical(basis, x, grid=grid)
+    shared = lebesgue_constant_empirical(basis, x, grid=grid, gram=gram)
+    assert shared.rank_deficient == own.rank_deficient == (sample != "iid")
+    factor = GramFactor(gram)
+    kept = factor.evals[factor.evals > factor.tol]
+    assert shared.value == pytest.approx(own.value,
+                                         rel=1e-14 * kept[-1] / kept[0])
 
 
 @pytest.mark.parametrize("spec", [
