@@ -24,7 +24,7 @@ from .daubechies import CascadeError
 from .estimator import fit as fit_ls
 from .gram import NumericError, empirical_gram, theoretical_gram
 from .inference import FunctionalSpec
-from .quadrature import density_by_name, sine_density, sup_grid
+from .quadrature import density_by_name, sine_density
 from .reporting import (fmt, write_detail_csv, write_matrix_csv,
                         write_report, write_summary_json)
 from .simulate import (CoverageStudyConfig, DgpSpec, ErrorSpec,
@@ -155,11 +155,15 @@ def _read_config(args):
     --threads flags applied to the section that has those keys (a flag
     that no section takes is a config error)."""
     path, command = args.config, args.command
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise ConfigurationError(f"config file not found: {path}")
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
-    parser.read(path)
+    try:
+        parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigurationError(
+            f"unreadable config file {path}: {exc}") from exc
     schema = _SCHEMAS[command]
     out = {}
     for section in parser.sections():
@@ -230,6 +234,17 @@ def _functional_spec(block):
                           x0=None if x0 is None else np.array(x0))
 
 
+def _check_out(out_dir):
+    """An --out that is empty, a file or under a file is a config error."""
+    if not out_dir:
+        raise ConfigurationError("--out is empty")
+    head = os.path.abspath(out_dir)
+    while not os.path.lexists(head):
+        head = os.path.dirname(head)
+    if not os.path.isdir(head):
+        raise ConfigurationError(f"--out {out_dir}: {head} is not a directory")
+
+
 def _print_table(title, pairs):
     width = max(len(k) for k, _ in pairs)
     print(title)
@@ -240,14 +255,21 @@ def _print_table(title, pairs):
 def _cmd_fit(cfg, out_dir, args):
     spec = BasisSpec(**cfg["basis"])
     path = cfg["fit"]["data"]
-    if not os.path.exists(path):
-        raise ConfigurationError(f"config key `data`: file not found: {path}")
-    table = np.genfromtxt(path, delimiter=",", names=True)
+    if not os.path.isfile(path) or os.path.getsize(path) == 0:
+        raise ConfigurationError(f"config key `data`: no such file, or it "
+                                 f"is empty: {path}")
+    try:
+        table = np.genfromtxt(path, delimiter=",", names=True, ndmin=1)
+    except ValueError as exc:
+        raise ConfigurationError(
+            f"config key `data`: unreadable CSV {path}: {exc}") from exc
     names = list(table.dtype.names)
     if len(names) != spec.dim + 1:
         raise ConfigurationError(
             f"config key `data`: {len(names)} columns, expected "
             f"{spec.dim} regressors + 1 response")
+    if table.size == 0:
+        raise ConfigurationError(f"config key `data`: no data rows in {path}")
     x = np.column_stack([table[c] for c in names[:-1]])
     y = np.asarray(table[names[-1]], dtype=float)
     finite = np.all(np.isfinite(x), axis=1) & np.isfinite(y)
@@ -259,6 +281,7 @@ def _cmd_fit(cfg, out_dir, args):
                    else "a regressor outside [0, 1]")
         raise ConfigurationError(
             f"config key `data`: data row {row + 1} has {problem}")
+    _check_out(out_dir)
     basis = build_basis(spec)
     result = fit_ls(basis, x, y)
     os.makedirs(out_dir, exist_ok=True)
@@ -353,7 +376,9 @@ def _study_config(cfg, args):
 def _cmd_study(cfg, out_dir, args):
     """Run the study and write its report with its [acceptance] checks."""
     _, study, rows = _STUDIES[args.command]
-    report = globals()[study](_study_config(cfg, args))
+    config = _study_config(cfg, args)
+    _check_out(out_dir)
+    report = globals()[study](config)
     checks = {}
     for key, threshold in cfg.get("acceptance", {}).items():
         _, value, passes = _ACCEPTANCE[args.command][key]
@@ -381,6 +406,7 @@ def _cmd_gram_report(cfg, out_dir, args):
                     f"config key `amplitude` applies only to density = "
                     f"sine, not {density.name!r}")
             density = sine_density(block["amplitude"], dim=spec.dim)
+    _check_out(out_dir)
     gram_th = theoretical_gram(basis, density)
     os.makedirs(out_dir, exist_ok=True)
     write_matrix_csv(os.path.join(out_dir, "gram.csv"), gram_th)
@@ -390,8 +416,7 @@ def _cmd_gram_report(cfg, out_dir, args):
     if "n" in block:
         rng = np.random.default_rng([int(block.get("seed", 0)), 7])
         x = density.sample(rng, block["n"], spec.dim)
-        gram_emp, report = empirical_gram(basis, x, gram_th,
-                                          grid=sup_grid(basis))
+        gram_emp, report = empirical_gram(basis, x, gram_th)
         write_matrix_csv(os.path.join(out_dir, "gram_emp.csv"), gram_emp)
         summary.update(report)
         summary["matrices"]["gram_emp"] = "gram_emp.csv"

@@ -96,7 +96,9 @@ def fit(basis, x, y):
     else:
         coeffs, _, rank, svals = np.linalg.lstsq(design, y,
                                                  rcond=k * np.finfo(float).eps)
-        cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else np.inf
+        # lstsq returns min(n, K) singular values: at n < K the rest are 0
+        cond = (float(svals[0] / svals[-1])
+                if svals.size == k and svals[-1] > 0 else np.inf)
     residuals = y - design @ coeffs
     return FitResult(basis=basis, coeffs=coeffs, residuals=residuals,
                      rank=int(rank), rank_deficient=rank < k, cond=cond,

@@ -130,10 +130,9 @@ def gram_deviation(gram, gram_emp):
     return factor.deviation(gram_emp)
 
 
-def zeta_constant(basis, grid=None):
-    """sup_x ||b(x)|| over the certification grid."""
-    if grid is None:
-        grid = sup_grid(basis)
+def zeta_constant(basis):
+    """sup_x ||b(x)|| over the certification grid `sup_grid(basis)`."""
+    grid = sup_grid(basis)
     best = 0.0
     for start in range(0, grid.shape[0], 65536):
         vals = basis.evaluate(grid[start:start + 65536])
@@ -141,16 +140,16 @@ def zeta_constant(basis, grid=None):
     return np.sqrt(best)
 
 
-def half_bandwidth(mat, rel_tol=1e-12):
-    """Largest |i - j| whose entry exceeds rel_tol * max|entry|."""
+def half_bandwidth(mat):
+    """Largest |i - j| whose entry exceeds 1e-12 * max|entry|."""
     scale = np.max(np.abs(mat))
     if scale == 0.0:
         return 0
-    i, j = np.nonzero(np.abs(mat) > rel_tol * scale)
+    i, j = np.nonzero(np.abs(mat) > 1e-12 * scale)
     return int(np.max(np.abs(i - j))) if i.size else 0
 
 
-def empirical_gram(basis, x, gram, grid=None):
+def empirical_gram(basis, x, gram):
     """(B'B/n, report) for a sample, given the theoretical Gram G.
 
     The report holds dev (the whitened deviation), zeta (the grid sup of
@@ -161,7 +160,7 @@ def empirical_gram(basis, x, gram, grid=None):
     gram_emp = empirical_gram_matrix(basis, x)
     factor = GramFactor(gram)
     return gram_emp, {"dev": factor.deviation(gram_emp),
-                      "zeta": zeta_constant(basis, grid=grid),
+                      "zeta": zeta_constant(basis),
                       "lambda": factor.lam, "bandwidth": half_bandwidth(gram),
                       "n": x.shape[0], "k": int(gram.shape[0])}
 
@@ -171,19 +170,17 @@ def empirical_gram(basis, x, gram, grid=None):
 _GRID_CHUNK, _KERNEL_ROWS = 512, 64
 
 
-def _row_sums(block, sub, weights, buf):
-    """Row sums of |block @ sub| (times weights), formed in the flat buf."""
+def _row_sums(block, sub, buf):
+    """Row sums of |block @ sub|, formed in the flat buf."""
     kern = np.matmul(block, sub, out=buf[:block.shape[0] * sub.shape[1]]
                      .reshape(block.shape[0], sub.shape[1]))
     np.abs(kern, out=kern)
-    if weights is not None:
-        kern *= weights
     return np.sum(kern, axis=1)
 
 
-def _kernel_abs_sup(basis, grid, half, design, weights=None, root=None):
-    """max over grid points x of sum_j |b(x)' half[:, j]| (times weights[j]);
-    column j of `half` belongs to row j of the sample (or node) `design`.
+def _kernel_abs_sup(basis, grid, half, design, root=None):
+    """max over grid points x of sum_j |b(x)' half[:, j]|; column j of
+    `half` belongs to row j of the sample (or node) `design`.
 
     Each _GRID_CHUNK of grid points is grouped by window; a row equal to
     the one before (a Haar cell on a sorted grid) is dropped and the rest
@@ -193,13 +190,13 @@ def _kernel_abs_sup(basis, grid, half, design, weights=None, root=None):
     Blocks are formed in descending order of a bound on that sum (a
     non-finite bound read as +inf) until one falls below (1 - 1e-8) x the
     running maximum.  The first bound is the smaller of |v| @ F with
-    F_c = sum_j |half[c, j]| w_j (the triangle inequality) and, given
-    `root` (see `_cs_root`), the Cauchy-Schwarz bound
-    sqrt(sum_j w_j * sum((v @ root[cols])**2)) x (1 + 1e-6); it is dropped
-    when `half` or the weights hold a non-finite entry.  A block that the
-    first bound leaves, and whose window has more than one column, gets the
-    exact sum over the samples whose design row peaks within one column of
-    the window plus |v| @ F over the rest (small by the inverse's decay).
+    F_c = sum_j |half[c, j]| (the triangle inequality) and, given `root`
+    (see `_cs_root`), the Cauchy-Schwarz bound
+    sqrt(sum((v @ root[cols])**2)) x (1 + 1e-6); it is dropped when `half`
+    holds a non-finite entry.  A block that the first bound leaves, and
+    whose window has more than one column, gets the exact sum over the
+    samples whose design row peaks within one column of the window plus
+    |v| @ F over the rest (small by the inverse's decay).
     """
     k, n = half.shape
     buf, blocks = np.empty(_KERNEL_ROWS * n), []
@@ -211,26 +208,24 @@ def _kernel_abs_sup(basis, grid, half, design, weights=None, root=None):
             blocks += [(cols, vals[row:row + _KERNEL_ROWS])
                        for row in range(0, vals.shape[0], _KERNEL_ROWS)]
     keys = np.argmax(design, axis=1)    # the column where row j peaks
-    scale = 1.0 if weights is None else weights
-    table = np.array([np.bincount(keys, np.abs(r) * scale, minlength=k)
-                      for r in half])   # [c, t]: |half[c]| w over key t
+    table = np.array([np.bincount(keys, np.abs(r), minlength=k)
+                      for r in half])   # [c, t]: |half[c]| over key t
     by_key = np.argsort(keys, kind="stable")
     edges = np.r_[0, np.cumsum(np.bincount(keys, minlength=k))]
     if not np.all(np.isfinite(table)):  # root no longer describes half
         root = None
-    total = n if weights is None else float(np.sum(weights))
 
     def sub_of(cols):   # a view when the window's columns are consecutive
         lo, hi = cols[0], cols[-1] + 1
         return half[lo:hi] if hi - lo == cols.size else half[cols]
 
     def exact(cols, block):
-        return float(np.max(_row_sums(block, sub_of(cols), weights, buf)))
+        return float(np.max(_row_sums(block, sub_of(cols), buf)))
 
     def first_bound(cols, block):   # fmin: a NaN bound leaves the other
         tri = np.max(np.abs(block) @ table[cols].sum(1))
         return tri if root is None else np.fmin(tri, (1.0 + 1e-6) * np.sqrt(
-            total * np.max(np.sum((block @ root[cols]) ** 2, axis=1))))
+            np.max(np.sum((block @ root[cols]) ** 2, axis=1))))
 
     def near_bound(cols, block):
         if cols.size == 1:      # |v| @ F is already the exact row sum
@@ -240,9 +235,8 @@ def _kernel_abs_sup(basis, grid, half, design, weights=None, root=None):
         if near.size == n:      # a full-width window: no sample is far
             return np.inf
         far = table[cols, :lo].sum(axis=1) + table[cols, hi:].sum(axis=1)
-        return np.max(np.abs(block) @ far + _row_sums(
-            block, sub_of(cols)[:, near],
-            None if weights is None else weights[near], buf))
+        return np.max(np.abs(block) @ far
+                      + _row_sums(block, sub_of(cols)[:, near], buf))
 
     cheap = np.array([first_bound(*b) for b in blocks])
     cheap[np.isnan(cheap)] = np.inf       # NaN never rules a block out
@@ -258,28 +252,30 @@ def _kernel_abs_sup(basis, grid, half, design, weights=None, root=None):
     return best
 
 
-def _cs_root(factor, scale, length):
-    """R with R R' = (scale * mat)^{-1} for the factor's mat, the M of the
-    Cauchy-Schwarz kernel bound; None where that bound is not trusted.
+def _cs_root(factor, total, length):
+    """R with R R' = total * mat^{-1}, so that sqrt(sum((v @ R)**2)) bounds
+    sum_j |v'half_j| for half = mat^{-1} B'W, mat = B'WB and weights
+    W >= 0 summing to `total` (Cauchy-Schwarz); None where not trusted.
 
-    The bound has to hold for the kernel as computed.  Rounding in the
-    Gram (sums of `length` terms), in `eigh` and in the products that form
-    `half` (sums of K terms) is a backward error delta in the Gram with
-    ||delta|| <~ (K + length) eps lambda_max.  As G + delta >= (1 - kappa
-    ||delta|| / lambda_max) G, it moves v'Mv by a relative
-    kappa (K + length) eps at most, times a modest constant.  The guard
-    keeps that at or below 1e-9, so the margin of 1e-6 covers it about 1e3
-    times over, and the square root halves it again.  Forming a kernel row
+    The bound has to hold for the kernel as computed.  Rounding in the Gram
+    (sums of `length` terms), in `eigh` and in the products that form `half`
+    (sums of K terms) is a backward error delta in the Gram with ||delta||
+    <~ (K + length) eps lambda_max.  As G + delta >= (1 - kappa ||delta|| /
+    lambda_max) G, it moves v' mat^{-1} v by a relative kappa (K + length)
+    eps at most, times a modest constant.  The guard keeps that at or below
+    1e-9, so the margin of 1e-6 covers it about 1e3 times over, and the
+    square root halves it again.  Scaling `half` by the weights (or by 1/n)
+    adds one rounding per entry, which it covers too.  Forming a kernel row
     adds (K + length) eps relative to |v| @ F, which is up to about 150 x
     the row sum in the benchmark's power cells; that term stays below the
-    margin while the ratio stays below 1e-6 / ((K + length) eps).
-    A rank-deficient mat (a pseudo-inverse half) gets no bound.
+    margin while the ratio stays below 1e-6 / ((K + length) eps).  A
+    rank-deficient mat (a pseudo-inverse half) gets no bound.
     """
     evals = factor.evals
     if (evals[0] <= factor.tol or evals[-1] / evals[0]
             * (evals.size + length) * np.finfo(float).eps > 1e-9):
         return None
-    return factor.evecs / np.sqrt(scale * evals)
+    return factor.evecs * np.sqrt(total / evals)
 
 
 def lebesgue_constant_theoretical(basis, density, quad=None, grid=None):
@@ -293,12 +289,14 @@ def lebesgue_constant_theoretical(basis, density, quad=None, grid=None):
         quad = basis_quadrature(basis, max_nodes_1d=max_nodes)
     if grid is None:
         grid = sup_grid(basis)
+    wq = quad.weights * density(quad.nodes)      # (Q,), folded into half
+    if not np.all(np.isfinite(wq) & (wq >= 0.0)):
+        raise ValueError("weights times density must be finite and >= 0")
     factor = GramFactor(weighted_basis_gram(basis, quad, point_weight=density))
     vals_q = basis.evaluate(quad.nodes)          # (Q, K)
-    wq = quad.weights * density(quad.nodes)      # (Q,)
-    kernel_half, _ = factor.solve(vals_q.T)      # (K, Q)
-    return _kernel_abs_sup(basis, grid, kernel_half, vals_q, weights=wq,
-                           root=_cs_root(factor, 1.0, wq.size))
+    half, _ = factor.solve(vals_q.T)             # (K, Q)
+    return _kernel_abs_sup(basis, grid, half * wq, vals_q,
+                           root=_cs_root(factor, float(np.sum(wq)), wq.size))
 
 
 @dataclass
@@ -311,22 +309,21 @@ def lebesgue_constant_empirical(basis, x, grid=None, gram=None):
     """Sup-norm operator norm of the empirical projection P_{K,w,n}.
 
     Over functions unconstrained off the sample, the norm at a point x is
-    sum_i |b(x)' (B'B)^- b(X_i)|; the result takes the sup over the grid.
-    A rank-deficient design switches to the pseudo-inverse and is flagged.
-    `gram` is the sample's B'B/n (`empirical_gram_matrix`) when the caller
-    already has it; it is factored instead of forming B'B here, which moves
-    the value only by rounding.
+    sum_i |b(x)' (B'B/n)^- b(X_i) / n|; the result takes the sup over the
+    grid.  A rank-deficient design switches to the pseudo-inverse and is
+    flagged.  `gram` is the sample's B'B/n, `empirical_gram_matrix(basis,
+    x)`, which is formed here when the caller does not already have it.
     """
     x = points_2d(x)
     if grid is None:
         grid = sup_grid(basis)
+    factor = GramFactor(empirical_gram_matrix(basis, x) if gram is None
+                        else gram)
     vals = basis.evaluate(x)                       # (n, K)
-    scale = 1.0 if gram is None else x.shape[0]    # gram is B'B/n
-    factor = GramFactor(vals.T @ vals if gram is None else gram)
     half, flagged = factor.solve(vals.T)           # (K, n)
-    half /= scale
+    half /= x.shape[0]
     best = _kernel_abs_sup(basis, grid, half, vals,
-                           root=_cs_root(factor, scale, x.shape[0]))
+                           root=_cs_root(factor, 1.0, x.shape[0]))
     return EmpiricalLebesgue(value=best, rank_deficient=flagged)
 
 

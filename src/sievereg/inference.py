@@ -191,17 +191,15 @@ class FunctionalReport:
     rank_deficient: bool = False
 
 
-def functional_report(fit_result, spec, f0=None, level=0.95, quad=None,
-                      part=None):
+def functional_report(fit_result, spec, f0=None, level=0.95, part=None):
     """Full plug-in inference for one functional of one fit.
 
     `part` is the functional's `linear_part` on the fit's basis (built here
-    from `quad` when not given); a study builds it once for all its fits.
-    The t statistic against the true value is only meaningful in
-    simulation, so it is filled only when f0 is given.
+    on the basis' own rule when not given); a study builds it once for all
+    its fits.  The t statistic against the true value is only meaningful
+    in simulation, so it is filled only when f0 is given.
     """
-    design, wq = (spec.linear_part(fit_result.basis, quad) if part is None
-                  else part)
+    design, wq = spec.linear_part(fit_result.basis) if part is None else part
     fhat, clamped = spec._outer(spec._apply(design @ fit_result.coeffs, wq))
     deriv = spec._apply(design, wq)
     if not spec.linear:

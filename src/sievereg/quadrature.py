@@ -164,7 +164,7 @@ def basis_quadrature(basis, max_nodes_1d=None):
     return Quadrature(nodes=nodes, weights=weights)
 
 
-def sup_grid(basis, base_points=None):
+def sup_grid(basis):
     """Evaluation grid used to certify sup norms.
 
     Dense uniform points plus every breakpoint and breakpoint-cell midpoint;
@@ -172,8 +172,7 @@ def sup_grid(basis, base_points=None):
     these points.
     """
     d = basis.spec.dim
-    if base_points is None:
-        base_points = {1: 4096, 2: 256}.get(d, 32)
+    base_points = {1: 4096, 2: 256}.get(d, 32)
     edges = basis.breakpoints_1d
     mids = 0.5 * (edges[:-1] + edges[1:])
     pts_1d = np.union1d(np.linspace(0.0, 1.0, base_points + 1),
@@ -184,13 +183,16 @@ def sup_grid(basis, base_points=None):
     return np.column_stack([g.ravel() for g in grids])
 
 
-def weighted_basis_gram(basis, quad, point_weight=None, chunk=65536):
+_GRAM_CHUNK = 65536     # quadrature nodes per LocalDesign
+
+
+def weighted_basis_gram(basis, quad, point_weight=None):
     """sum_q w_q g(y_q) b(y_q) b(y_q)' by `LocalDesign.gram` over node
     chunks: O(Q w^2d) for Q nodes where a dense product is O(Q K^2)."""
     gram = np.zeros((basis.size,) * 2)
-    for start in range(0, quad.nodes.shape[0], chunk):
-        pts = quad.nodes[start:start + chunk]
-        w = quad.weights[start:start + chunk]
+    for start in range(0, quad.nodes.shape[0], _GRAM_CHUNK):
+        pts = quad.nodes[start:start + _GRAM_CHUNK]
+        w = quad.weights[start:start + _GRAM_CHUNK]
         if point_weight is not None:
             w = w * point_weight(pts)
         gram += basis.local(pts).gram(weights=w)

@@ -208,6 +208,78 @@ def test_missing_config_file(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("text", [
+    b"[fit]\ndata = a.csv\n[fit]\ndata = b.csv\n",
+    b"[fit]\ndata = a.csv\ndata = b.csv\n",
+    b"data = a.csv\n[fit]\n",
+    b"[fit]\ndata\n",
+    b"[fit]\ndata = \xff\xfe.csv\n",
+], ids=["duplicate-section", "duplicate-key", "no-section-header",
+        "no-equals", "not-utf8"])
+def test_unreadable_config_file_exits_2(tmp_path, capsys, text):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_bytes(text + BASIS_BLOCK.encode())
+    out = tmp_path / "o"
+    assert run(["fit", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and str(cfg) in err
+    assert not out.exists()
+
+
+def test_fit_one_row_csv_is_a_rank_deficient_fit(tmp_path):
+    data = tmp_path / "one.csv"
+    _write(data, "x,y\n0.3,1.5\n")
+    cfg = tmp_path / "fit.ini"
+    _write(cfg, f"[fit]\ndata = {data}\n{BASIS_BLOCK}")
+    out = tmp_path / "out"
+    assert run(["fit", "--config", str(cfg), "--out", str(out)]) == 0
+    import json
+    summary = json.loads((out / "summary.json").read_text())
+    assert (summary["n"], summary["rank"]) == (1, 1)
+    assert summary["rank_deficient"] is True and summary["cond"] is None
+
+
+@pytest.mark.parametrize("kind", ["header-only", "empty", "ragged",
+                                  "directory"])
+def test_fit_unusable_data_file_exits_2(tmp_path, capsys, kind):
+    data = tmp_path / "data.csv"
+    if kind == "directory":
+        data.mkdir()
+    else:
+        _write(data, {"header-only": "x,y\n", "empty": "",
+                      "ragged": "x,y\n0.1,1.0\n0.2,2.0,3.0\n"}[kind])
+    cfg = tmp_path / "fit.ini"
+    _write(cfg, f"[fit]\ndata = {data}\n{BASIS_BLOCK}")
+    out = tmp_path / "out"
+    assert run(["fit", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "`data`" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["file", "under-file", "empty"])
+@pytest.mark.parametrize("command", ["stability-study", "gram-report"])
+def test_unusable_out_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                              command, where):
+    from sievereg import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("the study ran")
+
+    monkeypatch.setattr(cli, "stability_study", never)
+    monkeypatch.setattr(cli, "theoretical_gram", never)
+    cfg = tmp_path / "cfg.ini"
+    _write(cfg, STABILITY if command == "stability-study"
+           else GRAM.format(extra="n = 50\n"))
+    blocker = tmp_path / "blocker"
+    _write(blocker, "keep")
+    out = {"file": blocker, "under-file": blocker / "sub", "empty": ""}[where]
+    assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "--out" in err
+    assert blocker.read_text() == "keep"
+
+
 def test_numeric_error_exit_code(tmp_path, monkeypatch, capsys):
     from sievereg import cli
     from sievereg.gram import NumericError

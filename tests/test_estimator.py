@@ -126,6 +126,15 @@ def test_rank_deficiency_flagged_not_fatal():
     assert np.isfinite(res.coeffs).all()
 
 
+def test_fewer_points_than_functions_has_infinite_cond():
+    # lstsq returns min(n, K) = 3 singular values for K = 5: the design's
+    # condition number is infinite although all three are positive
+    basis = build_basis(BasisSpec.bspline(3, 2))
+    res = fit(basis, np.array([0.1, 0.5, 0.9]), np.array([1.0, 2.0, 0.5]))
+    assert (res.rank, basis.size) == (3, 5) and res.rank_deficient
+    assert res.cond == np.inf
+
+
 @pytest.mark.parametrize("spec, lo, hi", [
     (BasisSpec.bspline(3, 17), 0.0, 1.0),
     (BasisSpec.wavelet(1, 5), 0.0, 1.0),

@@ -3,14 +3,16 @@ import pytest
 import scipy.linalg
 
 from sievereg import gram as gram_module
+from sievereg import quadrature
 from sievereg.basis import BasisSpec, build_basis
 from sievereg.gram import (DmsBound, GramFactor, NumericError, dms_bound,
                            empirical_gram, empirical_gram_matrix,
                            gram_deviation, lebesgue_constant_empirical,
                            lebesgue_constant_theoretical, theoretical_gram,
                            zeta_constant)
-from sievereg.quadrature import (basis_quadrature, sine_density, sup_grid,
-                                  uniform_density, weighted_basis_gram)
+from sievereg.quadrature import (Density, basis_quadrature, sine_density,
+                                  sup_grid, uniform_density,
+                                  weighted_basis_gram)
 from sievereg.simulate import RegressorSpec, regressor_paths
 
 UNIFORM = uniform_density()
@@ -256,6 +258,16 @@ def test_lebesgue_theoretical_power_vs_indicator_spline():
     assert lp > 2.0 * ls
 
 
+@pytest.mark.parametrize("value", [-1.0, np.inf, np.nan])
+def test_lebesgue_theoretical_refuses_bad_density_value(value):
+    # the kernel folds w_q f(y_q) into |.|, which needs it finite and >= 0
+    density = Density(pdf=lambda pts: np.where(pts[:, 0] < 0.5, 1.0, value),
+                      inf=0.0, sup=1.0)
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        lebesgue_constant_theoretical(build_basis(BasisSpec.bspline(2, 3)),
+                                      density)
+
+
 def test_lebesgue_empirical_balanced_haar(haar2):
     basis, _ = haar2
     x = np.array([0.125, 0.375, 0.625, 0.875])
@@ -434,6 +446,17 @@ def test_kron_2d_daubechies_gram_is_exact():
     assert np.array_equal(gram, np.kron(exact, exact))
 
 
+def _test_grid(basis):
+    """The sup_grid construction on 1100 (1-D) or 33 (2-D) uniform cells:
+    over 1024 points, so three evaluation chunks and ragged last blocks."""
+    cells = 1100 if basis.spec.dim == 1 else 33
+    edges = basis.breakpoints_1d
+    pts = np.union1d(np.linspace(0.0, 1.0, cells + 1),
+                     np.union1d(edges, 0.5 * (edges[:-1] + edges[1:])))
+    mesh = np.meshgrid(*([pts] * basis.spec.dim), indexing="ij")
+    return np.column_stack([g.ravel() for g in mesh])
+
+
 _LEBESGUE_SPECS = {
     "spline": lambda k: BasisSpec.bspline(3, k - 3),
     "d2": lambda k: BasisSpec.wavelet(2, int(np.log2(k))),
@@ -449,24 +472,20 @@ def test_lebesgue_blocks_equal_one_shot_products(family, k):
     # the grouped kernel equals the dense product bit for bit; the grid
     # spans three evaluation chunks and a ragged last kernel block
     basis = build_basis(_LEBESGUE_SPECS[family](k))
-    grid = sup_grid(basis, base_points=1100 if basis.spec.dim == 1 else 33)
+    grid = _test_grid(basis)
     assert grid.shape[0] > 1024 and grid.shape[0] % 64
     quad = basis_quadrature(basis, max_nodes_1d=2 ** 12)
     bx = basis.evaluate(grid)
-    gram = weighted_basis_gram(basis, quad, point_weight=UNIFORM)
-    wq = quad.weights * UNIFORM(quad.nodes)
-    half, _ = GramFactor(gram).solve(basis.evaluate(quad.nodes).T)
-    one_shot = float(np.max(np.sum(np.abs(bx @ half) * wq, axis=1)))
+    one_shot = float(np.max(np.sum(
+        np.abs(bx @ _theoretical_half(basis, UNIFORM, quad)), axis=1)))
     assert lebesgue_constant_theoretical(basis, UNIFORM, quad=quad,
                                          grid=grid) == one_shot
     x = np.random.default_rng(k).uniform(0, 1, (3000, basis.spec.dim))
-    vals = basis.evaluate(x)
-    half, _ = GramFactor(vals.T @ vals).solve(vals.T)
-    one_shot = float(np.max(np.sum(np.abs(bx @ half), axis=1)))
+    one_shot = float(np.max(np.sum(np.abs(bx @ _gram_half(basis, x)), axis=1)))
     assert lebesgue_constant_empirical(basis, x, grid=grid).value == one_shot
 
 
-def _exhaustive_abs_sup(basis, grid, half, weights=None):
+def _exhaustive_abs_sup(basis, grid, half):
     """The Lebesgue kernel sup with every block of the fixed partition
     formed: grid chunks, windows, de-duplicated rows, 64-row slices."""
     best, rows_per_block = 0.0, gram_module._KERNEL_ROWS
@@ -477,15 +496,23 @@ def _exhaustive_abs_sup(basis, grid, half, weights=None):
             vals = vals[np.r_[True, np.any(vals[1:] != vals[:-1], axis=1)]]
             for row in range(0, vals.shape[0], rows_per_block):
                 kern = np.abs(vals[row:row + rows_per_block] @ half[cols])
-                if weights is not None:
-                    kern *= weights
                 best = max(best, float(np.max(np.sum(kern, axis=1))))
     return best
 
 
-def _sample_half(basis, x):
-    vals = basis.evaluate(x)
-    return GramFactor(vals.T @ vals).solve(vals.T)[0]
+def _gram_half(basis, x):
+    """The half that lebesgue_constant_empirical forms: (B'B/n)^- B'/n."""
+    half, _ = GramFactor(empirical_gram_matrix(basis, x)).solve(
+        basis.evaluate(x).T)
+    half /= x.shape[0]
+    return half
+
+
+def _theoretical_half(basis, density, quad):
+    """The half of lebesgue_constant_theoretical: G^-1 b(y_q) w_q f(y_q)."""
+    half, _ = GramFactor(weighted_basis_gram(
+        basis, quad, point_weight=density)).solve(basis.evaluate(quad.nodes).T)
+    return half * (quad.weights * density(quad.nodes))
 
 
 _PRUNED_SPECS = {
@@ -513,24 +540,21 @@ def test_pruned_lebesgue_equals_exhaustive_bitwise(family, sample):
     # 1-D grid spans three evaluation chunks and ragged last blocks
     basis = build_basis(_PRUNED_SPECS[family])
     dim = basis.spec.dim
-    grid = sup_grid(basis, base_points=1100 if dim == 1 else 33)
+    grid = _test_grid(basis)
     if sample == "theoretical":
         density = sine_density(0.4, dim=dim)
         quad = basis_quadrature(basis, max_nodes_1d=2 ** 12 if dim == 1
                                 else 2 ** 6)
-        half, _ = GramFactor(weighted_basis_gram(
-            basis, quad, point_weight=density)).solve(
-                basis.evaluate(quad.nodes).T)
-        wq = quad.weights * density(quad.nodes)
+        half = _theoretical_half(basis, density, quad)
         assert (lebesgue_constant_theoretical(basis, density, quad=quad,
                                               grid=grid)
-                == _exhaustive_abs_sup(basis, grid, half, wq))
+                == _exhaustive_abs_sup(basis, grid, half))
         return
     regressor = RegressorSpec(*(("ar_copula", 0.9) if sample == "ar"
                                 else ("iid_uniform",)))
     x = regressor_paths(regressor, 3000, dim, np.random.default_rng(5))[0]
     assert (lebesgue_constant_empirical(basis, x, grid=grid).value
-            == _exhaustive_abs_sup(basis, grid, _sample_half(basis, x)))
+            == _exhaustive_abs_sup(basis, grid, _gram_half(basis, x)))
 
 
 @pytest.mark.parametrize("spec", [BasisSpec.bspline(3, 9),
@@ -540,12 +564,11 @@ def test_pruned_lebesgue_equals_exhaustive_bitwise(family, sample):
 def test_pruned_lebesgue_rank_deficient_bitwise(spec):
     # n < K: the pseudo-inverse half, flagged
     basis = build_basis(spec)
-    grid = sup_grid(basis, base_points=1100 if spec.dim == 1 else 33)
+    grid = _test_grid(basis)
     x = np.random.default_rng(3).uniform(0, 1, (basis.size - 3, spec.dim))
     res = lebesgue_constant_empirical(basis, x, grid=grid)
     assert res.rank_deficient
-    assert res.value == _exhaustive_abs_sup(basis, grid,
-                                            _sample_half(basis, x))
+    assert res.value == _exhaustive_abs_sup(basis, grid, _gram_half(basis, x))
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -556,9 +579,9 @@ def test_pruned_lebesgue_non_finite_half(spec, bad):
     # a non-finite entry makes some bounds inf or NaN (0 * inf); neither may
     # skip a block, so the result is still the exhaustive one
     basis = build_basis(spec)
-    grid = sup_grid(basis, base_points=1100)
+    grid = _test_grid(basis)
     x = np.random.default_rng(4).uniform(0, 1, (2000, 1))
-    half = _sample_half(basis, x)
+    half = _gram_half(basis, x)
     half[4, 17] = bad
     with np.errstate(invalid="ignore", over="ignore"):
         pruned = gram_module._kernel_abs_sup(basis, grid, half,
@@ -572,7 +595,7 @@ def test_pruned_lebesgue_nan_bound_block_is_formed():
     # the largest: the NaN bound must not skip it
     basis = build_basis(BasisSpec.wavelet(2, 4))
     x = np.random.default_rng(4).uniform(0, 1, (2000, 1))
-    half = _sample_half(basis, x)
+    half = _gram_half(basis, x)
     half[9, :2] = 1e308
     grid = np.array([[0.1], [0.5]])
     assert basis.local(grid[1:]).vals[0, -1] == 0.0
@@ -595,15 +618,15 @@ def test_pruned_lebesgue_forms_few_blocks(spec, most, monkeypatch):
     x = np.random.default_rng(6).uniform(0, 1, (20000, 1))
     row_sums, formed = gram_module._row_sums, []
 
-    def counting(block, sub, weights, buf):
+    def counting(block, sub, buf):
         formed.append(sub.shape[1] == x.shape[0])   # a whole block
-        return row_sums(block, sub, weights, buf)
+        return row_sums(block, sub, buf)
 
     monkeypatch.setattr(gram_module, "_row_sums", counting)
     value = lebesgue_constant_empirical(basis, x, grid=grid).value
     assert 1 <= sum(formed) <= most
     monkeypatch.undo()
-    assert value == _exhaustive_abs_sup(basis, grid, _sample_half(basis, x))
+    assert value == _exhaustive_abs_sup(basis, grid, _gram_half(basis, x))
 
 
 def _full_width_case(family, sample):
@@ -614,31 +637,18 @@ def _full_width_case(family, sample):
     n = {"iid": 3000, "beta": 3000, "rank-deficient": basis.size - 5}[sample]
     x = (rng.beta(0.05, 0.05, (n, dim)) if sample == "beta"
          else rng.uniform(0, 1, (n, dim)))
-    return basis, sup_grid(basis, base_points=1100 if dim == 1 else 33), x
-
-
-def _gram_half(basis, x):
-    """The half that lebesgue_constant_empirical forms from gram=B'B/n."""
-    half, _ = GramFactor(empirical_gram_matrix(basis, x)).solve(
-        basis.evaluate(x).T)
-    half /= x.shape[0]
-    return half
+    return basis, _test_grid(basis), x
 
 
 @pytest.mark.parametrize("sample", ["iid", "beta", "rank-deficient"])
 @pytest.mark.parametrize("family", _FULL_WIDTH)
 def test_cs_pruned_lebesgue_equals_exhaustive_bitwise(family, sample):
-    # with the factor of B'B or of a given B'B/n, near-singular (where the
-    # conditioning guard drops the Cauchy-Schwarz bound) or rank deficient
+    # with the factor of B'B/n, near-singular (where the conditioning
+    # guard drops the Cauchy-Schwarz bound) or rank deficient
     basis, grid, x = _full_width_case(family, sample)
-    own = lebesgue_constant_empirical(basis, x, grid=grid)
-    assert own.rank_deficient == (sample == "rank-deficient")
-    assert own.value == _exhaustive_abs_sup(basis, grid,
-                                            _sample_half(basis, x))
-    shared = lebesgue_constant_empirical(
-        basis, x, grid=grid, gram=empirical_gram_matrix(basis, x))
-    assert shared.value == _exhaustive_abs_sup(basis, grid,
-                                               _gram_half(basis, x))
+    res = lebesgue_constant_empirical(basis, x, grid=grid)
+    assert res.rank_deficient == (sample == "rank-deficient")
+    assert res.value == _exhaustive_abs_sup(basis, grid, _gram_half(basis, x))
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -649,15 +659,14 @@ def test_cs_pruned_lebesgue_non_finite(family, where, bad):
     # and a non-finite root gives an inf or NaN bound: neither may skip a
     # block, so the result is still the exhaustive one
     basis, grid, x = _full_width_case(family, "iid")
-    vals = basis.evaluate(x)
-    factor = GramFactor(vals.T @ vals)
-    half = factor.solve(vals.T)[0]
+    factor = GramFactor(empirical_gram_matrix(basis, x))
+    half = _gram_half(basis, x)
     root = gram_module._cs_root(factor, 1.0, x.shape[0])
     assert root is not None
     (half if where == "half" else root)[4, 17] = bad
     with np.errstate(invalid="ignore", over="ignore"):
-        pruned = gram_module._kernel_abs_sup(basis, grid, half, vals,
-                                             root=root)
+        pruned = gram_module._kernel_abs_sup(basis, grid, half,
+                                             basis.evaluate(x), root=root)
         assert pruned == _exhaustive_abs_sup(basis, grid, half)
 
 
@@ -665,7 +674,7 @@ def test_pruned_lebesgue_cs_root_guard():
     # no root for a pseudo-inverse or a factor too ill-conditioned to trust
     factor = GramFactor(np.diag([1.0, 2.0, 4.0]))
     root = gram_module._cs_root(factor, 2.0, 10)
-    assert np.allclose(root @ root.T, np.diag([0.5, 0.25, 0.125]),
+    assert np.allclose(root @ root.T, np.diag([2.0, 1.0, 0.5]),
                        rtol=1e-15, atol=0.0)
     assert gram_module._cs_root(GramFactor(np.diag([0.0, 1.0])), 1.0, 10) \
         is None
@@ -676,23 +685,19 @@ def test_pruned_lebesgue_cs_root_guard():
 @pytest.mark.parametrize("sample", ["iid", "rank-deficient"])
 @pytest.mark.parametrize("family", sorted(_PRUNED_SPECS))
 def test_pruned_lebesgue_given_gram_matches_own_gram(family, sample):
-    # passing the sample's B'B/n factors it instead of forming B'B: the
-    # same rank flag, and the same constant up to rounding, which the
-    # condition number of the kept spectrum amplifies (up to about 2e13 for
-    # a pseudo-inverse at n < K)
+    # the Gram formed without `gram` is the sample's B'B/n: passing
+    # empirical_gram_matrix gives the same rank flag and the same bits,
+    # also for a pseudo-inverse at n < K
     basis = build_basis(_PRUNED_SPECS[family])
     dim = basis.spec.dim
-    grid = sup_grid(basis, base_points=1100 if dim == 1 else 33)
+    grid = _test_grid(basis)
     n = 3000 if sample == "iid" else basis.size - 3
     x = np.random.default_rng(9).uniform(0, 1, (n, dim))
-    gram = empirical_gram_matrix(basis, x)
     own = lebesgue_constant_empirical(basis, x, grid=grid)
-    shared = lebesgue_constant_empirical(basis, x, grid=grid, gram=gram)
+    shared = lebesgue_constant_empirical(
+        basis, x, grid=grid, gram=empirical_gram_matrix(basis, x))
     assert shared.rank_deficient == own.rank_deficient == (sample != "iid")
-    factor = GramFactor(gram)
-    kept = factor.evals[factor.evals > factor.tol]
-    assert shared.value == pytest.approx(own.value,
-                                         rel=1e-14 * kept[-1] / kept[0])
+    assert shared.value == own.value
 
 
 @pytest.mark.parametrize("spec", [
@@ -701,14 +706,14 @@ def test_pruned_lebesgue_given_gram_matches_own_gram(family, sample):
     BasisSpec.bspline(3, 3, dim=2), BasisSpec.wavelet(2, 3, dim=2),
 ], ids=["spline", "spline-order4", "d2", "d3", "haar", "power", "spline-2d",
         "d2-2d"])
-def test_grouped_gram_matches_dense_accumulation(spec):
+def test_grouped_gram_matches_dense_accumulation(spec, monkeypatch):
+    monkeypatch.setattr(quadrature, "_GRAM_CHUNK", 5000)
     basis = build_basis(spec)
     quad = basis_quadrature(basis, max_nodes_1d=2 ** 12 if spec.dim == 1
                             else 2 ** 7)
     density = sine_density(0.4, dim=spec.dim)
     vals = basis.evaluate(quad.nodes)
     dense = vals.T @ (vals * (quad.weights * density(quad.nodes))[:, None])
-    grouped = weighted_basis_gram(basis, quad, point_weight=density,
-                                  chunk=5000)
+    grouped = weighted_basis_gram(basis, quad, point_weight=density)
     scale = np.max(np.abs(dense))
     assert np.max(np.abs(grouped - dense)) <= 1e-13 * scale

@@ -259,8 +259,8 @@ def test_plugin_consistent_for_oracle_variance():
     FunctionalSpec.integral(lambda pts: 1.0 + pts[:, 0])],
     ids=["point_eval", "nonlinear_exp_eval", "integral"])
 def test_report_linear_part_bitwise(spec):
-    # one linear part for many fits gives the bits of building it per call,
-    # and of the per-call value and derivative on the points
+    # one linear part on the basis' rule for many fits gives the bits of
+    # building it per call, and of the per-call value and derivative
     basis = build_basis(BasisSpec.bspline(3, 6))
     quad = basis_quadrature(basis)
     part = spec.linear_part(basis, quad)
@@ -269,7 +269,7 @@ def test_report_linear_part_bitwise(spec):
         x = rng.uniform(0, 1, 300)
         res = fit(basis, x, smooth_trig(x.reshape(-1, 1)) + rng.normal(0, 1, 300))
         shared = functional_report(res, spec, f0=0.5, part=part)
-        alone = functional_report(res, spec, f0=0.5, quad=quad)
+        alone = functional_report(res, spec, f0=0.5)
         for got in (shared, alone):
             assert (got.fhat, got.clamped) == spec.value(res.predict, basis, quad)
             assert np.array_equal(
