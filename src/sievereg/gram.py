@@ -67,7 +67,15 @@ class GramFactor:
         squeeze = rhs.ndim == 1
         if squeeze:
             rhs = rhs[:, None]
-        sol = self.evecs @ (inv[:, None] * (self.evecs.T @ rhs))
+        if self.is_diagonal:
+            # evecs permutes, so the product below scales each row by its own
+            # inverse, and + 0.0 turns a -0.0 into the +0.0 the product
+            # gives.  A non-finite result takes the product, whose 0 * inf
+            # and 0 * nan spread NaN down its column.
+            sol = np.multiply((self.evecs @ inv)[:, None], rhs, order="C")
+            sol += 0.0
+        if not self.is_diagonal or not np.isfinite(sol).all():
+            sol = self.evecs @ (inv[:, None] * (self.evecs.T @ rhs))
         return (sol[:, 0] if squeeze else sol), bool(np.any(~keep))
 
     def inv_sqrt(self):

@@ -137,6 +137,39 @@ def test_diagonal_factor_matches_eigh_bit_for_bit(diag):
         assert fast.deviation(stack[0]) == ref.deviation(stack[0])
 
 
+@pytest.mark.parametrize("diag", [
+    [0.25, 4.0, 0.25, 1e-300, 3.0, 0.5, 7.0, 0.125],  # ties, a tiny one
+    [2.0, 0.0, 2.0, 1.0 / 3.0, 0.0, 0.5, 5.0, 3.0],   # singular
+    [1e-300, 3e-300, 1e-300, 2e-300],                 # 1/d overflows rhs
+    [3.0],
+])
+def test_diagonal_factor_solve_matches_dense_product(diag):
+    """The diagonal path's row scaling against the product it replaces,
+    evecs @ (inv * (evecs.T @ rhs)), bit for bit: signed zeros, a wide
+    right-hand side, and the NaN columns that a non-finite entry, or one
+    that overflows when scaled, gives."""
+    factor = GramFactor(np.diag(diag))
+    keep = factor.evals > factor.tol
+    inv = np.where(keep, 1.0 / np.where(keep, factor.evals, 1.0), 0.0)
+    k = len(diag)
+    rng = np.random.default_rng(11)
+    rhs = rng.normal(size=(k, 3000)) * 10.0 ** rng.integers(-300, 300, (k, 3000))
+    rhs[:, :40] = rng.choice([0.0, -0.0, 1.0, -2.5], (k, 40))
+    for col, bad in enumerate((np.inf, -np.inf, np.nan)):
+        rhs[col % k, 50 + col] = bad
+    for b in (rhs, rhs[:, 7], rhs[:, 50]):
+        with np.errstate(invalid="ignore", over="ignore"):
+            x, flag = factor.solve(b)
+            dense = factor.evecs @ (inv[:, None]
+                                    * (factor.evecs.T @ b.reshape(k, -1)))
+        dense = dense.reshape(b.shape)
+        assert flag == (not keep.all()) and x.shape == b.shape
+        assert np.array_equal(np.isnan(x), np.isnan(dense))
+        finite = ~np.isnan(dense)
+        assert np.array_equal(x[finite].view(np.int64),
+                              dense[finite].view(np.int64))
+
+
 @pytest.mark.parametrize("level,n", [(3, 500), (4, 500), (5, 500), (6, 500),
                                      (7, 500), (5, 2000), (7, 2000)])
 def test_width1_gram_matches_dense_product(level, n):

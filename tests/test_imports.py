@@ -1,9 +1,9 @@
 """Each command imports only what it runs.
 
-`scipy.stats` (directly, or through `scipy.signal`) costs about as much as
-the rest of the package's imports together.  Only the coverage study needs
-it, for its KS p-value, and it must load before the first replication so
-that the cost counts as set-up.  Each check runs in a fresh interpreter, so
+`scipy.stats` (directly, or through `scipy.signal`) costs more than the
+rest of the package's imports together, and no command loads it: the
+coverage study's KS p-value comes from the numpy port in
+`sievereg._kolmogorov`.  Each check runs in a fresh interpreter, so
 `sys.modules` starts clean.
 """
 
@@ -54,24 +54,16 @@ def test_iid_rate_and_ar_concentration_studies_skip_stats():
     """) == []
 
 
-def test_coverage_study_loads_stats_before_its_first_replication():
-    loaded = loaded_after("""
-        import sys
-        from sievereg import (BasisSpec, CoverageStudyConfig, DgpSpec,
-                              FunctionalSpec, simulate)
-        before = "scipy.stats" in sys.modules
-        seen = []
-        derived_rng = simulate.derived_rng
-
-        def recording(*args):
-            seen.append("scipy.stats" in sys.modules)
-            return derived_rng(*args)
-
-        simulate.derived_rng = recording
-        simulate.coverage_study(CoverageStudyConfig(
-            dgp=DgpSpec(), basis_spec=BasisSpec.wavelet(1, 3), n=200,
-            functional=FunctionalSpec.point_eval(0.37), reps=3, krule_p=1.0,
-            krule_c=4.0))
-        assert not before and seen == [True] * 3, (before, seen)
-    """)
-    assert "scipy.stats" in loaded
+def test_coverage_study_run_skips_stats(tmp_path):
+    cfg = tmp_path / "coverage.ini"
+    cfg.write_text("[study]\nreps = 5\nn = 200\nkrule_p = 1.0\nkrule_c = 4.0\n"
+                   "[functional]\nkind = point_eval\nx0 = 0.37\n"
+                   "[basis]\nfamily = wavelet\nn_moments = 1\nlevel = 3\n")
+    out = tmp_path / "out"
+    assert loaded_after(f"""
+        from sievereg.cli import run
+        assert run(["coverage-study", "--config", {str(cfg)!r},
+                    "--out", {str(out)!r}]) == 0
+    """) == []
+    summary = json.loads((out / "summary.json").read_text())["summary"]
+    assert 0.0 < summary["ks_stat"] < 1.0 and 0.0 <= summary["ks_pvalue"] <= 1.0
