@@ -363,8 +363,8 @@ def _legendre_values(x, degree):
         p[1] = u
     for k in range(1, degree):
         p[k + 1] = ((2 * k + 1) * u * p[k] - k * p[k - 1]) / (k + 1)
-    return np.ascontiguousarray(
-        (p * np.sqrt(2.0 * np.arange(degree + 1) + 1.0)[:, None]).T)
+    p *= np.sqrt(2.0 * np.arange(degree + 1) + 1.0)[:, None]
+    return np.ascontiguousarray(p.T)
 
 
 def _legendre_gradients(x, degree):

@@ -52,6 +52,9 @@ class GramFactor:
         else:
             self.evals, self.evecs = np.linalg.eigh(0.5 * (mat + mat.T))
         self.tol = mat.shape[0] * np.finfo(float).eps * max(float(self.evals[-1]), 0.0)
+        keep = self.evals > self.tol      # the rank cut of solve and pinv
+        self._inv = np.where(keep, 1.0 / np.where(keep, self.evals, 1.0), 0.0)
+        self._cut = bool(np.any(~keep))
 
     @property
     def lam(self):
@@ -61,8 +64,7 @@ class GramFactor:
 
     def solve(self, rhs):
         """(solution, rank_deficient_flag) of mat @ x = rhs, pseudo-inverting."""
-        keep = self.evals > self.tol
-        inv = np.where(keep, 1.0 / np.where(keep, self.evals, 1.0), 0.0)
+        inv = self._inv
         rhs = np.asarray(rhs, dtype=float)
         squeeze = rhs.ndim == 1
         if squeeze:
@@ -76,7 +78,13 @@ class GramFactor:
             sol += 0.0
         if not self.is_diagonal or not np.isfinite(sol).all():
             sol = self.evecs @ (inv[:, None] * (self.evecs.T @ rhs))
-        return (sol[:, 0] if squeeze else sol), bool(np.any(~keep))
+        return (sol[:, 0] if squeeze else sol), self._cut
+
+    def pinv(self, scale=1.0):
+        """(scale * mat^-, rank_deficient_flag): the K x K pseudo-inverse
+        with `solve`'s rank cut.  A diagonal factor's is diagonal, so each
+        entry of pinv(s) @ rhs is one product: its row's scale times it."""
+        return (self.evecs * (scale * self._inv)) @ self.evecs.T, self._cut
 
     def inv_sqrt(self):
         """Symmetric mat^{-1/2}; NumericError when mat is not invertible."""
@@ -186,6 +194,55 @@ def _row_sums(block, sub, buf):
     return np.sum(kern, axis=1)
 
 
+def _rows_of(half, cols):
+    """half[cols]: a view when the window's columns are consecutive."""
+    lo, hi = cols[0], cols[-1] + 1
+    return half[lo:hi] if hi - lo == cols.size else half[cols]
+
+
+class _NearBuckets:
+    """Near-bucket bounds (see `_kernel_abs_sup`) on the row sums
+    sum_j |v'half[cols, j]| of windows of 1 < w < K columns, with each
+    window's bucket moments formed once, on its first use."""
+
+    def __init__(self, half, keys):
+        k = half.shape[0]
+        self.half, self.moments = half, {}
+        self.table = np.array([np.bincount(keys, np.abs(r), minlength=k)
+                               for r in half])   # [c, t]: |half[c]| over t
+        self.by_key = np.argsort(keys, kind="stable")
+        self.edges = np.r_[0, np.cumsum(np.bincount(keys, minlength=k))]
+
+    def _moments(self, cols):
+        w, k = cols.size, self.table.shape[0]
+        lo, hi = max(cols[0] - 1, 0), min(cols[-1] + 2, k)
+        edges = self.edges[lo:hi + 1]
+        near = np.flatnonzero(np.diff(edges))   # the buckets, less lo
+        h = np.take(_rows_of(self.half, cols),
+                    self.by_key[edges[0]:edges[-1]], axis=1)
+        h = np.concatenate([h, np.abs(h)])      # [S_t, . ; ., A_t] per t
+        parts = np.split(h, edges[near[1:]] - edges[0], axis=1)[:near.size]
+        moments = np.array([p @ p.T for p in parts]).reshape(-1, 2 * w, 2 * w)
+        far = (self.table[cols, :lo].sum(axis=1)
+               + self.table[cols, hi:].sum(axis=1))
+        return (far, self.table[np.ix_(cols, lo + near)],
+                np.diff(edges)[near][:, None], moments[:, :w, :w],
+                moments[:, w:, w:])
+
+    def bound(self, cols, v):
+        """The bound for each row of v (m, w)."""
+        if cols[0] not in self.moments:
+            self.moments[cols[0]] = self._moments(cols)
+        far, tri, count, moment, abs_moment = self.moments[cols[0]]
+        av = np.abs(v)
+        quad = np.sum((v @ moment) * v, axis=2)            # (T, m)
+        slack = np.sum((av @ abs_moment) * av, axis=2)
+        slack *= 4.0 * (count + cols.size) * np.finfo(float).eps
+        cs = np.sqrt(count * (quad + slack))
+        return (1.0 + 1e-6) * (av @ far
+                               + np.sum(np.fmin(cs, (av @ tri).T), axis=0))
+
+
 def _kernel_abs_sup(basis, grid, half, design, root=None):
     """max over grid points x of sum_j |b(x)' half[:, j]|; column j of
     `half` belongs to row j of the sample (or node) `design`.
@@ -197,66 +254,75 @@ def _kernel_abs_sup(basis, grid, half, design, root=None):
     partition pins its bits.
     Blocks are formed in descending order of a bound on that sum (a
     non-finite bound read as +inf) until one falls below (1 - 1e-8) x the
-    running maximum.  The first bound is the smaller of |v| @ F with
-    F_c = sum_j |half[c, j]| (the triangle inequality) and, given `root`
-    (see `_cs_root`), the Cauchy-Schwarz bound
-    sqrt(sum((v @ root[cols])**2)) x (1 + 1e-6); it is dropped when `half`
-    holds a non-finite entry.  A block that the first bound leaves, and
-    whose window has more than one column, gets the exact sum over the
-    samples whose design row peaks within one column of the window plus
-    |v| @ F over the rest (small by the inverse's decay).
+    running maximum.  A block's first bound is the largest over its rows v
+    (computed per grid chunk) of the smaller of |v| @ F with
+    F_c = sum_j |half[c, j]| (the triangle inequality, whose relative
+    (n + K) eps rounding the stop rule's slack covers) and, given `root`
+    (see `_cs_root`), sqrt(sum((v @ root[cols])**2)) x (1 + 1e-6), dropped
+    when F is not finite.  A block it leaves, in a window of 1 < w < K
+    columns, also gets the near-bucket bound.  Sample j falls in bucket
+    t_j, the column where its design row peaks.  A bucket t adds
+    |v| @ table[cols, t], table[c, t] = sum over t of |half[c, j]|, or,
+    within one column of the window, the smaller of that and
+    sqrt(n_t (v'S_t v + 4 (n_t + w) eps |v|'A_t |v|)), for H_t the window's
+    rows of `half` over the bucket's n_t samples, S_t = H_t H_t' and
+    A_t = |H_t| |H_t|'; the sum carries a margin of (1 + 1e-6) for the
+    roundings of its triangle terms, roots and sums.  The eps term covers
+    the rest: a block's y_j = v'h_j is off by at most g_w |v|'|h_j|
+    (g_m = m eps / (1 - m eps)), so the bucket's
+    sum |y_j| <= sqrt(n_t) (sqrt(Q) + g_w sqrt(R)) for Q = v'S_t v <=
+    R = |v|'A_t |v|, whose square is at most Q + 2.1 g_w R.  Forming S_t
+    (n_t terms) and Q (2w) moves Q by at most (g_(n_t) + g_2w) R, and A_t
+    and R fall short by no more than that, so 4 (n_t + w) eps R covers it
+    all, also where v'h_j cancels and Q is itself a rounding error.
     """
     k, n = half.shape
-    buf, blocks = np.empty(_KERNEL_ROWS * n), []
+    buf = np.empty(_KERNEL_ROWS * n)
+    width = basis.local(grid[:1]).vals.shape[1]
+    near = (_NearBuckets(half, np.argmax(design, axis=1))
+            if 1 < width < k else None)
+    col_sums = (near.table.sum(axis=1) if near is not None
+                else np.array([np.sum(np.abs(r)) for r in half]))
+    if not np.all(np.isfinite(col_sums)):   # root no longer describes half
+        root = None
+    blocks, cheap = [], []
     for start in range(0, grid.shape[0], _GRID_CHUNK):
         local = basis.local(grid[start:start + _GRID_CHUNK])
-        for cols, rows in local.windows():
-            vals = local.vals[rows]
-            vals = vals[np.r_[True, np.any(vals[1:] != vals[:-1], axis=1)]]
-            blocks += [(cols, vals[row:row + _KERNEL_ROWS])
-                       for row in range(0, vals.shape[0], _KERNEL_ROWS)]
-    keys = np.argmax(design, axis=1)    # the column where row j peaks
-    table = np.array([np.bincount(keys, np.abs(r), minlength=k)
-                      for r in half])   # [c, t]: |half[c]| over key t
-    by_key = np.argsort(keys, kind="stable")
-    edges = np.r_[0, np.cumsum(np.bincount(keys, minlength=k))]
-    if not np.all(np.isfinite(table)):  # root no longer describes half
-        root = None
-
-    def sub_of(cols):   # a view when the window's columns are consecutive
-        lo, hi = cols[0], cols[-1] + 1
-        return half[lo:hi] if hi - lo == cols.size else half[cols]
-
-    def exact(cols, block):
-        return float(np.max(_row_sums(block, sub_of(cols), buf)))
-
-    def first_bound(cols, block):   # fmin: a NaN bound leaves the other
-        tri = np.max(np.abs(block) @ table[cols].sum(1))
-        return tri if root is None else np.fmin(tri, (1.0 + 1e-6) * np.sqrt(
-            np.max(np.sum((block @ root[cols]) ** 2, axis=1))))
-
-    def near_bound(cols, block):
-        if cols.size == 1:      # |v| @ F is already the exact row sum
-            return np.inf
-        lo, hi = max(cols[0] - 1, 0), min(cols[-1] + 2, k)
-        near = by_key[edges[lo]:edges[hi]]
-        if near.size == n:      # a full-width window: no sample is far
-            return np.inf
-        far = table[cols, :lo].sum(axis=1) + table[cols, hi:].sum(axis=1)
-        return np.max(np.abs(block) @ far
-                      + _row_sums(block, sub_of(cols)[:, near], buf))
-
-    cheap = np.array([first_bound(*b) for b in blocks])
+        bound = np.sum(np.abs(local.vals) * col_sums[local.cols], axis=1)
+        if root is not None:    # fmin: a NaN bound leaves the other
+            proj = (local.vals @ root if width == k else
+                    np.matmul(local.vals[:, None], root[local.cols])[:, 0])
+            bound = np.fmin(bound, (1.0 + 1e-6)
+                            * np.sqrt(np.sum(proj ** 2, axis=1)))
+        # rows by window, each row unlike the one before, in blocks
+        order = np.argsort(local.cols[:, 0], kind="stable")
+        first, vals = local.cols[order, 0], local.vals[order]
+        new = np.r_[True, first[1:] != first[:-1]]
+        keep = new | np.r_[True, np.any(vals[1:] != vals[:-1], axis=1)]
+        rows, new = order[keep], new[keep]
+        pos = np.arange(rows.size) - np.flatnonzero(new)[np.cumsum(new) - 1]
+        cuts = np.flatnonzero(pos % _KERNEL_ROWS == 0)
+        cheap.append(np.maximum.reduceat(bound[rows], cuts))
+        # copies, so that no block keeps its chunk's design alive
+        blocks += [(local.cols[r[0]].copy(), local.vals[r])
+                   for r in np.split(rows, cuts[1:])]
+    cheap = np.concatenate(cheap)
     cheap[np.isnan(cheap)] = np.inf       # NaN never rules a block out
+
+    def exact(i):
+        cols, block = blocks[i]
+        return float(np.max(_row_sums(block, _rows_of(half, cols), buf)))
+
     order = np.argsort(-cheap, kind="stable")
-    best = max(0.0, exact(*blocks[order[0]]))
+    best = max(0.0, exact(order[0]))
     live = order[1:][cheap[order[1:]] >= (1.0 - 1e-8) * best]
-    # fmin: a NaN near bound leaves the first bound standing
-    sharp = np.array([np.fmin(cheap[i], near_bound(*blocks[i])) for i in live])
+    sharp = cheap[live]
+    if near is not None:    # fmin: a NaN near bound leaves the first bound
+        sharp = np.fmin(sharp, [np.max(near.bound(*blocks[i])) for i in live])
     for i in np.argsort(-sharp, kind="stable"):
         if sharp[i] < (1.0 - 1e-8) * best:
             break
-        best = max(best, exact(*blocks[live[i]]))
+        best = max(best, exact(live[i]))
     return best
 
 
@@ -266,14 +332,16 @@ def _cs_root(factor, total, length):
     W >= 0 summing to `total` (Cauchy-Schwarz); None where not trusted.
 
     The bound has to hold for the kernel as computed.  Rounding in the Gram
-    (sums of `length` terms), in `eigh` and in the products that form `half`
-    (sums of K terms) is a backward error delta in the Gram with ||delta||
-    <~ (K + length) eps lambda_max.  As G + delta >= (1 - kappa ||delta|| /
-    lambda_max) G, it moves v' mat^{-1} v by a relative kappa (K + length)
-    eps at most, times a modest constant.  The guard keeps that at or below
-    1e-9, so the margin of 1e-6 covers it about 1e3 times over, and the
-    square root halves it again.  Scaling `half` by the weights (or by 1/n)
-    adds one rounding per entry, which it covers too.  Forming a kernel row
+    (sums of `length` terms), in `eigh`, in the pseudo-inverse
+    P = V diag(scale / lambda) V' and in the one product P B' that forms
+    `half` (sums of K terms each) is a backward error delta in the Gram
+    with ||delta|| <~ (K + length) eps lambda_max.  As G + delta >=
+    (1 - kappa ||delta|| / lambda_max) G, it moves v' mat^{-1} v by a
+    relative kappa (K + length) eps at most, times a modest constant.  The
+    guard keeps that at or below 1e-9, so the margin of 1e-6 covers it
+    about 1e3 times over, and the square root halves it again.  The 1/n
+    folded into P, or the weights that scale the theoretical `half`, add
+    one rounding per entry, which it covers too.  Forming a kernel row
     adds (K + length) eps relative to |v| @ F, which is up to about 150 x
     the row sum in the benchmark's power cells; that term stays below the
     margin while the ratio stays below 1e-6 / ((K + length) eps).  A
@@ -302,8 +370,9 @@ def lebesgue_constant_theoretical(basis, density, quad=None, grid=None):
         raise ValueError("weights times density must be finite and >= 0")
     factor = GramFactor(weighted_basis_gram(basis, quad, point_weight=density))
     vals_q = basis.evaluate(quad.nodes)          # (Q, K)
-    half, _ = factor.solve(vals_q.T)             # (K, Q)
-    return _kernel_abs_sup(basis, grid, half * wq, vals_q,
+    half = factor.pinv()[0] @ vals_q.T           # (K, Q)
+    half *= wq
+    return _kernel_abs_sup(basis, grid, half, vals_q,
                            root=_cs_root(factor, float(np.sum(wq)), wq.size))
 
 
@@ -328,9 +397,8 @@ def lebesgue_constant_empirical(basis, x, grid=None, gram=None):
     factor = GramFactor(empirical_gram_matrix(basis, x) if gram is None
                         else gram)
     vals = basis.evaluate(x)                       # (n, K)
-    half, flagged = factor.solve(vals.T)           # (K, n)
-    half /= x.shape[0]
-    best = _kernel_abs_sup(basis, grid, half, vals,
+    pinv, flagged = factor.pinv(1.0 / x.shape[0])
+    best = _kernel_abs_sup(basis, grid, pinv @ vals.T, vals,
                            root=_cs_root(factor, 1.0, x.shape[0]))
     return EmpiricalLebesgue(value=best, rank_deficient=flagged)
 

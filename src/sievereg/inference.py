@@ -123,16 +123,19 @@ def riesz_representer(gram, deriv):
     return coeffs, max(norm_sq, 0.0), flagged
 
 
-def sieve_variance_plugin(fit_result, deriv):
+def sieve_variance_plugin(fit_result, deriv, *, coeffs=None):
     """Residual-based plug-in variance of the functional.
 
     v_hat(X_i) = b(X_i)' (B'B/n)^- deriv, and the variance is
     n^{-1} sum v_hat(X_i)^2 resid_i^2.  All-zero residuals are degenerate.
+    `coeffs` is (B'B/n)^- deriv from the fit's `gram_factor.solve(deriv)`
+    when the caller already has it.
     """
     residuals = fit_result.residuals
     if not np.any(residuals != 0.0):
         raise NumericError("degenerate variance: all residuals are zero")
-    coeffs, _ = fit_result.gram_factor.solve(deriv)
+    if coeffs is None:
+        coeffs, _ = fit_result.gram_factor.solve(deriv)
     v_hat = fit_result.design @ coeffs
     return float(np.mean((v_hat * residuals) ** 2))
 
@@ -206,7 +209,7 @@ def functional_report(fit_result, spec, f0=None, level=0.95, part=None):
         deriv = fhat * deriv          # d exp(h(x0)) = exp(h(x0)) b(x0)
     n = fit_result.design.shape[0]
     riesz_coeffs, flagged = fit_result.gram_factor.solve(deriv)
-    vk_hat = sieve_variance_plugin(fit_result, deriv)
+    vk_hat = sieve_variance_plugin(fit_result, deriv, coeffs=riesz_coeffs)
     ci = confidence_interval(fhat, vk_hat, n, level=level)
     tstat = np.nan if f0 is None else t_statistic(fhat, f0, vk_hat, n)
     return FunctionalReport(fhat=fhat, deriv=deriv, riesz_coeffs=riesz_coeffs,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from sievereg import gram as gram_module
 from sievereg import quadrature
@@ -534,18 +535,20 @@ def _exhaustive_abs_sup(basis, grid, half):
 
 
 def _gram_half(basis, x):
-    """The half that lebesgue_constant_empirical forms: (B'B/n)^- B'/n."""
-    half, _ = GramFactor(empirical_gram_matrix(basis, x)).solve(
-        basis.evaluate(x).T)
-    half /= x.shape[0]
-    return half
+    """The half that lebesgue_constant_empirical forms: (B'B/n)^- B'/n, as
+    one product of the pseudo-inverse scaled by 1/n with B'."""
+    pinv, _ = GramFactor(empirical_gram_matrix(basis, x)).pinv(
+        1.0 / x.shape[0])
+    return pinv @ basis.evaluate(x).T
 
 
 def _theoretical_half(basis, density, quad):
-    """The half of lebesgue_constant_theoretical: G^-1 b(y_q) w_q f(y_q)."""
-    half, _ = GramFactor(weighted_basis_gram(
-        basis, quad, point_weight=density)).solve(basis.evaluate(quad.nodes).T)
-    return half * (quad.weights * density(quad.nodes))
+    """The half of lebesgue_constant_theoretical: G^-1 b(y_q) w_q f(y_q),
+    one product of the inverse with the node design, then the weights."""
+    pinv, _ = GramFactor(weighted_basis_gram(
+        basis, quad, point_weight=density)).pinv()
+    return (pinv @ basis.evaluate(quad.nodes).T) * (quad.weights
+                                                    * density(quad.nodes))
 
 
 _PRUNED_SPECS = {
@@ -641,11 +644,16 @@ def test_pruned_lebesgue_nan_bound_block_is_formed():
 
 @pytest.mark.parametrize("spec,most", [(BasisSpec.wavelet(2, 7), 3),
                                        (BasisSpec.bspline(3, 125), 3),
-                                       (BasisSpec.power(127), 4)],
-                         ids=["d2", "spline", "power"])
+                                       (BasisSpec.bspline(3, 13), 3),
+                                       (BasisSpec.power(127), 4),
+                                       (BasisSpec.wavelet(1, 7), 129)],
+                         ids=["d2", "spline", "spline-k16", "power", "haar"])
 def test_pruned_lebesgue_forms_few_blocks(spec, most, monkeypatch):
-    # at K = 128, n = 20000 the bounds leave a few of the 72-134 blocks;
-    # power's full-width windows are pruned by the Cauchy-Schwarz bound
+    # at n = 20000 the bounds leave a few of the 72-134 blocks at K = 128
+    # and of the 78 spline blocks at K = 16 (the near-bucket bound);
+    # power's full-width windows are pruned by the Cauchy-Schwarz bound.
+    # Every Haar block ties the maximum, so all 129 are formed.  No bound
+    # forms part of a block
     basis = build_basis(spec)
     grid = sup_grid(basis)
     x = np.random.default_rng(6).uniform(0, 1, (20000, 1))
@@ -657,9 +665,58 @@ def test_pruned_lebesgue_forms_few_blocks(spec, most, monkeypatch):
 
     monkeypatch.setattr(gram_module, "_row_sums", counting)
     value = lebesgue_constant_empirical(basis, x, grid=grid).value
-    assert 1 <= sum(formed) <= most
+    assert all(formed)
+    assert 1 <= len(formed) <= most
+    if spec.n_moments == 1:
+        assert len(formed) == most
     monkeypatch.undo()
     assert value == _exhaustive_abs_sup(basis, grid, _gram_half(basis, x))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), k0=st.integers(3, 7),
+       dim=st.sampled_from([1, 2]), n=st.integers(1, 90),
+       cancel=st.booleans())
+def test_pruned_near_bucket_bound_covers_row_sums(seed, k0, dim, n, cancel):
+    # every row's near-bucket bound is at least its row sum over all
+    # samples as a block forms it, for 1-D and 2-D windows of 1 < w < K
+    # columns; with `cancel`, v'h_j is a rounding error in every column
+    rng = np.random.default_rng(seed)
+    w0 = int(rng.integers(2, k0))
+    axes = [a + np.arange(w0) for a in rng.integers(0, k0 - w0 + 1, dim)]
+    cols = axes[0] if dim == 1 else (axes[0][:, None] * k0 + axes[1]).ravel()
+    half = (rng.standard_normal((k0 ** dim, n))
+            * 10.0 ** rng.uniform(-3.0, 3.0, (k0 ** dim, 1)))
+    v = rng.standard_normal((32, cols.size))
+    if cancel:
+        u = rng.standard_normal(cols.size)
+        half[cols] = np.outer(u, half[cols[0]])
+        v -= np.outer(v @ u / (u @ u), u)
+    near = gram_module._NearBuckets(half, rng.integers(0, k0 ** dim, n))
+    exact = gram_module._row_sums(v, half[cols], np.empty(v.size * n))
+    assert np.all(near.bound(cols, v) >= exact)
+
+
+@pytest.mark.parametrize("family", ["spline3", "spline4", "d2", "spline3-2d",
+                                    "d2-2d"])
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), deficient=st.booleans())
+def test_pruned_near_bucket_bound_on_lebesgue_halves(family, seed,
+                                                      deficient):
+    # the empirical constant's half, full rank or a pseudo-inverse at
+    # n < K, from a sample piled up at the ends: on every grid row of
+    # every window, the bound is at least the row sum
+    basis = build_basis(_PRUNED_SPECS[family])
+    rng = np.random.default_rng(seed)
+    n = basis.size - 3 if deficient else 1000
+    x = rng.beta(0.3, 0.3, (n, basis.spec.dim))
+    half = _gram_half(basis, x)
+    near = gram_module._NearBuckets(half, np.argmax(basis.evaluate(x), axis=1))
+    local = basis.local(_test_grid(basis))
+    buf = np.empty(local.vals.size * n)
+    for cols, rows in local.windows():
+        exact = gram_module._row_sums(local.vals[rows], half[cols], buf)
+        assert np.all(near.bound(cols, local.vals[rows]) >= exact)
 
 
 def _full_width_case(family, sample):

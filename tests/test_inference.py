@@ -277,3 +277,6 @@ def test_report_linear_part_bitwise(spec):
         assert np.array_equal(shared.deriv, alone.deriv)
         assert (shared.fhat, shared.vk_hat, shared.ci, shared.tstat) == (
             alone.fhat, alone.vk_hat, alone.ci, alone.tstat)
+        # the report hands its representer to the plug-in variance, with
+        # the bits of the plug-in solving for it again
+        assert shared.vk_hat == sieve_variance_plugin(res, shared.deriv)

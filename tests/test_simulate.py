@@ -6,6 +6,7 @@ from scipy.special import ndtr
 from sievereg.basis import BasisSpec, ConfigurationError, build_basis
 from sievereg.concentration import ConcentrationStudyConfig
 from sievereg.estimator import fit, l2_error, sup_error
+from sievereg.gram import GramFactor
 from sievereg.quadrature import basis_quadrature, sup_grid, uniform_density
 from sievereg.simulate import (CoverageStudyConfig, DgpSpec, ErrorSpec,
                                RateStudyConfig, RegressorSpec,
@@ -196,6 +197,25 @@ def test_coverage_study_smoke():
     assert len(report.rows) + report.summary["degenerate"] == 20
     covered_col = [r[6] for r in report.rows]
     assert set(covered_col) <= {0, 1}
+
+
+def test_coverage_replication_solves_twice(monkeypatch):
+    # one solve for the fit and one for the representer, which the plug-in
+    # variance takes from the report instead of solving for it again
+    solve, calls = GramFactor.solve, []
+
+    def counting(self, rhs):
+        calls.append(1)
+        return solve(self, rhs)
+
+    monkeypatch.setattr(GramFactor, "solve", counting)
+    config = CoverageStudyConfig(
+        dgp=DgpSpec(), basis_spec=BasisSpec.wavelet(1, 3), n=400,
+        functional=FunctionalSpec.point_eval(0.37), reps=20, krule_p=1.0,
+        krule_c=4.0, seed=22)
+    report = coverage_study(config)
+    assert report.summary["degenerate"] == 0
+    assert len(calls) == 2 * config.reps
 
 
 def test_coverage_counts_clamped_and_rank_deficient_reps(monkeypatch):
