@@ -101,13 +101,6 @@ class LocalDesign:
             grams = upper + np.swapaxes(np.triu(upper, 1), 1, 2)
         return grams if blocks is not None else grams[0]
 
-    def windows(self):
-        """Yield (cols, rows) per window: its columns and its row indices."""
-        order = np.argsort(self.cols[:, 0], kind="stable")
-        cuts = np.flatnonzero(np.diff(self.cols[order, 0])) + 1
-        for rows in np.split(order, cuts):
-            yield self.cols[rows[0]], rows
-
 
 @dataclass(frozen=True)
 class BasisSpec:

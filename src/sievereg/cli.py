@@ -37,10 +37,6 @@ class AcceptanceFailure(RuntimeError):
     """An acceptance threshold embedded in the config was violated."""
 
 
-_COMMANDS = ("fit", "rate-study", "coverage-study", "stability-study",
-             "concentration-study", "gram-report")
-
-
 def _positive_int(raw):
     """Parser of the CLI's own sizes (the fit's and gram-report's): >= 1."""
     value = int(raw)
@@ -438,7 +434,7 @@ def build_parser():
         description="series least-squares fits, Monte Carlo studies, and "
                     "Gram diagnostics")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name in _SCHEMAS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="INI config path")
         p.add_argument("--out", required=True, help="output directory")

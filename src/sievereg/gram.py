@@ -38,8 +38,9 @@ class GramFactor:
     is not handed to `eigh`: its eigenvalues are its stably sorted diagonal
     and its eigenvectors the matching columns of the identity, which is what
     `eigh` returns for it up to the order and signs of tied columns.  A
-    product with a signed permutation is exact, so `solve`, `inv_sqrt`, `lam`
-    and `deviation` give the same bits on either path.
+    product with a signed permutation is exact, so `solve` (the same
+    eigenvector products on both paths), `inv_sqrt`, `lam` and `deviation`
+    give the same bits on either path.
     """
 
     def __init__(self, mat):
@@ -63,22 +64,12 @@ class GramFactor:
         return np.inf if lam_min <= 0.0 else 1.0 / np.sqrt(lam_min)
 
     def solve(self, rhs):
-        """(solution, rank_deficient_flag) of mat @ x = rhs, pseudo-inverting."""
-        inv = self._inv
+        """(solution, rank_deficient_flag) of mat @ x = rhs, pseudo-inverting.
+        A K-vector is solved as one (K, 1) column."""
         rhs = np.asarray(rhs, dtype=float)
-        squeeze = rhs.ndim == 1
-        if squeeze:
-            rhs = rhs[:, None]
-        if self.is_diagonal:
-            # evecs permutes, so the product below scales each row by its own
-            # inverse, and + 0.0 turns a -0.0 into the +0.0 the product
-            # gives.  A non-finite result takes the product, whose 0 * inf
-            # and 0 * nan spread NaN down its column.
-            sol = np.multiply((self.evecs @ inv)[:, None], rhs, order="C")
-            sol += 0.0
-        if not self.is_diagonal or not np.isfinite(sol).all():
-            sol = self.evecs @ (inv[:, None] * (self.evecs.T @ rhs))
-        return (sol[:, 0] if squeeze else sol), self._cut
+        sol = self.evecs @ (self._inv[:, None]
+                            * (self.evecs.T @ rhs.reshape(rhs.shape[0], -1)))
+        return sol.reshape(rhs.shape), self._cut
 
     def pinv(self, scale=1.0):
         """(scale * mat^-, rank_deficient_flag): the K x K pseudo-inverse
@@ -257,10 +248,13 @@ def _kernel_abs_sup(basis, grid, half, design, root=None):
     running maximum.  A block's first bound is the largest over its rows v
     (computed per grid chunk) of the smaller of |v| @ F with
     F_c = sum_j |half[c, j]| (the triangle inequality, whose relative
-    (n + K) eps rounding the stop rule's slack covers) and, given `root`
-    (see `_cs_root`), sqrt(sum((v @ root[cols])**2)) x (1 + 1e-6), dropped
-    when F is not finite.  A block it leaves, in a window of 1 < w < K
-    columns, also gets the near-bucket bound.  Sample j falls in bucket
+    (n + K) eps rounding the stop rule's slack covers) and, for a
+    full-width window (w = K) given `root` (see `_cs_root`),
+    sqrt(sum((v @ root)**2)) x (1 + 1e-6), dropped when F is not finite.
+    A narrower window takes no Cauchy-Schwarz first bound: in 1-D it rules
+    out no block that the triangle and near-bucket bounds leave.  A block
+    the first bound leaves, in a window of 1 < w < K columns, also gets
+    the near-bucket bound.  Sample j falls in bucket
     t_j, the column where its design row peaks.  A bucket t adds
     |v| @ table[cols, t], table[c, t] = sum over t of |half[c, j]|, or,
     within one column of the window, the smaller of that and
@@ -283,17 +277,15 @@ def _kernel_abs_sup(basis, grid, half, design, root=None):
             if 1 < width < k else None)
     col_sums = (near.table.sum(axis=1) if near is not None
                 else np.array([np.sum(np.abs(r)) for r in half]))
-    if not np.all(np.isfinite(col_sums)):   # root no longer describes half
-        root = None
+    if width < k or not np.all(np.isfinite(col_sums)):
+        root = None     # prunes full width only; a non-finite half breaks it
     blocks, cheap = [], []
     for start in range(0, grid.shape[0], _GRID_CHUNK):
         local = basis.local(grid[start:start + _GRID_CHUNK])
         bound = np.sum(np.abs(local.vals) * col_sums[local.cols], axis=1)
         if root is not None:    # fmin: a NaN bound leaves the other
-            proj = (local.vals @ root if width == k else
-                    np.matmul(local.vals[:, None], root[local.cols])[:, 0])
-            bound = np.fmin(bound, (1.0 + 1e-6)
-                            * np.sqrt(np.sum(proj ** 2, axis=1)))
+            bound = np.fmin(bound, (1.0 + 1e-6) * np.sqrt(
+                np.sum((local.vals @ root) ** 2, axis=1)))
         # rows by window, each row unlike the one before, in blocks
         order = np.argsort(local.cols[:, 0], kind="stable")
         first, vals = local.cols[order, 0], local.vals[order]

@@ -9,7 +9,6 @@ variance, and normal critical values give the interval.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import ndtri
@@ -163,17 +162,10 @@ def t_statistic(fhat, f0, vk_hat, n):
     return float(np.sqrt(n) * (fhat - f0) / np.sqrt(vk_hat))
 
 
-@lru_cache(maxsize=16)
-def _normal_quantile(level):
-    """Two-sided normal critical value, computed once per level."""
-    return ndtri(0.5 + level / 2.0)
-
-
 def confidence_interval(fhat, vk_hat, n, level=0.95):
     if vk_hat <= 0.0:
         raise NumericError("degenerate variance: V_hat must be positive")
-    z = _normal_quantile(level)
-    half = z * np.sqrt(vk_hat / n)
+    half = ndtri(0.5 + level / 2.0) * np.sqrt(vk_hat / n)
     return (float(fhat - half), float(fhat + half))
 
 

@@ -8,6 +8,8 @@ from sievereg import basis as basis_module
 from sievereg.basis import (BasisSpec, ConfigurationError, build_basis,
                             spec_with_size)
 
+from grouping import windows
+
 
 def test_order1_spline_indicators():
     # K = 4 indicators on the quarters, each scaled by sqrt(m + r) = 2
@@ -363,7 +365,7 @@ def test_local_design_scatters_to_evaluate_property(spec, xs):
     assert local.cols.min() >= 0 and local.cols.max() < basis.size
     assert np.all(np.diff(local.cols, axis=1) > 0)
     # the first column names the window
-    for cols, rows in local.windows():
+    for cols, rows in windows(local):
         assert np.all(local.cols[rows] == cols)
 
 

@@ -16,6 +16,8 @@ from sievereg.quadrature import (Density, basis_quadrature, sine_density,
                                   weighted_basis_gram)
 from sievereg.simulate import RegressorSpec, regressor_paths
 
+from grouping import windows
+
 UNIFORM = uniform_density()
 
 
@@ -136,39 +138,6 @@ def test_diagonal_factor_matches_eigh_bit_for_bit(diag):
     for stack in (haar, full):
         assert np.array_equal(fast.deviation(stack), ref.deviation(stack))
         assert fast.deviation(stack[0]) == ref.deviation(stack[0])
-
-
-@pytest.mark.parametrize("diag", [
-    [0.25, 4.0, 0.25, 1e-300, 3.0, 0.5, 7.0, 0.125],  # ties, a tiny one
-    [2.0, 0.0, 2.0, 1.0 / 3.0, 0.0, 0.5, 5.0, 3.0],   # singular
-    [1e-300, 3e-300, 1e-300, 2e-300],                 # 1/d overflows rhs
-    [3.0],
-])
-def test_diagonal_factor_solve_matches_dense_product(diag):
-    """The diagonal path's row scaling against the product it replaces,
-    evecs @ (inv * (evecs.T @ rhs)), bit for bit: signed zeros, a wide
-    right-hand side, and the NaN columns that a non-finite entry, or one
-    that overflows when scaled, gives."""
-    factor = GramFactor(np.diag(diag))
-    keep = factor.evals > factor.tol
-    inv = np.where(keep, 1.0 / np.where(keep, factor.evals, 1.0), 0.0)
-    k = len(diag)
-    rng = np.random.default_rng(11)
-    rhs = rng.normal(size=(k, 3000)) * 10.0 ** rng.integers(-300, 300, (k, 3000))
-    rhs[:, :40] = rng.choice([0.0, -0.0, 1.0, -2.5], (k, 40))
-    for col, bad in enumerate((np.inf, -np.inf, np.nan)):
-        rhs[col % k, 50 + col] = bad
-    for b in (rhs, rhs[:, 7], rhs[:, 50]):
-        with np.errstate(invalid="ignore", over="ignore"):
-            x, flag = factor.solve(b)
-            dense = factor.evecs @ (inv[:, None]
-                                    * (factor.evecs.T @ b.reshape(k, -1)))
-        dense = dense.reshape(b.shape)
-        assert flag == (not keep.all()) and x.shape == b.shape
-        assert np.array_equal(np.isnan(x), np.isnan(dense))
-        finite = ~np.isnan(dense)
-        assert np.array_equal(x[finite].view(np.int64),
-                              dense[finite].view(np.int64))
 
 
 @pytest.mark.parametrize("level,n", [(3, 500), (4, 500), (5, 500), (6, 500),
@@ -525,7 +494,7 @@ def _exhaustive_abs_sup(basis, grid, half):
     best, rows_per_block = 0.0, gram_module._KERNEL_ROWS
     for start in range(0, grid.shape[0], gram_module._GRID_CHUNK):
         local = basis.local(grid[start:start + gram_module._GRID_CHUNK])
-        for cols, rows in local.windows():
+        for cols, rows in windows(local):
             vals = local.vals[rows]
             vals = vals[np.r_[True, np.any(vals[1:] != vals[:-1], axis=1)]]
             for row in range(0, vals.shape[0], rows_per_block):
@@ -642,35 +611,49 @@ def test_pruned_lebesgue_nan_bound_block_is_formed():
         assert pruned > _exhaustive_abs_sup(basis, grid[:1], half)
 
 
-@pytest.mark.parametrize("spec,most", [(BasisSpec.wavelet(2, 7), 3),
-                                       (BasisSpec.bspline(3, 125), 3),
-                                       (BasisSpec.bspline(3, 13), 3),
-                                       (BasisSpec.power(127), 4),
-                                       (BasisSpec.wavelet(1, 7), 129)],
-                         ids=["d2", "spline", "spline-k16", "power", "haar"])
-def test_pruned_lebesgue_forms_few_blocks(spec, most, monkeypatch):
+@pytest.mark.parametrize("spec,n,most", [
+    (BasisSpec.wavelet(2, 7), 20000, 3), (BasisSpec.bspline(3, 125), 20000, 3),
+    (BasisSpec.bspline(3, 13), 20000, 3), (BasisSpec.power(127), 20000, 4),
+    (BasisSpec.wavelet(1, 7), 20000, 129),
+    (BasisSpec.bspline(3, 1, dim=2), 4000, 4),
+    (BasisSpec.wavelet(2, 4, dim=2), 4000, 1),
+    (BasisSpec.bspline(3, 125), None, 2),
+], ids=["d2", "spline", "spline-k16", "power", "haar", "spline-2d", "d2-2d",
+        "spline-theoretical"])
+def test_pruned_lebesgue_forms_few_blocks(spec, n, most, monkeypatch):
     # at n = 20000 the bounds leave a few of the 72-134 blocks at K = 128
     # and of the 78 spline blocks at K = 16 (the near-bucket bound);
     # power's full-width windows are pruned by the Cauchy-Schwarz bound.
-    # Every Haar block ties the maximum, so all 129 are formed.  No bound
-    # forms part of a block
+    # Every Haar block ties the maximum, so all 129 are formed.  The 2-D
+    # order-3 spline (K = 16) and D2 (K = 256) at n = 4000 and the
+    # theoretical order-3 spline constant at K = 128 (n = None) form 4, 1
+    # and 2 blocks.  No bound forms part of a block
     basis = build_basis(spec)
     grid = sup_grid(basis)
-    x = np.random.default_rng(6).uniform(0, 1, (20000, 1))
+    if n is None:
+        quad = basis_quadrature(basis)
+        columns = quad.nodes.shape[0]
+    else:
+        x = np.random.default_rng(6).uniform(0, 1, (n, spec.dim))
+        columns = n
     row_sums, formed = gram_module._row_sums, []
 
     def counting(block, sub, buf):
-        formed.append(sub.shape[1] == x.shape[0])   # a whole block
+        formed.append(sub.shape[1] == columns)   # a whole block
         return row_sums(block, sub, buf)
 
     monkeypatch.setattr(gram_module, "_row_sums", counting)
-    value = lebesgue_constant_empirical(basis, x, grid=grid).value
+    value = (lebesgue_constant_theoretical(basis, UNIFORM, quad=quad,
+                                           grid=grid) if n is None else
+             lebesgue_constant_empirical(basis, x, grid=grid).value)
     assert all(formed)
     assert 1 <= len(formed) <= most
     if spec.n_moments == 1:
         assert len(formed) == most
     monkeypatch.undo()
-    assert value == _exhaustive_abs_sup(basis, grid, _gram_half(basis, x))
+    half = (_theoretical_half(basis, UNIFORM, quad) if n is None
+            else _gram_half(basis, x))
+    assert value == _exhaustive_abs_sup(basis, grid, half)
 
 
 @settings(max_examples=300, deadline=None)
@@ -714,7 +697,7 @@ def test_pruned_near_bucket_bound_on_lebesgue_halves(family, seed,
     near = gram_module._NearBuckets(half, np.argmax(basis.evaluate(x), axis=1))
     local = basis.local(_test_grid(basis))
     buf = np.empty(local.vals.size * n)
-    for cols, rows in local.windows():
+    for cols, rows in windows(local):
         exact = gram_module._row_sums(local.vals[rows], half[cols], buf)
         assert np.all(near.bound(cols, local.vals[rows]) >= exact)
 

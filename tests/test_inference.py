@@ -4,8 +4,7 @@ import pytest
 from sievereg.basis import BasisSpec, build_basis
 from sievereg.estimator import fit, smooth_trig
 from sievereg.gram import NumericError, theoretical_gram
-from sievereg.inference import (FunctionalSpec, _normal_quantile,
-                                confidence_interval,
+from sievereg.inference import (FunctionalSpec, confidence_interval,
                                 functional_report, riesz_representer,
                                 sieve_variance_oracle, sieve_variance_plugin,
                                 t_statistic)
@@ -133,11 +132,14 @@ def test_t_statistic_and_interval():
 
 
 def test_normal_quantile_equals_scipy_stats_bit_for_bit():
+    # with V_hat = n the half-width is the critical value times sqrt(1.0)
     from scipy.stats import norm
     for level in (0.8, 0.9, 0.95, 0.99):
-        assert _normal_quantile(level) == norm.ppf(0.5 + level / 2.0)
+        assert confidence_interval(0.0, 1.0, 1, level)[1] == norm.ppf(
+            0.5 + level / 2.0)
     levels = np.linspace(0.0, 1.0, 10**4 + 2)[1:-1]
-    got = np.array([_normal_quantile(level) for level in levels])
+    got = np.array([confidence_interval(0.0, 7.0, 7, level)[1]
+                    for level in levels])
     assert np.array_equal(got, norm.ppf(0.5 + levels / 2.0))
 
 
