@@ -28,6 +28,7 @@ gradient's axis), 1 for Haar, K0 for trig and power).
 """
 
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -66,6 +67,11 @@ class LocalDesign:
         out = np.zeros((n, self.size))
         out.ravel()[self.cols + (self.size * np.arange(n))[:, None]] = self.vals
         return out
+
+    def __matmul__(self, coeffs):
+        """dense() @ coeffs as a numpy row sum of vals * coeffs over each
+        row's window: one path for every width, and no BLAS."""
+        return np.sum(self.vals * coeffs[self.cols], axis=1)
 
     def gram(self, weights=None, blocks=None):
         """sum_i w_i b_i b_i' over the rows b_i, or B'B/n without `weights`;
@@ -195,13 +201,9 @@ class BasisSpec:
         return self.size_1d ** self.dim
 
 
-_family_cache = {}
-
-
+@cache
 def _scaling_family(n_moments):
-    if n_moments not in _family_cache:
-        _family_cache[n_moments] = tabulate_daubechies(n_moments, TAB_DEPTH)
-    return _family_cache[n_moments]
+    return tabulate_daubechies(n_moments, TAB_DEPTH)
 
 
 class _Univariate:

@@ -11,6 +11,7 @@ threshold violated, 4 numeric failure.
 
 import argparse
 import configparser
+import ctypes
 import os
 import sys
 from contextlib import contextmanager
@@ -448,8 +449,21 @@ def build_parser():
     return parser
 
 
+def _set_heap_thresholds():
+    """Fix glibc's mmap and trim thresholds at 32 and 64 MB: under its
+    dynamic rule the heap of a study's per-fit arrays is trimmed and
+    faulted in again on every fit.  Setting either turns the rule off for
+    both, so both are set; a libc without `mallopt` is left as it is."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int,) * 2, ctypes.c_int
+        mallopt(-3, 32 << 20)       # M_MMAP_THRESHOLD
+        mallopt(-1, 64 << 20)       # M_TRIM_THRESHOLD
+
+
 def run(argv):
     args = build_parser().parse_args(argv)
+    _set_heap_thresholds()
     try:
         cfg = _read_config(args)
         return _HANDLERS[args.command](cfg, args.out, args)

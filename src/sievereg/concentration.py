@@ -175,9 +175,7 @@ class GramDeviationGenerator:
         diagonal.
         """
         out = np.empty(reps)
-        done = 0
-        c = 0
-        while done < reps:
+        for c, done in enumerate(range(0, reps, _CHUNK)):
             m = min(_CHUNK, reps - done)
             rng = np.random.default_rng([int(seed), 202, c])
             x = regressor_paths(self.regressor, self.n, self.basis.spec.dim,
@@ -185,8 +183,6 @@ class GramDeviationGenerator:
             local = self.basis.local(x.reshape(m * self.n, -1))
             out[done:done + m] = self.factor.deviation(
                 local.gram(blocks=m))
-            done += m
-            c += 1
         return out
 
 

@@ -39,9 +39,9 @@ class FitResult:
     precomputed `LocalDesign` of the basis at them (see `fixed_design`) as
     is; either way the fitted values are the one product of the dense
     design with the coefficients.  `cond` is the condition number of the
-    design; `design` is the (n, K) matrix of the basis at the sample points
-    and `gram_factor` the GramFactor of its empirical Gram B'B/n, which
-    inference reuses instead of evaluating or decomposing them again.
+    design; `design` is the sample's LocalDesign (never a dense (n, K)
+    matrix) and `gram_factor` the GramFactor of its empirical Gram B'B/n,
+    which inference reuses instead of evaluating or decomposing them again.
     """
 
     basis: object
@@ -50,7 +50,7 @@ class FitResult:
     rank: int
     rank_deficient: bool
     cond: float
-    design: np.ndarray = field(repr=False, default=None)
+    design: LocalDesign = field(repr=False, default=None)
     gram_factor: GramFactor = field(repr=False, default=None)
 
     def predict(self, pts):
@@ -74,35 +74,37 @@ def fixed_design(basis, pts):
 def fit(basis, x, y):
     """Least-squares fit of y on the basis at the points x.
 
-    The design is evaluated once, in local form (`basis.local`), and
-    scattered to dense once for B'y, the residuals and inference.  The Gram
-    B'B/n comes from `LocalDesign.gram` in O(n w^2): a diagonal for a
-    width-1 (Haar) design, whose GramFactor then needs no
-    eigendecomposition.
+    The design is evaluated once, in local form (`basis.local`), and is
+    the only one the fit holds: B'y is one bincount over its entries, the
+    residuals are `LocalDesign @ coeffs` row sums (no BLAS, so no bits
+    depend on the BLAS thread count), the Gram B'B/n is `LocalDesign.gram`
+    and only the SVD fallback scatters it to dense.
 
-    Raises ValueError when a response is NaN or infinite.
+    Raises ValueError unless y holds one finite response per point.
     """
     y = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(y)):
         raise ValueError("responses must be finite")
     local = basis.local(points_2d(x))
-    design = local.dense()
-    n, k = design.shape
+    n, k = local.vals.shape[0], local.size
+    if y.shape != (n,):
+        raise ValueError(f"{y.size} responses for {n} points")
     factor = GramFactor(local.gram())
     lam_min, lam_max = factor.evals[0], factor.evals[-1]
     if lam_min > MIN_GRAM_RCOND * lam_max:
-        coeffs, _ = factor.solve(design.T @ y / n)
+        bty = np.bincount(local.cols.ravel(),
+                          (local.vals * y[:, None]).ravel(), k)
+        coeffs, _ = factor.solve(bty / n)
         rank, cond = k, float(np.sqrt(lam_max / lam_min))
     else:
-        coeffs, _, rank, svals = np.linalg.lstsq(design, y,
+        coeffs, _, rank, svals = np.linalg.lstsq(local.dense(), y,
                                                  rcond=k * np.finfo(float).eps)
         # lstsq returns min(n, K) singular values: at n < K the rest are 0
         cond = (float(svals[0] / svals[-1])
                 if svals.size == k and svals[-1] > 0 else np.inf)
-    residuals = y - design @ coeffs
-    return FitResult(basis=basis, coeffs=coeffs, residuals=residuals,
-                     rank=int(rank), rank_deficient=rank < k, cond=cond,
-                     design=design, gram_factor=factor)
+    return FitResult(basis=basis, coeffs=coeffs, rank=int(rank),
+                     residuals=y - local @ coeffs, rank_deficient=rank < k,
+                     cond=cond, design=local, gram_factor=factor)
 
 
 def project_oracle(basis, x, h0):

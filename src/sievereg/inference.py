@@ -199,7 +199,7 @@ def functional_report(fit_result, spec, f0=None, level=0.95, part=None):
     deriv = spec._apply(design, wq)
     if not spec.linear:
         deriv = fhat * deriv          # d exp(h(x0)) = exp(h(x0)) b(x0)
-    n = fit_result.design.shape[0]
+    n = fit_result.residuals.size
     riesz_coeffs, flagged = fit_result.gram_factor.solve(deriv)
     vk_hat = sieve_variance_plugin(fit_result, deriv, coeffs=riesz_coeffs)
     ci = confidence_interval(fhat, vk_hat, n, level=level)

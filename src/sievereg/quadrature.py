@@ -13,6 +13,7 @@ integral functional, `lebesgue_constant_theoretical` and
 """
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -151,17 +152,16 @@ def basis_quadrature(basis, max_nodes_1d=None):
     """
     if max_nodes_1d is None:
         max_nodes_1d = 2 ** 19 if basis.spec.dim == 1 else 2 ** 12
-    nodes_1d, weights_1d = _univariate_rule(basis, max_nodes_1d)
+    nodes_1d, w_1d = _univariate_rule(basis, max_nodes_1d)
     d = basis.spec.dim
-    if d == 1:
-        return Quadrature(nodes=nodes_1d.reshape(-1, 1), weights=weights_1d)
-    grids = np.meshgrid(*([nodes_1d] * d), indexing="ij")
-    nodes = np.column_stack([g.ravel() for g in grids])
-    wgrids = np.meshgrid(*([weights_1d] * d), indexing="ij")
-    weights = np.ones(nodes.shape[0])
-    for g in wgrids:
-        weights = weights * g.ravel()
-    return Quadrature(nodes=nodes, weights=weights)
+    return Quadrature(nodes=_product(nodes_1d, d),
+                      weights=reduce(np.multiply.outer, [w_1d] * d).ravel())
+
+
+def _product(pts_1d, d):
+    """The (m**d, d) points of the d-fold product of pts_1d, in C order."""
+    grids = np.meshgrid(*([pts_1d] * d), indexing="ij")
+    return np.column_stack([g.ravel() for g in grids])
 
 
 def sup_grid(basis):
@@ -175,12 +175,8 @@ def sup_grid(basis):
     base_points = {1: 4096, 2: 256}.get(d, 32)
     edges = basis.breakpoints_1d
     mids = 0.5 * (edges[:-1] + edges[1:])
-    pts_1d = np.union1d(np.linspace(0.0, 1.0, base_points + 1),
-                        np.union1d(edges, mids))
-    if d == 1:
-        return pts_1d.reshape(-1, 1)
-    grids = np.meshgrid(*([pts_1d] * d), indexing="ij")
-    return np.column_stack([g.ravel() for g in grids])
+    return _product(np.union1d(np.linspace(0.0, 1.0, base_points + 1),
+                               np.union1d(edges, mids)), d)
 
 
 _GRAM_CHUNK = 65536     # quadrature nodes per LocalDesign

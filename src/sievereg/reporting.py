@@ -50,12 +50,8 @@ def write_detail_csv(path, columns, rows):
 
 def write_matrix_csv(path, mat):
     """Dense row-major matrix dump with header k0,k1,value."""
-    mat = np.asarray(mat)
-    with open(path, "w", newline="\n") as fh:
-        fh.write("k0,k1,value\n")
-        for i in range(mat.shape[0]):
-            for j in range(mat.shape[1]):
-                fh.write(f"{i},{j},{fmt(mat[i, j])}\n")
+    write_detail_csv(path, ["k0", "k1", "value"],
+                     [(i, j, v) for (i, j), v in np.ndenumerate(mat)])
 
 
 def write_report(report, out_dir):

@@ -202,6 +202,8 @@ def fit_loglog_slope(sizes, errors):
     """OLS slope of log(error) on log(n / log n), with its SE and R^2."""
     sizes = np.asarray(sizes, dtype=float)
     errors = np.asarray(errors, dtype=float)
+    if np.unique(sizes).size < 2:
+        raise ValueError("a log-log slope needs at least two distinct sizes")
     u = np.log(sizes / np.log(sizes))
     v = np.log(errors)
     design = np.column_stack([np.ones_like(u), u])
@@ -225,6 +227,13 @@ def _spec_for_size(spec, k_target, dim):
     return spec_with_size(spec, max(2, int(round(k_target ** (1.0 / dim)))))
 
 
+def _sieve_spec(config, n):
+    """The spec that the K rule gives a rate or coverage study at size n."""
+    p = config.dgp.smoothness if config.krule_p is None else config.krule_p
+    k = k_rule(n, p, config.dgp.dim, config.krule_c)
+    return _spec_for_size(config.basis_spec, k, config.dgp.dim)
+
+
 @dataclass(frozen=True)
 class RateStudyConfig:
     dgp: DgpSpec
@@ -243,6 +252,9 @@ class RateStudyConfig:
         _check_at_least(0, seed=self.seed)
         _check_positive(krule_c=self.krule_c, krule_p=self.krule_p)
         _check_dims(self.dgp, self.basis_spec)
+        if len(set(self.n_grid)) < 2:       # no log-log slope to fit
+            raise ConfigurationError("`n_grid` needs at least two distinct "
+                                     f"sizes, got {self.n_grid!r}")
 
 
 def rate_study(config):
@@ -256,15 +268,13 @@ def rate_study(config):
     the synthetic-oracle plumbing check.
     """
     dgp = config.dgp
-    p = config.krule_p if config.krule_p is not None else dgp.smoothness
     n_grid = tuple(int(n) for n in config.n_grid)
     density = uniform_density(dgp.dim)  # both shipped designs have uniform marginals
     rows = []
     med_sup, med_l2 = [], []
     health = []     # (rank_deficient, cond) of every fit
     for i_n, n in enumerate(n_grid):
-        spec_n = _spec_for_size(config.basis_spec,
-                                k_rule(n, p, dgp.dim, config.krule_c), dgp.dim)
+        spec_n = _sieve_spec(config, n)
         if config.synthetic_oracle:
             err = (n / np.log(n)) ** _SYNTHETIC_SLOPE
             sups = np.full(config.reps, err)
@@ -279,9 +289,7 @@ def rate_study(config):
             at_grid = fixed_design(basis, grid)
             at_quad = fixed_design(basis, quad.nodes)
 
-            def one_rep(rep, basis=basis, grid=grid, quad=quad,
-                        h0_grid=h0_grid, h0_quad=h0_quad, at_grid=at_grid,
-                        at_quad=at_quad, n=n, i_n=i_n):
+            def one_rep(rep):       # every call ends within this n's pass
                 rng = derived_rng(config.seed, "rate", i_n, rep)
                 x, y = gen_sample(dgp, n, rng=rng)
                 fr = fit(basis, x, y)
@@ -348,10 +356,7 @@ class CoverageStudyConfig:
 def coverage_study(config):
     """Empirical CI coverage and the replication t-statistics."""
     dgp = config.dgp
-    p = config.krule_p if config.krule_p is not None else dgp.smoothness
-    spec_n = _spec_for_size(config.basis_spec,
-                            k_rule(config.n, p, dgp.dim, config.krule_c),
-                            dgp.dim)
+    spec_n = _sieve_spec(config, config.n)
     basis = build_basis(spec_n)
     quad = basis_quadrature(basis)
     f0, _ = config.functional.value(dgp.h0, quad=quad)
@@ -445,16 +450,17 @@ def stability_study(config):
     density = uniform_density(dgp.dim)  # both shipped designs have uniform marginals
     rows = []
     med = {}
+    slopes = []     # per-(family, K) deviation slope in log n
     for spec_t in config.basis_specs:
         for k_target in config.k_grid:
             spec_k = _spec_for_size(spec_t, k_target, dgp.dim)
             basis = build_basis(spec_k)
             factor_th = GramFactor(theoretical_gram(basis, density))
             grid = sup_grid(basis)
+            med_devs = []
             for i_n, n in enumerate(config.n_grid):
 
-                def one_rep(rep, basis=basis, factor_th=factor_th, grid=grid,
-                            n=n, i_n=i_n, k_target=k_target):
+                def one_rep(rep):   # every call ends within this cell's pass
                     rng = derived_rng(config.seed, "stability",
                                       _stream_key(i_n, k_target), rep)
                     x = regressor_paths(dgp.regressor, n, dgp.dim, rng)[0]
@@ -473,29 +479,22 @@ def stability_study(config):
                 for rep in range(config.reps):
                     rows.append((spec_t.family, spec_k.size, n, rep,
                                  devs[rep], lebs[rep]))
+                med_devs.append(float(np.median(devs)))
                 med[(spec_t.family, spec_k.size, n)] = (
-                    float(np.median(devs)), float(np.median(lebs)), flagged)
+                    med_devs[-1], float(np.median(lebs)), flagged)
+            if len(med_devs) >= 2 and all(v > 0 for v in med_devs):
+                slope = np.polyfit(np.log([float(n) for n in config.n_grid]),
+                                   np.log(med_devs), 1)[0]
+                slopes.append({"family": spec_t.family, "k": spec_k.size,
+                               "dev_slope_logn": float(slope)})
     summary = {
         "medians": [
             {"family": fam, "k": k, "n": n, "dev": v[0],
              "lebesgue_empirical": v[1], "rank_deficient": v[2]}
             for (fam, k, n), v in sorted(med.items())
         ],
+        "dev_slopes": slopes,
     }
-    # per-(family, K) deviation slope in log n where the n grid allows it
-    slopes = []
-    for spec_t in config.basis_specs:
-        for k_target in config.k_grid:
-            spec_k = _spec_for_size(spec_t, k_target, dgp.dim)
-            pts = [(n, med[(spec_t.family, spec_k.size, n)][0])
-                   for n in config.n_grid]
-            if len(pts) >= 2 and all(v > 0 for _, v in pts):
-                u = np.log([float(n) for n, _ in pts])
-                v = np.log([v for _, v in pts])
-                slope = float(np.polyfit(u, v, 1)[0])
-                slopes.append({"family": spec_t.family, "k": spec_k.size,
-                               "dev_slope_logn": slope})
-    summary["dev_slopes"] = slopes
     return StudyReport(kind="stability", summary=summary, rows=rows,
                        columns=["family", "k", "n", "rep", "dev",
                                 "lebesgue_empirical"],

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from sievereg import cli
 from sievereg.cli import run
 
 
@@ -484,6 +485,35 @@ def test_threads_flag_below_one_exits_2(tmp_path, capsys, threads):
                 "--synthetic-oracle", "--threads", threads]) == 2
     assert "`threads`" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("n_grid", ["200", "2000", "2000,2000"])
+@pytest.mark.parametrize("oracle", [[], ["--synthetic-oracle"]])
+def test_rate_grid_of_one_size_exits_2_before_any_work(tmp_path, capsys,
+                                                       n_grid, oracle):
+    # one distinct size leaves no log-log slope to fit
+    cfg = tmp_path / "rate.ini"
+    _write(cfg, RATE0.replace("n_grid = 200", f"n_grid = {n_grid}"))
+    out = tmp_path / "o"
+    assert run(["rate-study", "--config", str(cfg), "--out", str(out),
+                *oracle]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "`n_grid`" in err
+    assert not out.exists()
+
+
+def test_run_works_without_mallopt(tmp_path, monkeypatch, sample_csv):
+    # a libc without mallopt (not glibc) keeps its own heap thresholds
+    class NoMallopt:
+        def __getattr__(self, name):
+            raise AttributeError(name)
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: NoMallopt())
+    cfg = tmp_path / "fit.ini"
+    _write(cfg, f"[fit]\ndata = {sample_csv}\n{BASIS_BLOCK}")
+    assert run(["fit", "--config", str(cfg), "--out",
+                str(tmp_path / "o")]) == 0
+    assert (tmp_path / "o" / "coeffs.csv").exists()
 
 
 @pytest.mark.parametrize("command,flag", [

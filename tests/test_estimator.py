@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -326,3 +331,75 @@ def test_predict_on_fixed_design_bitwise(spec):
         assert np.array_equal(res.predict(at_nodes), res.predict(nodes))
     # a LocalDesign from basis.local is scattered, then takes the same product
     assert np.array_equal(res.predict(basis.local(grid)), res.predict(grid))
+
+
+@pytest.mark.parametrize("spec", [
+    BasisSpec.bspline(1, 5), BasisSpec.bspline(2, 5), BasisSpec.bspline(3, 5),
+    BasisSpec.bspline(4, 5), BasisSpec.wavelet(1, 4), BasisSpec.wavelet(2, 4),
+    BasisSpec.wavelet(3, 4), BasisSpec.trig(4), BasisSpec.power(6),
+    BasisSpec.bspline(3, 3, dim=2), BasisSpec.wavelet(2, 3, dim=2)],
+    ids=["spline1", "spline2", "spline3", "spline4", "haar", "d2", "d3",
+         "trig", "power", "spline_2d", "d2_2d"])
+def test_local_products_match_dense(spec, monkeypatch):
+    # LocalDesign @ c (sample design and fixed_design wrapper) and fit's
+    # bincount B'y are the dense products up to rounding: a sum of m terms
+    # is within m eps of their absolute sum, on each side
+    basis = build_basis(spec)
+    rng = np.random.default_rng(32)
+    n, eps = 3000, np.finfo(float).eps
+    x = rng.uniform(0, 1, (n, spec.dim))
+    y = rng.standard_normal(n)
+    c = rng.standard_normal(basis.size)
+    dense = basis.evaluate(x)
+    for design in (basis.local(x), fixed_design(basis, x)):
+        assert np.array_equal(design.dense(), dense)
+        bound = 2 * basis.size * eps * (np.abs(dense) @ np.abs(c))
+        assert np.all(np.abs(design @ c - dense @ c) <= bound)
+    rhs, solve = [], GramFactor.solve
+    monkeypatch.setattr(GramFactor, "solve",
+                        lambda self, b: rhs.append(b) or solve(self, b))
+    res = fit(basis, x, y)
+    bound = 2 * n * eps * (np.abs(dense.T) @ np.abs(y)) / n
+    assert np.all(np.abs(rhs[0] - dense.T @ y / n) <= bound)
+    # the fit holds the local design only: w**d values per point
+    assert isinstance(res.design, LocalDesign)
+    assert res.design.vals.shape == basis.local(x).vals.shape
+    assert np.array_equal(res.residuals, y - res.design @ res.coeffs)
+
+
+def test_fit_mismatched_responses_raise():
+    basis = build_basis(BasisSpec.bspline(3, 4))
+    x = np.linspace(0, 1, 50)
+    for y in (np.ones(1), np.ones(49), np.ones((50, 1))):
+        with pytest.raises(ValueError, match="responses for 50 points"):
+            fit(basis, x, y)
+
+
+def test_fit_and_report_bitwise_at_1_and_2_blas_threads():
+    # neither B'y, the residuals nor the plug-in variance reduces over the
+    # sample through BLAS.  At n = 32000, K = 20 a BLAS gemv took other
+    # last bits at 2 threads than at 1.
+    code = textwrap.dedent("""
+        import hashlib, numpy as np
+        from sievereg import BasisSpec, build_basis, fit
+        from sievereg.inference import FunctionalSpec, functional_report
+        rng = np.random.default_rng(33)
+        x = rng.uniform(0, 1, 32000)
+        y = np.sin(6 * x) + rng.standard_normal(32000)
+        res = fit(build_basis(BasisSpec.bspline(3, 17)), x, y)
+        rep = functional_report(res, FunctionalSpec.point_eval([0.3]))
+        print(hashlib.sha256(res.coeffs.tobytes() + res.residuals.tobytes()
+                             + np.float64(rep.vk_hat).tobytes()).hexdigest())
+    """)
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       os.pardir, "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        digests.append(proc.stdout.strip())
+    assert digests[0] == digests[1]

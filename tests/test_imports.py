@@ -41,8 +41,8 @@ def test_iid_rate_and_ar_concentration_studies_skip_stats():
     assert loaded_after("""
         from sievereg import BasisSpec, DgpSpec, RateStudyConfig, rate_study
         rate_study(RateStudyConfig(
-            dgp=DgpSpec(), basis_spec=BasisSpec.bspline(3, 2), n_grid=(200,),
-            reps=2))
+            dgp=DgpSpec(), basis_spec=BasisSpec.bspline(3, 2),
+            n_grid=(200, 400), reps=2))
     """) == []
     assert loaded_after("""
         from sievereg import (BasisSpec, ConcentrationStudyConfig,

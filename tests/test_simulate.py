@@ -117,6 +117,9 @@ def test_k_rule_and_slope_fitter():
     slope, se, r2 = fit_loglog_slope(ns, errs)
     assert slope == pytest.approx(-0.4, abs=1e-12)
     assert r2 == pytest.approx(1.0)
+    for sizes in ([200], [2000, 2000]):
+        with pytest.raises(ValueError, match="two distinct sizes"):
+            fit_loglog_slope(sizes, [0.1] * len(sizes))
 
 
 def test_rate_study_synthetic_oracle():
