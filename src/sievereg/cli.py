@@ -251,6 +251,9 @@ def _print_table(title, pairs):
 
 def _cmd_fit(cfg, out_dir, args):
     spec = BasisSpec(**cfg["basis"])
+    if spec.dim > 1 and "grid" in cfg["fit"]:
+        raise ConfigurationError(f"config key `grid` applies only to dim = 1 "
+                                 f"fits (the curve), not dim = {spec.dim}")
     path = cfg["fit"]["data"]
     if not os.path.isfile(path) or os.path.getsize(path) == 0:
         raise ConfigurationError(f"config key `data`: no such file, or it "
@@ -318,6 +321,10 @@ def _coverage_config(cfg, args):
 
 
 def _stability_config(cfg, args):
+    if ("max_median_lebesgue" in cfg.get("acceptance", {})
+            and not cfg["study"].get("lebesgue", True)):
+        raise ConfigurationError("[acceptance] key `max_median_lebesgue` "
+                                 "needs lebesgue = 1 in [study]")
     specs = [BasisSpec(**cfg[section])
              for section in ("basis", "basis2", "basis3") if section in cfg]
     return StabilityStudyConfig(dgp=_dgp_spec(cfg.get("dgp", {})),
@@ -394,6 +401,9 @@ def _cmd_gram_report(cfg, out_dir, args):
     spec = BasisSpec(**cfg["basis"])
     basis = build_basis(spec)
     block = cfg["gram"]
+    if "seed" in block and "n" not in block:
+        raise ConfigurationError("config key `seed` (or `--seed`) applies "
+                                 "only with `n`: without it no sample is drawn")
     _check_at_least(0, seed=block.get("seed", 0))
     with _config_values():
         density = density_by_name(block.get("density", "uniform"), spec.dim)

@@ -44,11 +44,11 @@ def scaling_filter(n_moments):
     raise ValueError(f"vanishing-moment count must be in {{1, 2, 3}}, got {n_moments}")
 
 
-def cascade(filt, depth, tol=1e-8, max_iter=60):
+def cascade(filt, depth, max_iter=60):
     """Tabulate the scaling function on [0, 2N-1] at step 2**-depth.
 
     Starts from the unit box and applies the two-scale map on the fixed grid
-    until the sup change falls below `tol`.  Raises CascadeError when the
+    until the sup change falls to 1e-8.  Raises CascadeError when the
     iteration has not converged after `max_iter` steps.
 
     At node 0 the map reads phi(0) = sqrt(2) h_0 phi(0), so phi(0) = 0
@@ -73,12 +73,12 @@ def cascade(filt, depth, tol=1e-8, max_iter=60):
         nxt *= sqrt2
         delta = np.max(np.abs(nxt - phi))
         phi = nxt
-        if delta <= tol:
+        if delta <= 1e-8:
             if not np.isclose(sqrt2 * filt[0], 1.0):
                 phi[0] = 0.0
             return phi
     raise CascadeError(
-        f"refinement iteration still changing by {delta:.2e} (> {tol:.0e}) "
+        f"refinement iteration still changing by {delta:.2e} (> 1e-08) "
         f"after {max_iter} iterations"
     )
 

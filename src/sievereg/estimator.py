@@ -140,19 +140,19 @@ def smooth_trig(pts):
     return np.sum(np.sin(2.0 * np.pi * pts) + 0.3 * np.cos(5.0 * pts), axis=1)
 
 
-def holder_kink(p, center=0.5):
+def holder_kink(p):
     """Target with Holder smoothness exactly p at the interior kink.
 
-    For non-integer p this is |x - c|^p (plus a smooth background so the
+    For non-integer p this is |x - 1/2|^p (plus a smooth background so the
     function is not even); for integer p the signed variant
-    sign(x - c) |x - c|^p keeps the p-th derivative discontinuous.
+    sign(x - 1/2) |x - 1/2|^p keeps the p-th derivative discontinuous.
     """
     if p <= 0:
         raise ValueError("smoothness p must be positive")
 
     def target(pts):
         pts = points_2d(pts)
-        u = pts - center
+        u = pts - 0.5
         core = np.abs(u) ** p
         if float(p).is_integer():
             core = core * np.sign(u)

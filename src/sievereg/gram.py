@@ -193,45 +193,41 @@ def _rows_of(half, cols):
 
 class _NearBuckets:
     """Near-bucket bounds (see `_kernel_abs_sup`) on the row sums
-    sum_j |v'half[cols, j]| of windows of 1 < w < K columns, with each
-    window's bucket moments formed once, on its first use."""
+    sum_j |v'half[cols, j]| of windows of 1 < w < K columns, given F, with
+    each window's bucket moments formed once, on its first use."""
 
-    def __init__(self, half, keys):
+    def __init__(self, half, keys, col_sums):
         k = half.shape[0]
-        self.half, self.moments = half, {}
-        self.table = np.array([np.bincount(keys, np.abs(r), minlength=k)
-                               for r in half])   # [c, t]: |half[c]| over t
+        self.half, self.col_sums, self.moments = half, col_sums, {}
         self.by_key = np.argsort(keys, kind="stable")
         self.edges = np.r_[0, np.cumsum(np.bincount(keys, minlength=k))]
 
     def _moments(self, cols):
-        w, k = cols.size, self.table.shape[0]
+        w, (k, n) = cols.size, self.half.shape
         lo, hi = max(cols[0] - 1, 0), min(cols[-1] + 2, k)
         edges = self.edges[lo:hi + 1]
         near = np.flatnonzero(np.diff(edges))   # the buckets, less lo
         h = np.take(_rows_of(self.half, cols),
                     self.by_key[edges[0]:edges[-1]], axis=1)
-        h = np.concatenate([h, np.abs(h)])      # [S_t, . ; ., A_t] per t
         parts = np.split(h, edges[near[1:]] - edges[0], axis=1)[:near.size]
-        moments = np.array([p @ p.T for p in parts]).reshape(-1, 2 * w, 2 * w)
-        far = (self.table[cols, :lo].sum(axis=1)
-               + self.table[cols, hi:].sum(axis=1))
-        return (far, self.table[np.ix_(cols, lo + near)],
-                np.diff(edges)[near][:, None], moments[:, :w, :w],
-                moments[:, w:, w:])
+        tri = np.array([np.abs(p).sum(axis=1) for p in parts]).reshape(-1, w)
+        f = self.col_sums[cols]
+        far = (np.maximum(f - np.sum(tri, axis=0), 0.0)
+               + 2.0 * (n + k) * np.finfo(float).eps * f)
+        return (far, tri.T, np.diff(edges)[near][:, None],
+                np.array([p @ p.T for p in parts]).reshape(-1, w, w))
 
     def bound(self, cols, v):
         """The bound for each row of v (m, w)."""
         if cols[0] not in self.moments:
             self.moments[cols[0]] = self._moments(cols)
-        far, tri, count, moment, abs_moment = self.moments[cols[0]]
+        far, tri, count, moment = self.moments[cols[0]]
         av = np.abs(v)
-        quad = np.sum((v @ moment) * v, axis=2)            # (T, m)
-        slack = np.sum((av @ abs_moment) * av, axis=2)
-        slack *= 4.0 * (count + cols.size) * np.finfo(float).eps
-        cs = np.sqrt(count * (quad + slack))
-        return (1.0 + 1e-6) * (av @ far
-                               + np.sum(np.fmin(cs, (av @ tri).T), axis=0))
+        sums = (av @ tri).T                                 # (T, m)
+        quad = np.sum((v @ moment) * v, axis=2)
+        quad += 4.0 * (count + cols.size) * np.finfo(float).eps * sums ** 2
+        return (1.0 + 1e-6) * (av @ far + np.sum(
+            np.fmin(np.sqrt(count * quad), sums), axis=0))
 
 
 def _kernel_abs_sup(basis, grid, half, design, root=None):
@@ -255,28 +251,28 @@ def _kernel_abs_sup(basis, grid, half, design, root=None):
     out no block that the triangle and near-bucket bounds leave.  A block
     the first bound leaves, in a window of 1 < w < K columns, also gets
     the near-bucket bound.  Sample j falls in bucket
-    t_j, the column where its design row peaks.  A bucket t adds
-    |v| @ table[cols, t], table[c, t] = sum over t of |half[c, j]|, or,
-    within one column of the window, the smaller of that and
-    sqrt(n_t (v'S_t v + 4 (n_t + w) eps |v|'A_t |v|)), for H_t the window's
-    rows of `half` over the bucket's n_t samples, S_t = H_t H_t' and
-    A_t = |H_t| |H_t|'; the sum carries a margin of (1 + 1e-6) for the
-    roundings of its triangle terms, roots and sums.  The eps term covers
-    the rest: a block's y_j = v'h_j is off by at most g_w |v|'|h_j|
-    (g_m = m eps / (1 - m eps)), so the bucket's
-    sum |y_j| <= sqrt(n_t) (sqrt(Q) + g_w sqrt(R)) for Q = v'S_t v <=
-    R = |v|'A_t |v|, whose square is at most Q + 2.1 g_w R.  Forming S_t
-    (n_t terms) and Q (2w) moves Q by at most (g_(n_t) + g_2w) R, and A_t
-    and R fall short by no more than that, so 4 (n_t + w) eps R covers it
-    all, also where v'h_j cancels and Q is itself a rounding error.
+    t_j, the column where its design row peaks.  Take H_t, the window's
+    rows of `half` over bucket t's n_t samples, tri_t = |H_t| summed over
+    them, T = |v| @ tri_t and S_t = H_t H_t'.  A bucket within one column
+    of the window adds the smaller of T and
+    sqrt(n_t (v'S_t v + 4 (n_t + w) eps T^2)); the others together add
+    |v| @ (max(F[cols] - sum_t tri_t, 0) + 2 (n + K) eps F[cols]), whose
+    eps term covers the rounding of the sums and of the difference.  The
+    sum carries a margin of (1 + 1e-6) for the roundings of its triangle
+    terms, roots and sums.  Under the root, a block's y_j = v'h_j is off
+    by at most g_w |v|'|h_j| (g_m = m eps / (1 - m eps)), so the bucket's
+    sum |y_j| <= sqrt(n_t) (sqrt(Q) + g_w sqrt(R)) for Q = v'S_t v <= R =
+    sum_j (|v|'|h_j|)^2 <= T^2, and that square is at most Q + 2.1 g_w R.
+    Forming S_t (n_t terms) and Q (2w) moves Q by at most (g_(n_t) + g_2w)
+    R and T by g_(n_t + w) T, so 4 (n_t + w) eps T^2 covers it all, also
+    where v'h_j cancels and Q is itself a rounding error.
     """
     k, n = half.shape
     buf = np.empty(_KERNEL_ROWS * n)
     width = basis.local(grid[:1]).vals.shape[1]
-    near = (_NearBuckets(half, np.argmax(design, axis=1))
+    col_sums = np.array([np.sum(np.abs(r)) for r in half])
+    near = (_NearBuckets(half, np.argmax(design, axis=1), col_sums)
             if 1 < width < k else None)
-    col_sums = (near.table.sum(axis=1) if near is not None
-                else np.array([np.sum(np.abs(r)) for r in half]))
     if width < k or not np.all(np.isfinite(col_sums)):
         root = None     # prunes full width only; a non-finite half breaks it
     blocks, cheap = [], []

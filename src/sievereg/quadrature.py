@@ -32,8 +32,8 @@ class Density:
     draws each coordinate alone, and `theoretical_gram` integrates one 1-D
     Gram under the factor.  `pdf` maps an (n, d) array of points to (n,)
     values, so on one-column points it is the factor; `inf`/`sup` bound it
-    on the cube (used by the Gram eigenvalue sandwich and the banded-inverse
-    bound).  `cdf_1d` is the factor's CDF, for i.i.d. sampling by CDF
+    on the cube (only the Gram eigenvalue sandwich test reads them;
+    `dms_bound` takes no density).  `cdf_1d` is the factor's CDF, for i.i.d. sampling by CDF
     inversion; without it the factor is uniform.
     """
 

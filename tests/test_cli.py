@@ -396,6 +396,10 @@ STABILITY_D2_D3 = ("[study]\nreps = 2\nk_grid = 16\nn_grid = 2000\n"
     ("rate-study", RATE.format(extra="[dgp]\np = -0.5\n"), "`p`"),
     ("coverage-study", COVERAGE.format(reps=5, n=400) + "[dgp]\np = 0\n",
      "`p`"),
+    ("gram-report", GRAM.format(extra="seed = 3\n"), "`seed`"),
+    ("stability-study", "[study]\nreps = 2\nk_grid = 8\nn_grid = 400\n"
+     "lebesgue = 0\n" + BASIS_BLOCK
+     + "[acceptance]\nmax_median_lebesgue = 9\n", "`max_median_lebesgue`"),
 ], ids=["dgp-regressor", "dgp-rho", "dgp-df", "dgp-h0", "dgp-dim",
         "basis-dim", "coverage-x0", "coverage-level", "gram-density",
         "gram-amplitude", "gram-amplitude-without-sine", "concentration-regressor", "concentration-t_max",
@@ -405,7 +409,8 @@ STABILITY_D2_D3 = ("[study]\nreps = 2\nk_grid = 16\nn_grid = 2000\n"
         "coverage-threads-neg", "stability-threads-0",
         "stability-stream-keys-collide", "dgp-sigma-nan", "dgp-sigma-inf",
         "dgp-scale-nan", "dgp-df-nan", "dgp-df-inf", "dgp-p-nan",
-        "dgp-p-neg", "coverage-dgp-p-0"])
+        "dgp-p-neg", "coverage-dgp-p-0", "gram-seed-without-n",
+        "stability-lebesgue-threshold-without-lebesgue"])
 def test_rejected_config_values_exit_2(tmp_path, capsys, command, text,
                                        named):
     # values that the library specs and study configs reject
@@ -518,12 +523,13 @@ def test_run_works_without_mallopt(tmp_path, monkeypatch, sample_csv):
 
 @pytest.mark.parametrize("command,flag", [
     ("fit", "--seed"), ("fit", "--threads"), ("gram-report", "--threads"),
-    ("concentration-study", "--threads")])
+    ("gram-report", "--seed"), ("concentration-study", "--threads")])
 def test_flag_that_no_config_key_takes_exits_2(tmp_path, capsys, sample_csv,
                                               command, flag):
-    # a flag must change the run or be refused, never be dropped
+    # a flag must change the run or be refused, never be dropped (without
+    # `n`, gram-report draws no sample to seed)
     text = {"fit": f"[fit]\ndata = {sample_csv}\n{BASIS_BLOCK}",
-            "gram-report": GRAM.format(extra="n = 50\n"),
+            "gram-report": GRAM.format(extra=""),
             "concentration-study": CONCENTRATION.format(reps=10, t=5, n=50)}
     cfg = tmp_path / "cfg.ini"
     _write(cfg, text[command])
@@ -533,6 +539,26 @@ def test_flag_that_no_config_key_takes_exits_2(tmp_path, capsys, sample_csv,
     err = capsys.readouterr().err
     assert err.startswith("config error") and f"`{flag}`" in err
     assert not out.exists()
+
+
+def test_fit_grid_key_on_2d_fit_exits_2(tmp_path, capsys):
+    # a 2-D fit writes no curve, so its `grid` would be dropped
+    rng = np.random.default_rng(1)
+    rows = [f"{a!r},{b!r},{a + b!r}"
+            for a, b in rng.uniform(0, 1, (60, 2)).tolist()]
+    data = tmp_path / "xy.csv"
+    _write(data, "\n".join(["x1,x2,y", *rows]) + "\n")
+    text = (f"[fit]\ndata = {data}\n{{grid}}[basis]\nfamily = bspline\n"
+            "order = 2\nn_interior = 1\ndim = 2\n")
+    cfg, out = tmp_path / "fit.ini", tmp_path / "o"
+    _write(cfg, text.format(grid="grid = 100\n"))
+    assert run(["fit", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "`grid`" in err
+    assert not out.exists()
+    _write(cfg, text.format(grid=""))
+    assert run(["fit", "--config", str(cfg), "--out", str(out)]) == 0
+    assert not (out / "curve.csv").exists()
 
 
 def test_zero_generator_runs_under_mixing_regressor(tmp_path):

@@ -656,6 +656,11 @@ def test_pruned_lebesgue_forms_few_blocks(spec, n, most, monkeypatch):
     assert value == _exhaustive_abs_sup(basis, grid, half)
 
 
+def _col_sums(half):
+    """The first bound's F: sum_j |half[c, j]|, as _kernel_abs_sup forms it."""
+    return np.array([np.sum(np.abs(r)) for r in half])
+
+
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), k0=st.integers(3, 7),
        dim=st.sampled_from([1, 2]), n=st.integers(1, 90),
@@ -675,7 +680,8 @@ def test_pruned_near_bucket_bound_covers_row_sums(seed, k0, dim, n, cancel):
         u = rng.standard_normal(cols.size)
         half[cols] = np.outer(u, half[cols[0]])
         v -= np.outer(v @ u / (u @ u), u)
-    near = gram_module._NearBuckets(half, rng.integers(0, k0 ** dim, n))
+    near = gram_module._NearBuckets(half, rng.integers(0, k0 ** dim, n),
+                                    _col_sums(half))
     exact = gram_module._row_sums(v, half[cols], np.empty(v.size * n))
     assert np.all(near.bound(cols, v) >= exact)
 
@@ -694,12 +700,35 @@ def test_pruned_near_bucket_bound_on_lebesgue_halves(family, seed,
     n = basis.size - 3 if deficient else 1000
     x = rng.beta(0.3, 0.3, (n, basis.spec.dim))
     half = _gram_half(basis, x)
-    near = gram_module._NearBuckets(half, np.argmax(basis.evaluate(x), axis=1))
+    near = gram_module._NearBuckets(half, np.argmax(basis.evaluate(x), axis=1),
+                                    _col_sums(half))
     local = basis.local(_test_grid(basis))
     buf = np.empty(local.vals.size * n)
     for cols, rows in windows(local):
         exact = gram_module._row_sums(local.vals[rows], half[cols], buf)
         assert np.all(near.bound(cols, local.vals[rows]) >= exact)
+
+
+@settings(max_examples=100, deadline=None)
+@given(family=st.sampled_from(["spline2", "spline3", "spline4", "d2", "d3",
+                               "spline2-2d", "spline3-2d", "spline4-2d",
+                               "d2-2d", "d3-2d"]),
+       seed=st.integers(0, 2 ** 32 - 1),
+       rho=st.one_of(st.none(), st.floats(0.5, 0.95)), data=st.data())
+def test_pruned_lebesgue_equals_exhaustive_on_drawn_samples(family, seed, rho,
+                                                            data):
+    # the bound-pruned constant has the bits of forming every block, on
+    # AR(1) samples (rho) or beta(0.3, 0.3) piles at the ends (rho None),
+    # from n = K - 2 (a pseudo-inverse half) to 6000
+    basis = build_basis(_PRUNED_SPECS[family])
+    dim = basis.spec.dim
+    n = data.draw(st.integers(basis.size - 2, 6000), label="n")
+    rng = np.random.default_rng(seed)
+    x = (rng.beta(0.3, 0.3, (n, dim)) if rho is None else
+         regressor_paths(RegressorSpec("ar_copula", rho), n, dim, rng)[0])
+    grid = _test_grid(basis)
+    assert (lebesgue_constant_empirical(basis, x, grid=grid).value
+            == _exhaustive_abs_sup(basis, grid, _gram_half(basis, x)))
 
 
 def _full_width_case(family, sample):
