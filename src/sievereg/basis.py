@@ -206,6 +206,17 @@ def _scaling_family(n_moments):
     return tabulate_daubechies(n_moments, TAB_DEPTH)
 
 
+@cache
+def _padded_tables(n_moments):
+    """(flat tables, table length) of `_scaling_family(n_moments)`, built
+    once: [left..., phi, right...], each with its last value repeated, so
+    that slope 0 at the last node reads it exactly."""
+    family = _scaling_family(n_moments)
+    tables = np.vstack([family.left, family.phi, family.right])
+    padded = np.pad(tables, ((0, 0), (0, 1)), mode="edge")
+    return padded.ravel(), tables.shape[1]
+
+
 class _Univariate:
     """One-dimensional evaluator: values, gradients, supports, breakpoints."""
 
@@ -309,10 +320,7 @@ def _wavelet_values(x, level, family):
     right = col >= k0 - n
     tid = np.where(col < n, col, np.where(right, n + k0 - col, n))
     start = np.where(col < n, 0.0, np.where(right, 1.0 - 2.0 * n, col - n + 1.0))
-    tables = np.vstack([family.left, family.phi, family.right])
-    size = tables.shape[1]
-    # a repeated last value: slope 0 at the last node, which then reads exactly
-    tables = np.pad(tables, ((0, 0), (0, 1)), mode="edge").ravel()
+    tables, size = _padded_tables(n)
     step = family.step
     t = np.where(right[j], u[:, None] - k0, u[:, None])
     lo = start[j]
@@ -428,6 +436,8 @@ class BasisSystem:
             else:
                 cols = (cols[:, :, None] * k0 + c[:, None, :]).reshape(n, -1)
                 vals = (vals[:, :, None] * v[:, None, :]).reshape(n, -1)
+        if vals.shape[1] == self.size:  # full width: 0..K-1 on every row, once
+            cols = np.broadcast_to(np.arange(self.size), vals.shape)
         return LocalDesign(cols, vals, self.size)
 
     def evaluate(self, x):

@@ -118,8 +118,7 @@ _SCHEMAS = {
     "stability-study": {
         "study": ({"reps": (True, int), "k_grid": (True, _list_of(int)),
                    "n_grid": (True, _list_of(int)), "seed": (False, int),
-                   "threads": (False, int),
-                   "lebesgue": (False, lambda raw: bool(int(raw)))}, True),
+                   "threads": (False, int)}, True),
         "dgp": (_DGP_KEYS, False),
         "basis": (_BASIS_KEYS, True),
         "basis2": (_BASIS_KEYS, False),
@@ -321,10 +320,6 @@ def _coverage_config(cfg, args):
 
 
 def _stability_config(cfg, args):
-    if ("max_median_lebesgue" in cfg.get("acceptance", {})
-            and not cfg["study"].get("lebesgue", True)):
-        raise ConfigurationError("[acceptance] key `max_median_lebesgue` "
-                                 "needs lebesgue = 1 in [study]")
     specs = [BasisSpec(**cfg[section])
              for section in ("basis", "basis2", "basis3") if section in cfg]
     return StabilityStudyConfig(dgp=_dgp_spec(cfg.get("dgp", {})),

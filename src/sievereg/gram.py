@@ -18,7 +18,7 @@ from functools import reduce
 
 import numpy as np
 
-from .basis import build_basis
+from .basis import LocalDesign, build_basis
 from .quadrature import (basis_quadrature, points_2d, sup_grid,
                          weighted_basis_gram)
 
@@ -230,13 +230,13 @@ class _NearBuckets:
             np.fmin(np.sqrt(count * quad), sums), axis=0))
 
 
-def _kernel_abs_sup(basis, grid, half, design, root=None):
-    """max over grid points x of sum_j |b(x)' half[:, j]|; column j of
-    `half` belongs to row j of the sample (or node) `design`.
+def _kernel_abs_sup(grid, half, design, root=None):
+    """max over the rows b(x) of the grid's design of sum_j |b(x)' half[:, j]|;
+    column j of `half` belongs to row j of the sample (or node) `design`.
 
-    Each _GRID_CHUNK of grid points is grouped by window; a row equal to
-    the one before (a Haar cell on a sorted grid) is dropped and the rest
-    cut into blocks of _KERNEL_ROWS that multiply the window's rows of
+    Each slice of _GRID_CHUNK grid rows is grouped by window; a row equal
+    to the one before (a Haar cell on a sorted grid) is dropped and the
+    rest cut into blocks of _KERNEL_ROWS that multiply the window's rows of
     `half`.  The value is one block's largest numpy row sum, so this fixed
     partition pins its bits.
     Blocks are formed in descending order of a bound on that sum (a
@@ -250,11 +250,11 @@ def _kernel_abs_sup(basis, grid, half, design, root=None):
     A narrower window takes no Cauchy-Schwarz first bound: in 1-D it rules
     out no block that the triangle and near-bucket bounds leave.  A block
     the first bound leaves, in a window of 1 < w < K columns, also gets
-    the near-bucket bound.  Sample j falls in bucket
-    t_j, the column where its design row peaks.  Take H_t, the window's
-    rows of `half` over bucket t's n_t samples, tri_t = |H_t| summed over
-    them, T = |v| @ tri_t and S_t = H_t H_t'.  A bucket within one column
-    of the window adds the smaller of T and
+    the near-bucket bound (its bucket index is built only then).  Sample j
+    falls in bucket t_j, the column where its design row peaks.  Take H_t,
+    the window's rows of `half` over bucket t's n_t samples, tri_t = |H_t|
+    summed over them, T = |v| @ tri_t and S_t = H_t H_t'.  A bucket within
+    one column of the window adds the smaller of T and
     sqrt(n_t (v'S_t v + 4 (n_t + w) eps T^2)); the others together add
     |v| @ (max(F[cols] - sum_t tri_t, 0) + 2 (n + K) eps F[cols]), whose
     eps term covers the rounding of the sums and of the difference.  The
@@ -268,16 +268,17 @@ def _kernel_abs_sup(basis, grid, half, design, root=None):
     where v'h_j cancels and Q is itself a rounding error.
     """
     k, n = half.shape
+    if grid.size != k:      # a smaller basis' design would read wrong rows
+        raise ValueError(f"the grid design has {grid.size} columns, not {k}")
     buf = np.empty(_KERNEL_ROWS * n)
-    width = basis.local(grid[:1]).vals.shape[1]
+    width = grid.vals.shape[1]
     col_sums = np.array([np.sum(np.abs(r)) for r in half])
-    near = (_NearBuckets(half, np.argmax(design, axis=1), col_sums)
-            if 1 < width < k else None)
     if width < k or not np.all(np.isfinite(col_sums)):
         root = None     # prunes full width only; a non-finite half breaks it
     blocks, cheap = [], []
-    for start in range(0, grid.shape[0], _GRID_CHUNK):
-        local = basis.local(grid[start:start + _GRID_CHUNK])
+    for start in range(0, grid.vals.shape[0], _GRID_CHUNK):
+        local = LocalDesign(grid.cols[start:start + _GRID_CHUNK],
+                            grid.vals[start:start + _GRID_CHUNK], k)
         bound = np.sum(np.abs(local.vals) * col_sums[local.cols], axis=1)
         if root is not None:    # fmin: a NaN bound leaves the other
             bound = np.fmin(bound, (1.0 + 1e-6) * np.sqrt(
@@ -291,8 +292,7 @@ def _kernel_abs_sup(basis, grid, half, design, root=None):
         pos = np.arange(rows.size) - np.flatnonzero(new)[np.cumsum(new) - 1]
         cuts = np.flatnonzero(pos % _KERNEL_ROWS == 0)
         cheap.append(np.maximum.reduceat(bound[rows], cuts))
-        # copies, so that no block keeps its chunk's design alive
-        blocks += [(local.cols[r[0]].copy(), local.vals[r])
+        blocks += [(local.cols[r[0]], local.vals[r])
                    for r in np.split(rows, cuts[1:])]
     cheap = np.concatenate(cheap)
     cheap[np.isnan(cheap)] = np.inf       # NaN never rules a block out
@@ -305,7 +305,9 @@ def _kernel_abs_sup(basis, grid, half, design, root=None):
     best = max(0.0, exact(order[0]))
     live = order[1:][cheap[order[1:]] >= (1.0 - 1e-8) * best]
     sharp = cheap[live]
-    if near is not None:    # fmin: a NaN near bound leaves the first bound
+    if 1 < width < k and live.size:
+        near = _NearBuckets(half, np.argmax(design, axis=1), col_sums)
+        # fmin: a NaN near bound leaves the first bound
         sharp = np.fmin(sharp, [np.max(near.bound(*blocks[i])) for i in live])
     for i in np.argsort(-sharp, kind="stable"):
         if sharp[i] < (1.0 - 1e-8) * best:
@@ -347,12 +349,14 @@ def lebesgue_constant_theoretical(basis, density, quad=None, grid=None):
 
     Evaluates sup over the grid in x of the L1(X) norm of the projection
     kernel b(x)' G^{-1} b(.), which the sign pattern of the kernel attains.
+    `grid` is the grid's LocalDesign, `basis.local(sup_grid(basis))` when
+    not given; one of another size than the basis is a ValueError.
     """
     if quad is None:
         max_nodes = 2 ** 14 if basis.spec.family == "wavelet" else None
         quad = basis_quadrature(basis, max_nodes_1d=max_nodes)
     if grid is None:
-        grid = sup_grid(basis)
+        grid = basis.local(sup_grid(basis))
     wq = quad.weights * density(quad.nodes)      # (Q,), folded into half
     if not np.all(np.isfinite(wq) & (wq >= 0.0)):
         raise ValueError("weights times density must be finite and >= 0")
@@ -360,7 +364,7 @@ def lebesgue_constant_theoretical(basis, density, quad=None, grid=None):
     vals_q = basis.evaluate(quad.nodes)          # (Q, K)
     half = factor.pinv()[0] @ vals_q.T           # (K, Q)
     half *= wq
-    return _kernel_abs_sup(basis, grid, half, vals_q,
+    return _kernel_abs_sup(grid, half, vals_q,
                            root=_cs_root(factor, float(np.sum(wq)), wq.size))
 
 
@@ -378,15 +382,16 @@ def lebesgue_constant_empirical(basis, x, grid=None, gram=None):
     grid.  A rank-deficient design switches to the pseudo-inverse and is
     flagged.  `gram` is the sample's B'B/n, `empirical_gram_matrix(basis,
     x)`, which is formed here when the caller does not already have it.
+    `grid` is the grid's LocalDesign, as in `lebesgue_constant_theoretical`.
     """
     x = points_2d(x)
     if grid is None:
-        grid = sup_grid(basis)
+        grid = basis.local(sup_grid(basis))
     factor = GramFactor(empirical_gram_matrix(basis, x) if gram is None
                         else gram)
     vals = basis.evaluate(x)                       # (n, K)
     pinv, flagged = factor.pinv(1.0 / x.shape[0])
-    best = _kernel_abs_sup(basis, grid, pinv @ vals.T, vals,
+    best = _kernel_abs_sup(grid, pinv @ vals.T, vals,
                            root=_cs_root(factor, 1.0, x.shape[0]))
     return EmpiricalLebesgue(value=best, rank_deficient=flagged)
 

@@ -9,10 +9,15 @@ conditional deviation `bump_sigma` of the current regressor.  Both uniform
 variants draw through the normal CDF so the rho -> 0 copula reproduces the
 i.i.d. stream exactly.
 
-Every study derives one RNG per (study, n-index, replication) from the
-master seed, so reports are bit-identical across reruns and worker counts;
-replications may execute on a thread pool, results are aggregated in
-replication order.
+The rate and coverage studies derive one RNG per (study, n-index,
+replication) from the master seed (coverage's one n has index 0).  The
+stability study keys its stream by (study, 1000 * n-index + K target,
+replication) instead, one stream per (K target, n); every family at a K
+target reads the same regressor draws.  The tail study in
+`concentration` seeds each chunk of replications itself, from (seed,
+generator tag, chunk).  So reports are bit-identical across reruns and
+worker counts; replications may execute on a thread pool, results are
+aggregated in replication order.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -413,7 +418,6 @@ class StabilityStudyConfig:
     reps: int = 10
     seed: int = 0
     threads: int = 1
-    lebesgue: bool = True        # skip the costly sup computation when False
 
     def __post_init__(self):
         _check_at_least(1, reps=self.reps, k_grid=self.k_grid,
@@ -456,7 +460,7 @@ def stability_study(config):
             spec_k = _spec_for_size(spec_t, k_target, dgp.dim)
             basis = build_basis(spec_k)
             factor_th = GramFactor(theoretical_gram(basis, density))
-            grid = sup_grid(basis)
+            grid = basis.local(sup_grid(basis))
             med_devs = []
             for i_n, n in enumerate(config.n_grid):
 
@@ -466,8 +470,6 @@ def stability_study(config):
                     x = regressor_paths(dgp.regressor, n, dgp.dim, rng)[0]
                     gram_emp = empirical_gram_matrix(basis, x)
                     dev = gram_deviation(factor_th, gram_emp)
-                    if not config.lebesgue:
-                        return dev, np.nan, False
                     leb = lebesgue_constant_empirical(basis, x, grid=grid,
                                                       gram=gram_emp)
                     return dev, leb.value, leb.rank_deficient

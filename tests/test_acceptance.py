@@ -294,8 +294,7 @@ def test_criterion_08_gram_deviation_scaling():
     start = time.time()
     rep = stability_study(StabilityStudyConfig(
         dgp=DgpSpec(), basis_specs=(BasisSpec.wavelet(1, 2),), k_grid=(16,),
-        n_grid=(500, 2000, 8000, 32000), reps=50, seed=42, threads=THREADS,
-        lebesgue=False))
+        n_grid=(500, 2000, 8000, 32000), reps=50, seed=42, threads=THREADS))
     slope = rep.summary["dev_slopes"][0]["dev_slope_logn"]
     elapsed = time.time() - start
     ok = -0.6 <= slope <= -0.4 and elapsed < 300.0

@@ -364,6 +364,10 @@ def test_local_design_scatters_to_evaluate_property(spec, xs):
     assert dense.tobytes() == basis.evaluate(x).tobytes()
     assert local.cols.min() >= 0 and local.cols.max() < basis.size
     assert np.all(np.diff(local.cols, axis=1) > 0)
+    if local.vals.shape[1] == basis.size:   # trig, power, m = 0 splines
+        # full width: 0..K-1 on every row, stored once (zero-stride)
+        assert local.cols.strides[0] == 0
+        assert np.array_equal(local.cols[0], np.arange(basis.size))
     # the first column names the window
     for cols, rows in windows(local):
         assert np.all(local.cols[rows] == cols)

@@ -341,7 +341,7 @@ GRAM = "[gram]\n{extra}[basis]\nfamily = wavelet\nn_moments = 1\nlevel = 2\n"
 
 
 STABILITY_D2_D3 = ("[study]\nreps = 2\nk_grid = 16\nn_grid = 2000\n"
-                   "lebesgue = 0\n[basis]\nfamily = wavelet\nn_moments = 2\n"
+                   "[basis]\nfamily = wavelet\nn_moments = 2\n"
                    "level = 3\n[basis2]\nfamily = wavelet\nn_moments = 3\n"
                    "level = 3\n")
 
@@ -380,8 +380,8 @@ STABILITY_D2_D3 = ("[study]\nreps = 2\nk_grid = 16\nn_grid = 2000\n"
     ("rate-study", RATE.format(extra="threads = 0\n"), "`threads`"),
     ("coverage-study", COVERAGE.format(reps=5, n=400)
      .replace("n = 400\n", "n = 400\nthreads = -2\n"), "`threads`"),
-    ("stability-study", STABILITY_D2_D3.replace("lebesgue = 0", "threads = 0"),
-     "`threads`"),
+    ("stability-study", STABILITY_D2_D3.replace("[basis]", "threads = 0\n"
+                                                "[basis]"), "`threads`"),
     ("stability-study", "[study]\nreps = 2\nk_grid = 1,1001\nn_grid = 200,400\n"
      + BASIS_BLOCK, "stream key 1001"),
     ("rate-study", RATE.format(extra="[dgp]\nsigma = nan\n"), "`sigma`"),
@@ -399,7 +399,7 @@ STABILITY_D2_D3 = ("[study]\nreps = 2\nk_grid = 16\nn_grid = 2000\n"
     ("gram-report", GRAM.format(extra="seed = 3\n"), "`seed`"),
     ("stability-study", "[study]\nreps = 2\nk_grid = 8\nn_grid = 400\n"
      "lebesgue = 0\n" + BASIS_BLOCK
-     + "[acceptance]\nmax_median_lebesgue = 9\n", "`max_median_lebesgue`"),
+     + "[acceptance]\nmax_median_lebesgue = 9\n", "`lebesgue`"),
 ], ids=["dgp-regressor", "dgp-rho", "dgp-df", "dgp-h0", "dgp-dim",
         "basis-dim", "coverage-x0", "coverage-level", "gram-density",
         "gram-amplitude", "gram-amplitude-without-sine", "concentration-regressor", "concentration-t_max",

@@ -241,7 +241,8 @@ def test_projection_bounded_by_lebesgue_times_best_approx():
     grid = sup_grid(basis)
     proj = project_oracle(basis, x, smooth_trig)
     err = np.max(np.abs(proj.predict(grid) - smooth_trig(grid)))
-    leb = lebesgue_constant_empirical(basis, x, grid=grid).value
+    leb = lebesgue_constant_empirical(basis, x,
+                                      grid=basis.local(grid)).value
     bestinf = _best_sup_candidate(basis, smooth_trig, grid)
     assert err <= (1.0 + leb) * bestinf + 1e-12
 

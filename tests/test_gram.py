@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from sievereg import gram as gram_module
 from sievereg import quadrature
-from sievereg.basis import BasisSpec, build_basis
+from sievereg.basis import BasisSpec, BasisSystem, build_basis
 from sievereg.gram import (DmsBound, GramFactor, NumericError, dms_bound,
                            empirical_gram, empirical_gram_matrix,
                            gram_deviation, lebesgue_constant_empirical,
@@ -316,6 +316,36 @@ def test_lebesgue_empirical_rank_deficient_flagged():
     assert np.allclose(sol, [1.0, 1.0], rtol=0.0, atol=1e-14)
 
 
+def test_lebesgue_refuses_grid_design_of_another_size():
+    # a smaller basis' grid design would read the wrong rows of half
+    basis = build_basis(BasisSpec.bspline(3, 5))
+    small = build_basis(BasisSpec.bspline(3, 4)).local(sup_grid(basis))
+    x = np.random.default_rng(2).uniform(0, 1, 200)
+    with pytest.raises(ValueError, match="grid design has 7 columns"):
+        lebesgue_constant_empirical(basis, x, grid=small)
+    with pytest.raises(ValueError, match="grid design has 7 columns"):
+        lebesgue_constant_theoretical(basis, UNIFORM, grid=small)
+
+
+def test_lebesgue_given_grid_design_evaluates_only_its_sample(monkeypatch):
+    # given the grid's design and the sample's Gram, the one basis
+    # evaluation left is the sample's; the value is the default grid's
+    basis = build_basis(BasisSpec.wavelet(2, 4))
+    x = np.random.default_rng(2).uniform(0, 1, (300, 1))
+    grid, gram = basis.local(sup_grid(basis)), empirical_gram_matrix(basis, x)
+    expected = lebesgue_constant_empirical(basis, x).value
+    seen, local = [], BasisSystem._local
+
+    def recording(self, pts, grad_axis=None):
+        seen.append(pts)
+        return local(self, pts, grad_axis)
+
+    monkeypatch.setattr(BasisSystem, "_local", recording)
+    res = lebesgue_constant_empirical(basis, x, grid=grid, gram=gram)
+    assert len(seen) == 1 and np.array_equal(seen[0], x)
+    assert res.value == expected
+
+
 def test_dms_identity():
     res = dms_bound(np.eye(5), 2)
     assert res.kappa == pytest.approx(1.0)
@@ -482,10 +512,11 @@ def test_lebesgue_blocks_equal_one_shot_products(family, k):
     one_shot = float(np.max(np.sum(
         np.abs(bx @ _theoretical_half(basis, UNIFORM, quad)), axis=1)))
     assert lebesgue_constant_theoretical(basis, UNIFORM, quad=quad,
-                                         grid=grid) == one_shot
+                                         grid=basis.local(grid)) == one_shot
     x = np.random.default_rng(k).uniform(0, 1, (3000, basis.spec.dim))
     one_shot = float(np.max(np.sum(np.abs(bx @ _gram_half(basis, x)), axis=1)))
-    assert lebesgue_constant_empirical(basis, x, grid=grid).value == one_shot
+    assert lebesgue_constant_empirical(
+        basis, x, grid=basis.local(grid)).value == one_shot
 
 
 def _exhaustive_abs_sup(basis, grid, half):
@@ -552,13 +583,14 @@ def test_pruned_lebesgue_equals_exhaustive_bitwise(family, sample):
                                 else 2 ** 6)
         half = _theoretical_half(basis, density, quad)
         assert (lebesgue_constant_theoretical(basis, density, quad=quad,
-                                              grid=grid)
+                                              grid=basis.local(grid))
                 == _exhaustive_abs_sup(basis, grid, half))
         return
     regressor = RegressorSpec(*(("ar_copula", 0.9) if sample == "ar"
                                 else ("iid_uniform",)))
     x = regressor_paths(regressor, 3000, dim, np.random.default_rng(5))[0]
-    assert (lebesgue_constant_empirical(basis, x, grid=grid).value
+    assert (lebesgue_constant_empirical(basis, x,
+                                        grid=basis.local(grid)).value
             == _exhaustive_abs_sup(basis, grid, _gram_half(basis, x)))
 
 
@@ -571,7 +603,7 @@ def test_pruned_lebesgue_rank_deficient_bitwise(spec):
     basis = build_basis(spec)
     grid = _test_grid(basis)
     x = np.random.default_rng(3).uniform(0, 1, (basis.size - 3, spec.dim))
-    res = lebesgue_constant_empirical(basis, x, grid=grid)
+    res = lebesgue_constant_empirical(basis, x, grid=basis.local(grid))
     assert res.rank_deficient
     assert res.value == _exhaustive_abs_sup(basis, grid, _gram_half(basis, x))
 
@@ -589,7 +621,7 @@ def test_pruned_lebesgue_non_finite_half(spec, bad):
     half = _gram_half(basis, x)
     half[4, 17] = bad
     with np.errstate(invalid="ignore", over="ignore"):
-        pruned = gram_module._kernel_abs_sup(basis, grid, half,
+        pruned = gram_module._kernel_abs_sup(basis.local(grid), half,
                                              basis.evaluate(x))
         assert pruned == _exhaustive_abs_sup(basis, grid, half)
 
@@ -605,7 +637,7 @@ def test_pruned_lebesgue_nan_bound_block_is_formed():
     grid = np.array([[0.1], [0.5]])
     assert basis.local(grid[1:]).vals[0, -1] == 0.0
     with np.errstate(invalid="ignore", over="ignore"):
-        pruned = gram_module._kernel_abs_sup(basis, grid, half,
+        pruned = gram_module._kernel_abs_sup(basis.local(grid), half,
                                              basis.evaluate(x))
         assert pruned == _exhaustive_abs_sup(basis, grid[1:], half)
         assert pruned > _exhaustive_abs_sup(basis, grid[:1], half)
@@ -644,8 +676,10 @@ def test_pruned_lebesgue_forms_few_blocks(spec, n, most, monkeypatch):
 
     monkeypatch.setattr(gram_module, "_row_sums", counting)
     value = (lebesgue_constant_theoretical(basis, UNIFORM, quad=quad,
-                                           grid=grid) if n is None else
-             lebesgue_constant_empirical(basis, x, grid=grid).value)
+                                           grid=basis.local(grid))
+             if n is None else
+             lebesgue_constant_empirical(basis, x,
+                                         grid=basis.local(grid)).value)
     assert all(formed)
     assert 1 <= len(formed) <= most
     if spec.n_moments == 1:
@@ -727,7 +761,8 @@ def test_pruned_lebesgue_equals_exhaustive_on_drawn_samples(family, seed, rho,
     x = (rng.beta(0.3, 0.3, (n, dim)) if rho is None else
          regressor_paths(RegressorSpec("ar_copula", rho), n, dim, rng)[0])
     grid = _test_grid(basis)
-    assert (lebesgue_constant_empirical(basis, x, grid=grid).value
+    assert (lebesgue_constant_empirical(basis, x,
+                                        grid=basis.local(grid)).value
             == _exhaustive_abs_sup(basis, grid, _gram_half(basis, x)))
 
 
@@ -748,7 +783,7 @@ def test_cs_pruned_lebesgue_equals_exhaustive_bitwise(family, sample):
     # with the factor of B'B/n, near-singular (where the conditioning
     # guard drops the Cauchy-Schwarz bound) or rank deficient
     basis, grid, x = _full_width_case(family, sample)
-    res = lebesgue_constant_empirical(basis, x, grid=grid)
+    res = lebesgue_constant_empirical(basis, x, grid=basis.local(grid))
     assert res.rank_deficient == (sample == "rank-deficient")
     assert res.value == _exhaustive_abs_sup(basis, grid, _gram_half(basis, x))
 
@@ -767,7 +802,7 @@ def test_cs_pruned_lebesgue_non_finite(family, where, bad):
     assert root is not None
     (half if where == "half" else root)[4, 17] = bad
     with np.errstate(invalid="ignore", over="ignore"):
-        pruned = gram_module._kernel_abs_sup(basis, grid, half,
+        pruned = gram_module._kernel_abs_sup(basis.local(grid), half,
                                              basis.evaluate(x), root=root)
         assert pruned == _exhaustive_abs_sup(basis, grid, half)
 
@@ -795,9 +830,10 @@ def test_pruned_lebesgue_given_gram_matches_own_gram(family, sample):
     grid = _test_grid(basis)
     n = 3000 if sample == "iid" else basis.size - 3
     x = np.random.default_rng(9).uniform(0, 1, (n, dim))
-    own = lebesgue_constant_empirical(basis, x, grid=grid)
+    own = lebesgue_constant_empirical(basis, x, grid=basis.local(grid))
     shared = lebesgue_constant_empirical(
-        basis, x, grid=grid, gram=empirical_gram_matrix(basis, x))
+        basis, x, grid=basis.local(grid),
+        gram=empirical_gram_matrix(basis, x))
     assert shared.rank_deficient == own.rank_deficient == (sample != "iid")
     assert shared.value == own.value
 

@@ -3,7 +3,8 @@ import pytest
 from scipy import stats
 from scipy.special import ndtr
 
-from sievereg.basis import BasisSpec, ConfigurationError, build_basis
+from sievereg.basis import (BasisSpec, BasisSystem, ConfigurationError,
+                            build_basis)
 from sievereg.concentration import ConcentrationStudyConfig
 from sievereg.estimator import fit, l2_error, sup_error
 from sievereg.gram import GramFactor
@@ -15,7 +16,7 @@ from sievereg.simulate import (CoverageStudyConfig, DgpSpec, ErrorSpec,
                                error_draws, fit_loglog_slope, gen_sample,
                                k_rule, rate_study, regressor_paths,
                                stability_study)
-from sievereg import inference
+from sievereg import inference, simulate
 from sievereg.inference import FunctionalSpec
 
 
@@ -261,6 +262,31 @@ def test_stability_study_shapes_and_determinism():
     for entry in r1.summary["medians"]:
         assert entry["dev"] > 0.0
         assert entry["lebesgue_empirical"] >= 1.0 - 1e-9
+
+
+def test_stability_study_evaluates_each_sup_grid_once(monkeypatch):
+    # one design per (basis, K) cell, over its whole sup grid, which every
+    # replication's Lebesgue constant at every n then reads
+    grids, reads = [], []
+    sup_grid_of, local = simulate.sup_grid, BasisSystem._local
+
+    def recording_grid(basis):
+        grids.append(sup_grid_of(basis))
+        return grids[-1]
+
+    def recording_local(self, pts, grad_axis=None):
+        reads.extend((i, pts.shape[0]) for i, g in enumerate(grids)
+                     if np.shares_memory(pts, g))
+        return local(self, pts, grad_axis)
+
+    monkeypatch.setattr(simulate, "sup_grid", recording_grid)
+    monkeypatch.setattr(BasisSystem, "_local", recording_local)
+    stability_study(StabilityStudyConfig(
+        dgp=DgpSpec(), basis_specs=(BasisSpec.wavelet(2, 3),
+                                    BasisSpec.power(3)),
+        k_grid=(8, 16), n_grid=(300, 600), reps=2, seed=3))
+    assert len(grids) == 4
+    assert reads == [(i, g.shape[0]) for i, g in enumerate(grids)]
 
 
 @pytest.mark.parametrize("specs,k_grid,n_grid", [
