@@ -38,14 +38,6 @@ class AcceptanceFailure(RuntimeError):
     """An acceptance threshold embedded in the config was violated."""
 
 
-def _positive_int(raw):
-    """Parser of the CLI's own sizes (the fit's and gram-report's): >= 1."""
-    value = int(raw)
-    if value < 1:
-        raise ValueError(f"must be a positive integer, got {value}")
-    return value
-
-
 def _list_of(parse):
     """Parser of a comma-separated list of parse(item)."""
     return lambda raw: tuple(parse(v) for v in raw.split(",") if v.strip())
@@ -95,7 +87,7 @@ _ACCEPTANCE = {
 
 _SCHEMAS = {
     "fit": {
-        "fit": ({"data": (True, str), "grid": (False, _positive_int)}, True),
+        "fit": ({"data": (True, str), "grid": (False, int)}, True),
         "basis": (_BASIS_KEYS, True),
     },
     "rate-study": {
@@ -110,8 +102,8 @@ _SCHEMAS = {
                    "level": (False, float), "seed": (False, int),
                    "krule_c": (False, float), "krule_p": (False, float),
                    "threads": (False, int)}, True),
-        "functional": ({"kind": (True, str), "x0": (False, _list_of(float)),
-                        "weight": (False, str)}, True),
+        "functional": ({"kind": (True, str), "x0": (False, _list_of(float))},
+                       True),
         "dgp": (_DGP_KEYS, False),
         "basis": (_BASIS_KEYS, True),
     },
@@ -134,7 +126,7 @@ _SCHEMAS = {
     },
     "gram-report": {
         "gram": ({"density": (False, str), "amplitude": (False, float),
-                  "n": (False, _positive_int), "seed": (False, int)}, True),
+                  "n": (False, int), "seed": (False, int)}, True),
         "basis": (_BASIS_KEYS, True),
     },
 }
@@ -220,10 +212,9 @@ def _dgp_spec(block):
 
 def _functional_spec(block):
     if block["kind"] == "integral":
-        name = block.get("weight", "one")
-        if name != "one":
-            raise ConfigurationError(
-                f"config key `weight`: unknown weight {name!r} (only 'one')")
+        if "x0" in block:
+            raise ConfigurationError("config key `x0` applies only to point "
+                                     "functionals, not kind = integral")
         return FunctionalSpec.integral(lambda pts: np.ones(pts.shape[0]))
     x0 = block.get("x0")
     return FunctionalSpec(block["kind"],
@@ -249,6 +240,8 @@ def _print_table(title, pairs):
 
 
 def _cmd_fit(cfg, out_dir, args):
+    n_grid = cfg["fit"].get("grid", 512)
+    _check_at_least(1, grid=n_grid)
     spec = BasisSpec(**cfg["basis"])
     if spec.dim > 1 and "grid" in cfg["fit"]:
         raise ConfigurationError(f"config key `grid` applies only to dim = 1 "
@@ -286,7 +279,6 @@ def _cmd_fit(cfg, out_dir, args):
     os.makedirs(out_dir, exist_ok=True)
     write_detail_csv(os.path.join(out_dir, "coeffs.csv"), ["k", "value"],
                      list(enumerate(result.coeffs)))
-    n_grid = cfg["fit"].get("grid", 512)
     if spec.dim == 1:
         grid = np.linspace(0.0, 1.0, n_grid).reshape(-1, 1)
         curve = result.predict(grid)
@@ -393,9 +385,10 @@ def _cmd_study(cfg, out_dir, args):
 
 
 def _cmd_gram_report(cfg, out_dir, args):
+    block = cfg["gram"]
+    _check_at_least(1, n=block.get("n", 1))
     spec = BasisSpec(**cfg["basis"])
     basis = build_basis(spec)
-    block = cfg["gram"]
     if "seed" in block and "n" not in block:
         raise ConfigurationError("config key `seed` (or `--seed`) applies "
                                  "only with `n`: without it no sample is drawn")

@@ -18,7 +18,7 @@ from functools import reduce
 
 import numpy as np
 
-from .basis import LocalDesign, build_basis
+from .basis import build_basis
 from .quadrature import (basis_quadrature, points_2d, sup_grid,
                          weighted_basis_gram)
 
@@ -138,13 +138,10 @@ def gram_deviation(gram, gram_emp):
 
 
 def zeta_constant(basis):
-    """sup_x ||b(x)|| over the certification grid `sup_grid(basis)`."""
-    grid = sup_grid(basis)
-    best = 0.0
-    for start in range(0, grid.shape[0], 65536):
-        vals = basis.evaluate(grid[start:start + 65536])
-        best = max(best, float(np.max(np.sum(vals * vals, axis=1))))
-    return np.sqrt(best)
+    """sup_x ||b(x)|| over the certification grid `sup_grid(basis)`, read
+    from the grid's LocalDesign: O(G w) for G points, not O(G K)."""
+    vals = basis.local(sup_grid(basis)).vals
+    return np.sqrt(np.max(np.sum(vals * vals, axis=1)))
 
 
 def half_bandwidth(mat):
@@ -172,9 +169,9 @@ def empirical_gram(basis, x, gram):
                       "n": x.shape[0], "k": int(gram.shape[0])}
 
 
-# grid points per LocalDesign, and grid rows per kernel block: a (64, 20000)
-# block is 10 MB, the grid chunk's full (512, 20000) product would be 82 MB
-_GRID_CHUNK, _KERNEL_ROWS = 512, 64
+# grid rows per kernel block: a (64, 20000) block is 10 MB, and the fixed
+# cut pins the bits of every value (see `_kernel_abs_sup`)
+_KERNEL_ROWS = 64
 
 
 def _row_sums(block, sub, buf):
@@ -234,15 +231,15 @@ def _kernel_abs_sup(grid, half, design, root=None):
     """max over the rows b(x) of the grid's design of sum_j |b(x)' half[:, j]|;
     column j of `half` belongs to row j of the sample (or node) `design`.
 
-    Each slice of _GRID_CHUNK grid rows is grouped by window; a row equal
-    to the one before (a Haar cell on a sorted grid) is dropped and the
-    rest cut into blocks of _KERNEL_ROWS that multiply the window's rows of
-    `half`.  The value is one block's largest numpy row sum, so this fixed
-    partition pins its bits.
+    The grid's rows are grouped by window; a row equal to the one before
+    in its window (a Haar cell on a sorted grid) is dropped and the rest
+    cut into blocks of at most _KERNEL_ROWS rows of one window, which
+    multiply the window's rows of `half`.  The value is one block's largest
+    numpy row sum, so this fixed partition pins its bits.
     Blocks are formed in descending order of a bound on that sum (a
     non-finite bound read as +inf) until one falls below (1 - 1e-8) x the
     running maximum.  A block's first bound is the largest over its rows v
-    (computed per grid chunk) of the smaller of |v| @ F with
+    (computed for the whole grid at once) of the smaller of |v| @ F with
     F_c = sum_j |half[c, j]| (the triangle inequality, whose relative
     (n + K) eps rounding the stop rule's slack covers) and, for a
     full-width window (w = K) given `root` (see `_cs_root`),
@@ -275,26 +272,20 @@ def _kernel_abs_sup(grid, half, design, root=None):
     col_sums = np.array([np.sum(np.abs(r)) for r in half])
     if width < k or not np.all(np.isfinite(col_sums)):
         root = None     # prunes full width only; a non-finite half breaks it
-    blocks, cheap = [], []
-    for start in range(0, grid.vals.shape[0], _GRID_CHUNK):
-        local = LocalDesign(grid.cols[start:start + _GRID_CHUNK],
-                            grid.vals[start:start + _GRID_CHUNK], k)
-        bound = np.sum(np.abs(local.vals) * col_sums[local.cols], axis=1)
-        if root is not None:    # fmin: a NaN bound leaves the other
-            bound = np.fmin(bound, (1.0 + 1e-6) * np.sqrt(
-                np.sum((local.vals @ root) ** 2, axis=1)))
-        # rows by window, each row unlike the one before, in blocks
-        order = np.argsort(local.cols[:, 0], kind="stable")
-        first, vals = local.cols[order, 0], local.vals[order]
-        new = np.r_[True, first[1:] != first[:-1]]
-        keep = new | np.r_[True, np.any(vals[1:] != vals[:-1], axis=1)]
-        rows, new = order[keep], new[keep]
-        pos = np.arange(rows.size) - np.flatnonzero(new)[np.cumsum(new) - 1]
-        cuts = np.flatnonzero(pos % _KERNEL_ROWS == 0)
-        cheap.append(np.maximum.reduceat(bound[rows], cuts))
-        blocks += [(local.cols[r[0]], local.vals[r])
-                   for r in np.split(rows, cuts[1:])]
-    cheap = np.concatenate(cheap)
+    bound = np.sum(np.abs(grid.vals) * col_sums[grid.cols], axis=1)
+    if root is not None:    # fmin: a NaN bound leaves the other
+        bound = np.fmin(bound, (1.0 + 1e-6) * np.sqrt(
+            np.sum((grid.vals @ root) ** 2, axis=1)))
+    # rows by window, each row unlike the one before, in blocks
+    order = np.argsort(grid.cols[:, 0], kind="stable")
+    first, vals = grid.cols[order, 0], grid.vals[order]
+    new = np.r_[True, first[1:] != first[:-1]]
+    keep = new | np.r_[True, np.any(vals[1:] != vals[:-1], axis=1)]
+    rows, new = order[keep], new[keep]
+    pos = np.arange(rows.size) - np.flatnonzero(new)[np.cumsum(new) - 1]
+    cuts = np.flatnonzero(pos % _KERNEL_ROWS == 0)
+    blocks = [(grid.cols[r[0]], grid.vals[r]) for r in np.split(rows, cuts[1:])]
+    cheap = np.maximum.reduceat(bound[rows], cuts)
     cheap[np.isnan(cheap)] = np.inf       # NaN never rules a block out
 
     def exact(i):

@@ -37,7 +37,7 @@ from .inference import FunctionalSpec, functional_report
 from .quadrature import (basis_quadrature, points_2d, sup_grid,
                          uniform_density)
 
-_STUDY_TAGS = {"rate": 1, "coverage": 2, "stability": 3, "concentration": 4}
+_STUDY_TAGS = {"rate": 1, "coverage": 2, "stability": 3}
 
 # error rate (n / log n)^slope of the synthetic-oracle rate study
 _SYNTHETIC_SLOPE = -0.4
@@ -53,6 +53,9 @@ class RegressorSpec:
     def __post_init__(self):
         if self.kind not in ("iid_uniform", "ar_copula"):
             raise ValueError(f"unknown regressor kind {self.kind!r}")
+        if self.kind == "iid_uniform" and self.rho != 0.0:
+            raise ValueError(f"`rho` applies only to ar_copula regressors, "
+                             f"not iid_uniform, got {self.rho}")
         if self.kind == "ar_copula" and not -1.0 < self.rho < 1.0:
             raise ValueError(f"ar_copula rho must be in (-1, 1), got {self.rho}")
 

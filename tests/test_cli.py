@@ -318,12 +318,19 @@ COVERAGE = ("[study]\nreps = {reps}\nn = {n}\n"
      f"[study]\nreps = 0\nk_grid = 8\nn_grid = 400\n{BASIS_BLOCK}", "reps"),
     ("stability-study",
      f"[study]\nreps = 2\nk_grid = 0\nn_grid = 400\n{BASIS_BLOCK}", "k_grid"),
+    *(("fit", f"[fit]\ndata = missing.csv\ngrid = {v}\n{BASIS_BLOCK}", "grid")
+      for v in (0, -1)),
+    *(("gram-report", f"[gram]\nn = {v}\n[basis]\nfamily = wavelet\n"
+       "n_moments = 1\nlevel = 2\n", "n") for v in (0, -1)),
 ], ids=["concentration-reps-0", "concentration-reps-neg",
         "concentration-t_count-0", "concentration-n-0", "coverage-reps-0",
         "coverage-n-0", "rate-reps-0", "rate-n_grid-0", "stability-reps-0",
-        "stability-k_grid-0"])
+        "stability-k_grid-0", "fit-grid-0", "fit-grid-neg", "gram-n-0",
+        "gram-n-neg"])
 def test_study_counts_and_sizes_must_be_positive(tmp_path, capsys, command,
                                                  text, key):
+    # the fit's curve grid and the gram-report sample size take the
+    # studies' rule too, checked first (the fit's data file is not read)
     cfg = tmp_path / "study.ini"
     _write(cfg, text)
     out = tmp_path / "o"
@@ -400,6 +407,15 @@ STABILITY_D2_D3 = ("[study]\nreps = 2\nk_grid = 16\nn_grid = 2000\n"
     ("stability-study", "[study]\nreps = 2\nk_grid = 8\nn_grid = 400\n"
      "lebesgue = 0\n" + BASIS_BLOCK
      + "[acceptance]\nmax_median_lebesgue = 9\n", "`lebesgue`"),
+    ("coverage-study", COVERAGE.format(reps=5, n=400)
+     .replace("point_eval", "integral"), "`x0`"),
+    ("coverage-study", COVERAGE.format(reps=5, n=400)
+     .replace("x0 = 0.37\n", "x0 = 0.37\nweight = nonsense\n"), "`weight`"),
+    ("rate-study", RATE.format(extra="[dgp]\nregressor = iid_uniform\n"
+                                     "rho = 0.9\n"), "`rho`"),
+    ("concentration-study", CONCENTRATION_AR.format(kind="rademacher",
+                                                    regressor="iid_uniform"),
+     "`rho`"),
 ], ids=["dgp-regressor", "dgp-rho", "dgp-df", "dgp-h0", "dgp-dim",
         "basis-dim", "coverage-x0", "coverage-level", "gram-density",
         "gram-amplitude", "gram-amplitude-without-sine", "concentration-regressor", "concentration-t_max",
@@ -410,7 +426,9 @@ STABILITY_D2_D3 = ("[study]\nreps = 2\nk_grid = 16\nn_grid = 2000\n"
         "stability-stream-keys-collide", "dgp-sigma-nan", "dgp-sigma-inf",
         "dgp-scale-nan", "dgp-df-nan", "dgp-df-inf", "dgp-p-nan",
         "dgp-p-neg", "coverage-dgp-p-0", "gram-seed-without-n",
-        "stability-lebesgue-threshold-without-lebesgue"])
+        "stability-lebesgue-threshold-without-lebesgue",
+        "coverage-x0-on-integral", "coverage-weight-key", "dgp-rho-on-iid",
+        "generator-rho-on-iid"])
 def test_rejected_config_values_exit_2(tmp_path, capsys, command, text,
                                        named):
     # values that the library specs and study configs reject

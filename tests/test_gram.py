@@ -245,6 +245,22 @@ def test_zeta_lambda_constants():
     assert GramFactor(np.zeros((2, 2))).lam == np.inf
 
 
+@pytest.mark.parametrize("spec", [
+    *(BasisSpec.bspline(r, 30) for r in (1, 2, 3, 4)), BasisSpec.bspline(3, 125),
+    BasisSpec.wavelet(1, 6), BasisSpec.wavelet(2, 7), BasisSpec.wavelet(3, 5),
+    BasisSpec.trig(20), BasisSpec.power(12), BasisSpec.bspline(3, 3, dim=2),
+    BasisSpec.wavelet(2, 3, dim=2),
+], ids=["spline1", "spline2", "spline3", "spline4", "spline3-k128", "haar",
+        "d2", "d3", "trig", "power", "spline-2d", "d2-2d"])
+def test_zeta_equals_dense_row_norms_bitwise(spec):
+    # zeta read from the grid's LocalDesign has the bits of the largest
+    # row norm of the dense design on the same grid
+    basis = build_basis(spec)
+    dense = basis.evaluate(sup_grid(basis))
+    assert zeta_constant(basis) == np.sqrt(np.max(np.sum(dense * dense,
+                                                         axis=1)))
+
+
 def test_lebesgue_theoretical_haar_and_indicator():
     for spec in (BasisSpec.wavelet(1, 2), BasisSpec.wavelet(1, 3),
                  BasisSpec.bspline(1, 5)):
@@ -481,7 +497,8 @@ def test_kron_2d_daubechies_gram_is_exact():
 
 def _test_grid(basis):
     """The sup_grid construction on 1100 (1-D) or 33 (2-D) uniform cells:
-    over 1024 points, so three evaluation chunks and ragged last blocks."""
+    over 1024 points, so windows of several kernel blocks and ragged last
+    blocks."""
     cells = 1100 if basis.spec.dim == 1 else 33
     edges = basis.breakpoints_1d
     pts = np.union1d(np.linspace(0.0, 1.0, cells + 1),
@@ -503,7 +520,7 @@ _LEBESGUE_SPECS = {
 @pytest.mark.parametrize("family", sorted(_LEBESGUE_SPECS))
 def test_lebesgue_blocks_equal_one_shot_products(family, k):
     # the grouped kernel equals the dense product bit for bit; the grid
-    # spans three evaluation chunks and a ragged last kernel block
+    # spans several kernel blocks and a ragged last one
     basis = build_basis(_LEBESGUE_SPECS[family](k))
     grid = _test_grid(basis)
     assert grid.shape[0] > 1024 and grid.shape[0] % 64
@@ -521,16 +538,15 @@ def test_lebesgue_blocks_equal_one_shot_products(family, k):
 
 def _exhaustive_abs_sup(basis, grid, half):
     """The Lebesgue kernel sup with every block of the fixed partition
-    formed: grid chunks, windows, de-duplicated rows, 64-row slices."""
+    formed: windows of the whole grid, de-duplicated rows, 64-row slices."""
     best, rows_per_block = 0.0, gram_module._KERNEL_ROWS
-    for start in range(0, grid.shape[0], gram_module._GRID_CHUNK):
-        local = basis.local(grid[start:start + gram_module._GRID_CHUNK])
-        for cols, rows in windows(local):
-            vals = local.vals[rows]
-            vals = vals[np.r_[True, np.any(vals[1:] != vals[:-1], axis=1)]]
-            for row in range(0, vals.shape[0], rows_per_block):
-                kern = np.abs(vals[row:row + rows_per_block] @ half[cols])
-                best = max(best, float(np.max(np.sum(kern, axis=1))))
+    local = basis.local(grid)
+    for cols, rows in windows(local):
+        vals = local.vals[rows]
+        vals = vals[np.r_[True, np.any(vals[1:] != vals[:-1], axis=1)]]
+        for row in range(0, vals.shape[0], rows_per_block):
+            kern = np.abs(vals[row:row + rows_per_block] @ half[cols])
+            best = max(best, float(np.max(np.sum(kern, axis=1))))
     return best
 
 
@@ -573,7 +589,7 @@ _FULL_WIDTH = ["power-k64", "power-k64-2d", "trig-k65", "trig-k81-2d"]
 @pytest.mark.parametrize("family", sorted(_PRUNED_SPECS))
 def test_pruned_lebesgue_equals_exhaustive_bitwise(family, sample):
     # the bound-pruned search gives the bits of forming every block; the
-    # 1-D grid spans three evaluation chunks and ragged last blocks
+    # 1-D grid spans several kernel blocks and ragged last ones
     basis = build_basis(_PRUNED_SPECS[family])
     dim = basis.spec.dim
     grid = _test_grid(basis)
@@ -646,7 +662,7 @@ def test_pruned_lebesgue_nan_bound_block_is_formed():
 @pytest.mark.parametrize("spec,n,most", [
     (BasisSpec.wavelet(2, 7), 20000, 3), (BasisSpec.bspline(3, 125), 20000, 3),
     (BasisSpec.bspline(3, 13), 20000, 3), (BasisSpec.power(127), 20000, 4),
-    (BasisSpec.wavelet(1, 7), 20000, 129),
+    (BasisSpec.wavelet(1, 7), 20000, 128),
     (BasisSpec.bspline(3, 1, dim=2), 4000, 4),
     (BasisSpec.wavelet(2, 4, dim=2), 4000, 1),
     (BasisSpec.bspline(3, 125), None, 2),
@@ -656,7 +672,8 @@ def test_pruned_lebesgue_forms_few_blocks(spec, n, most, monkeypatch):
     # at n = 20000 the bounds leave a few of the 72-134 blocks at K = 128
     # and of the 78 spline blocks at K = 16 (the near-bucket bound);
     # power's full-width windows are pruned by the Cauchy-Schwarz bound.
-    # Every Haar block ties the maximum, so all 129 are formed.  The 2-D
+    # Every Haar block ties the maximum, so all 128 are formed: one row
+    # per cell, whose equal grid rows are formed once.  The 2-D
     # order-3 spline (K = 16) and D2 (K = 256) at n = 4000 and the
     # theoretical order-3 spline constant at K = 128 (n = None) form 4, 1
     # and 2 blocks.  No bound forms part of a block

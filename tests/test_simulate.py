@@ -105,6 +105,8 @@ def test_invalid_specs():
         RegressorSpec("ar_copula", 1.0)
     with pytest.raises(ValueError):
         RegressorSpec("garch")
+    with pytest.raises(ValueError, match="`rho`"):
+        RegressorSpec("iid_uniform", 0.9)
     with pytest.raises(ValueError):
         ErrorSpec(kind="student_t", df=2.0)
     with pytest.raises(ValueError):
