@@ -26,7 +26,7 @@ h0 = dgp.h0
 functionals = [
     ("h(0.37)", FunctionalSpec.point_eval(0.37),
      float(h0(np.array([[0.37]]))[0])),
-    ("integral of h", FunctionalSpec.integral(lambda p: np.ones(p.shape[0])),
+    ("integral of h", FunctionalSpec.integral(),
      float(np.mean(h0(np.linspace(0, 1, 200001).reshape(-1, 1))))),
     ("exp(h(0.37))", FunctionalSpec.nonlinear_exp_eval(0.37),
      float(np.exp(h0(np.array([[0.37]]))[0]))),

@@ -37,14 +37,37 @@ from .daubechies import tabulate_daubechies
 
 TAB_DEPTH = 12
 
-# family -> the per-dimension fields it reads; the others must stay 0
-_FAMILIES = {"bspline": ("order", "n_interior"),
-             "wavelet": ("n_moments", "level"),
-             "trig": ("degree",), "power": ("degree",)}
+# family -> the per-dimension fields it reads, each with its smallest
+# value; the other fields must stay 0
+_FAMILIES = {"bspline": {"order": 1, "n_interior": 0},
+             "wavelet": {"n_moments": 1, "level": 1},
+             "trig": {"degree": 0}, "power": {"degree": 0}}
 
 
 class ConfigurationError(ValueError):
     """A basis or study specification violates one of its constraints."""
+
+
+def _check_at_least(low, **fields):
+    """ConfigurationError unless each value is an integer >= low or a
+    non-empty grid of them."""
+    kind = ("a non-negative integer" if low == 0 else
+            "a positive integer" + (f" >= {low}" if low > 1 else ""))
+    for name, value in fields.items():
+        items = np.ravel(value).tolist()
+        if not items or not all(isinstance(v, int) and v >= low for v in items):
+            raise ConfigurationError(
+                f"`{name}` must be {kind} (or a non-empty grid of them), "
+                f"got {value!r}")
+
+
+def _check_positive(**fields):
+    """ConfigurationError unless each value other than None is a finite
+    number > 0."""
+    for name, value in fields.items():
+        if value is not None and not (np.isfinite(value) and value > 0.0):
+            raise ConfigurationError(
+                f"`{name}` must be a finite number > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -137,36 +160,16 @@ class BasisSpec:
                 raise ConfigurationError(
                     f"`{key}` = {value} is not a parameter of the "
                     f"{self.family} family")
-        if self.dim < 1:
-            raise ConfigurationError(f"dim must be >= 1, got {self.dim}")
-        if self.family == "bspline":
-            if self.order < 1:
-                raise ConfigurationError(
-                    f"bspline order must be >= 1, got {self.order}"
-                )
-            if self.n_interior < 0:
-                raise ConfigurationError(
-                    f"bspline interior knot count must be >= 0, got {self.n_interior}"
-                )
-        elif self.family == "wavelet":
-            if self.n_moments not in (1, 2, 3):
-                raise ConfigurationError(
-                    f"wavelet moment count must be in {{1, 2, 3}}, got {self.n_moments}"
-                )
-            if self.level < 1:
-                raise ConfigurationError(
-                    f"wavelet level must be >= 1, got {self.level}"
-                )
-            if self.n_moments >= 2 and 2 ** self.level <= 2 * self.n_moments:
-                raise ConfigurationError(
-                    f"wavelet level violates 2**level > 2 * n_moments: "
-                    f"2**{self.level} = {2 ** self.level} <= {2 * self.n_moments}"
-                )
-        else:
-            if self.degree < 0:
-                raise ConfigurationError(
-                    f"{self.family} degree must be >= 0, got {self.degree}"
-                )
+        _check_at_least(1, dim=self.dim)
+        for key, low in _FAMILIES[self.family].items():
+            _check_at_least(low, **{key: getattr(self, key)})
+        n, level = self.n_moments, self.level
+        if self.family == "wavelet" and (n > 3 or
+                                         n >= 2 and 2 ** level <= 2 * n):
+            raise ConfigurationError(
+                f"wavelets need n_moments in {{1, 2, 3}}, and 2**level > "
+                f"2 * n_moments for n_moments >= 2, got `n_moments` = {n}, "
+                f"`level` = {level}")
 
     @staticmethod
     def bspline(order, n_interior, dim=1):

@@ -19,7 +19,7 @@ from operator import ge, gt, itemgetter, le
 
 import numpy as np
 
-from .basis import BasisSpec, ConfigurationError, build_basis
+from .basis import BasisSpec, ConfigurationError, _check_at_least, build_basis
 from .concentration import ConcentrationStudyConfig, concentration_study
 from .daubechies import CascadeError
 from .estimator import fit as fit_ls
@@ -30,8 +30,7 @@ from .reporting import (fmt, write_detail_csv, write_matrix_csv,
                         write_report, write_summary_json)
 from .simulate import (CoverageStudyConfig, DgpSpec, ErrorSpec,
                        RateStudyConfig, RegressorSpec, StabilityStudyConfig,
-                       _check_at_least, coverage_study, rate_study,
-                       stability_study)
+                       coverage_study, rate_study, stability_study)
 
 
 class AcceptanceFailure(RuntimeError):
@@ -111,7 +110,9 @@ _SCHEMAS = {
         "study": ({"reps": (True, int), "k_grid": (True, _list_of(int)),
                    "n_grid": (True, _list_of(int)), "seed": (False, int),
                    "threads": (False, int)}, True),
-        "dgp": (_DGP_KEYS, False),
+        # the study draws regressors only: no error law or target
+        "dgp": ({key: _DGP_KEYS[key] for key in ("regressor", "rho", "dim")},
+                False),
         "basis": (_BASIS_KEYS, True),
         "basis2": (_BASIS_KEYS, False),
         "basis3": (_BASIS_KEYS, False),
@@ -211,11 +212,6 @@ def _dgp_spec(block):
 
 
 def _functional_spec(block):
-    if block["kind"] == "integral":
-        if "x0" in block:
-            raise ConfigurationError("config key `x0` applies only to point "
-                                     "functionals, not kind = integral")
-        return FunctionalSpec.integral(lambda pts: np.ones(pts.shape[0]))
     x0 = block.get("x0")
     return FunctionalSpec(block["kind"],
                           x0=None if x0 is None else np.array(x0))

@@ -23,11 +23,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basis import ConfigurationError, build_basis
+from .basis import ConfigurationError, _check_at_least, build_basis
 from .gram import GramFactor, theoretical_gram, zeta_constant
 from .quadrature import uniform_density
-from .simulate import (RegressorSpec, StudyReport, _check_at_least,
-                       regressor_paths)
+from .simulate import RegressorSpec, StudyReport, regressor_paths
 
 
 # Replications per chunk in `GramDeviationGenerator.sum_norms`; each chunk
@@ -208,8 +207,9 @@ def empirical_tail(generator, t_grid, reps, seed):
 
 @dataclass(frozen=True)
 class ConcentrationStudyConfig:
-    """Tail study of one generator, "gram_deviation" (needs basis_spec),
-    "rademacher" or "zero"; q is the block length of the mixing bound."""
+    """Tail study of one generator, "gram_deviation" (which alone takes,
+    and needs, basis_spec), "rademacher" or "zero"; q is the block length
+    of the mixing bound, 1 under a non-mixing regressor."""
 
     kind: str
     n: int
@@ -227,9 +227,11 @@ class ConcentrationStudyConfig:
         _check_at_least(0, seed=self.seed)
         if self.kind not in ("gram_deviation", "rademacher", "zero"):
             raise ConfigurationError(f"`kind`: unknown generator {self.kind!r}")
-        if self.kind == "gram_deviation" and self.basis_spec is None:
+        if (self.kind == "gram_deviation") != (self.basis_spec is not None):
             raise ConfigurationError(
-                "generator kind gram_deviation needs a basis spec ([basis])")
+                f"generator kind {self.kind} " + (
+                    "needs a basis spec ([basis])" if self.basis_spec is None
+                    else "reads no basis spec ([basis])"))
         if not (np.isfinite(self.t_max) and self.t_max >= 0.0):
             raise ConfigurationError(
                 f"`t_max` must be a finite number >= 0, got {self.t_max}")
@@ -239,6 +241,9 @@ class ConcentrationStudyConfig:
             raise ConfigurationError(
                 f"`q` must divide n = {self.n} and lie in [1, n/2] under a "
                 f"mixing regressor, got {self.q}")
+        if not mixing and self.q != 1:
+            raise ConfigurationError(f"`q` applies only under a mixing "
+                                     f"regressor, got {self.q}")
 
 
 def concentration_study(config):

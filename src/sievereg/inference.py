@@ -24,22 +24,20 @@ class FunctionalSpec:
     """Functional of the fitted function: evaluation, integral, or exp-eval.
 
     kind is one of "point_eval" (h -> h(x0)), "integral"
-    (h -> int h(y) weight(y) dy, Lebesgue), "nonlinear_exp_eval"
+    (h -> int over [0, 1]^d of h, Lebesgue), "nonlinear_exp_eval"
     (h -> exp(h(x0))).  The first two are linear: their derivative vector
     does not depend on h.
     """
 
     kind: str
     x0: np.ndarray = None
-    weight: object = None
 
     def __post_init__(self):
         if self.kind not in ("point_eval", "integral", "nonlinear_exp_eval"):
             raise ValueError(f"unknown functional kind {self.kind!r}")
-        if self.kind in ("point_eval", "nonlinear_exp_eval") and self.x0 is None:
-            raise ValueError(f"{self.kind} needs the evaluation point x0")
-        if self.kind == "integral" and self.weight is None:
-            raise ValueError("integral functional needs a weight callable")
+        if (self.kind == "integral") != (self.x0 is None):
+            need = "takes no" if self.x0 is not None else "needs the"
+            raise ValueError(f"{self.kind} {need} evaluation point `x0`")
 
     @property
     def linear(self):
@@ -50,8 +48,8 @@ class FunctionalSpec:
         return FunctionalSpec(kind="point_eval", x0=np.atleast_1d(np.asarray(x0, float)))
 
     @staticmethod
-    def integral(weight):
-        return FunctionalSpec(kind="integral", weight=weight)
+    def integral():
+        return FunctionalSpec(kind="integral")
 
     @staticmethod
     def nonlinear_exp_eval(x0):
@@ -60,14 +58,13 @@ class FunctionalSpec:
 
     def _points(self, basis, quad):
         """Where the linear part looks and how it weighs: x0 as one row and
-        no weights, or the nodes of `quad` (default: the basis' rule) and
-        quad.weights * weight(nodes)."""
+        no weights, or the nodes and weights of `quad` (default: the basis'
+        rule)."""
         if self.kind != "integral":
             return self.x0.reshape(1, -1), None
         if quad is None:
             quad = basis_quadrature(basis)
-        return quad.nodes, quad.weights * np.asarray(self.weight(quad.nodes),
-                                                     dtype=float)
+        return quad.nodes, quad.weights
 
     def linear_part(self, basis, quad=None):
         """(design, weights): the basis at the points of the linear part,

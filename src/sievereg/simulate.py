@@ -28,7 +28,8 @@ from scipy.linalg.lapack import dtbtrs
 from scipy.special import ndtr
 
 from ._kolmogorov import ks_normal
-from .basis import ConfigurationError, build_basis, spec_with_size
+from .basis import (ConfigurationError, _check_at_least, _check_positive,
+                    build_basis, spec_with_size)
 from .estimator import fit, fixed_design, l2_error, named_target, sup_error
 from .gram import (GramFactor, NumericError, empirical_gram_matrix,
                    gram_deviation, lebesgue_constant_empirical,
@@ -71,7 +72,8 @@ class ErrorSpec:
 
     "gaussian": N(0, sigma^2); "student_t": scale * t(df) (df = 3 has a
     finite (2+delta)-th moment for delta < 1 but infinite kurtosis);
-    "heteroskedastic": bump_sigma(X_i) times a N(0, 1) innovation.
+    "heteroskedastic": bump_sigma(X_i) times a N(0, 1) innovation.  A law
+    refuses a field that only another law reads, unless it is the default.
     """
 
     kind: str = "gaussian"
@@ -82,10 +84,14 @@ class ErrorSpec:
     def __post_init__(self):
         if self.kind not in ("gaussian", "student_t", "heteroskedastic"):
             raise ValueError(f"unknown error kind {self.kind!r}")
-        for name in ("sigma", "df", "scale"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(
-                    f"`{name}` must be finite, got {getattr(self, name)}")
+        for name, law in (("sigma", "gaussian"), ("df", "student_t"),
+                          ("scale", "student_t")):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"`{name}` must be finite, got {value}")
+            if self.kind != law and value != getattr(ErrorSpec, name):
+                raise ValueError(f"`{name}` applies only to the {law} "
+                                 f"error law, not {self.kind}, got {value}")
         if self.kind == "student_t" and self.df <= 2.0:
             raise ValueError(f"student_t needs df > 2 for a finite variance, got {self.df}")
 
@@ -95,28 +101,6 @@ def bump_sigma(pts):
     inf > 0."""
     pts = points_2d(pts)
     return 0.5 + np.mean(pts * (1.0 - pts), axis=1)
-
-
-def _check_at_least(low, **fields):
-    """ConfigurationError unless each value is an integer >= low or a
-    non-empty grid of them."""
-    kind = ("a non-negative integer" if low == 0 else
-            "a positive integer" + (f" >= {low}" if low > 1 else ""))
-    for name, value in fields.items():
-        items = np.ravel(value).tolist()
-        if not items or not all(isinstance(v, int) and v >= low for v in items):
-            raise ConfigurationError(
-                f"`{name}` must be {kind} (or a non-empty grid of them), "
-                f"got {value!r}")
-
-
-def _check_positive(**fields):
-    """ConfigurationError unless each value other than None is a finite
-    number > 0."""
-    for name, value in fields.items():
-        if value is not None and not (np.isfinite(value) and value > 0.0):
-            raise ConfigurationError(
-                f"`{name}` must be a finite number > 0, got {value}")
 
 
 def _check_dims(dgp, *specs):
@@ -235,6 +219,16 @@ def _spec_for_size(spec, k_target, dim):
     return spec_with_size(spec, max(2, int(round(k_target ** (1.0 / dim)))))
 
 
+def _check_p_read(config):
+    """Refuse a DGP `p` that neither h0 nor the K rule reads: smooth_trig
+    has no smoothness, and a given `krule_p` replaces `p` in the K rule."""
+    dgp = config.dgp
+    if (dgp.h0_name == "smooth_trig" and config.krule_p is not None
+            and dgp.smoothness != DgpSpec.smoothness):
+        raise ConfigurationError(f"`p` = {dgp.smoothness} is read by neither "
+                                 "h0 = smooth_trig nor the K rule (`krule_p`)")
+
+
 def _sieve_spec(config, n):
     """The spec that the K rule gives a rate or coverage study at size n."""
     p = config.dgp.smoothness if config.krule_p is None else config.krule_p
@@ -260,6 +254,7 @@ class RateStudyConfig:
         _check_at_least(0, seed=self.seed)
         _check_positive(krule_c=self.krule_c, krule_p=self.krule_p)
         _check_dims(self.dgp, self.basis_spec)
+        _check_p_read(self)
         if len(set(self.n_grid)) < 2:       # no log-log slope to fit
             raise ConfigurationError("`n_grid` needs at least two distinct "
                                      f"sizes, got {self.n_grid!r}")
@@ -351,6 +346,7 @@ class CoverageStudyConfig:
         _check_at_least(0, seed=self.seed)
         _check_positive(krule_c=self.krule_c, krule_p=self.krule_p)
         _check_dims(self.dgp, self.basis_spec)
+        _check_p_read(self)
         if not 0.0 < self.level < 1.0:
             raise ConfigurationError(f"`level` must be in (0, 1), got {self.level}")
         if self.functional.x0 is not None:
@@ -366,7 +362,9 @@ def coverage_study(config):
     dgp = config.dgp
     spec_n = _sieve_spec(config, config.n)
     basis = build_basis(spec_n)
-    quad = basis_quadrature(basis)
+    # only an integral reads a quadrature rule
+    quad = (basis_quadrature(basis) if config.functional.kind == "integral"
+            else None)
     f0, _ = config.functional.value(dgp.h0, quad=quad)
     part = config.functional.linear_part(basis, quad)
 

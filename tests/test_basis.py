@@ -221,6 +221,17 @@ def test_invalid_specs():
              "n_interior")):
         with pytest.raises(ConfigurationError, match=f"`{key}`"):
             BasisSpec(**fields)
+    # counts are integers: a float is refused even when it is whole
+    for fields, key in ((dict(order=2.5, n_interior=3), "order"),
+                        (dict(order=3, n_interior=2.0), "n_interior")):
+        with pytest.raises(ConfigurationError, match=f"`{key}`"):
+            BasisSpec(family="bspline", **fields)
+
+
+def test_numpy_integer_counts_accepted():
+    spec = BasisSpec.bspline(np.int64(3), np.int32(2), dim=np.int64(1))
+    assert build_basis(spec).size == 5
+    assert BasisSpec.wavelet(np.int64(2), np.int64(3)).size == 8
 
 
 def test_spec_with_size_families():

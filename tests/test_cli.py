@@ -347,6 +347,10 @@ CONCENTRATION_AR = ("[study]\nreps = 10\nt_max = 1.0\n"
 GRAM = "[gram]\n{extra}[basis]\nfamily = wavelet\nn_moments = 1\nlevel = 2\n"
 
 
+RATE2 = RATE.replace("n_grid = 200", "n_grid = 200,400")
+STABILITY = f"[study]\nreps = 2\nk_grid = 8\nn_grid = 400\n{BASIS_BLOCK}"
+
+
 STABILITY_D2_D3 = ("[study]\nreps = 2\nk_grid = 16\nn_grid = 2000\n"
                    "[basis]\nfamily = wavelet\nn_moments = 2\n"
                    "level = 3\n[basis2]\nfamily = wavelet\nn_moments = 3\n"
@@ -416,6 +420,26 @@ STABILITY_D2_D3 = ("[study]\nreps = 2\nk_grid = 16\nn_grid = 2000\n"
     ("concentration-study", CONCENTRATION_AR.format(kind="rademacher",
                                                     regressor="iid_uniform"),
      "`rho`"),
+    ("stability-study", STABILITY + "[dgp]\nerror = student_t\ndf = 3\n"
+     "h0 = holder\n", "`error`"),
+    ("stability-study", STABILITY + "[dgp]\nregressor = ar_copula\n"
+     "rho = 0.5\nh0 = holder\n", "`h0`"),
+    ("concentration-study", CONCENTRATION.format(reps=10, t=5, n=50)
+     + "[basis]\nfamily = wavelet\nn_moments = 1\nlevel = 2\n", "[basis]"),
+    ("concentration-study", CONCENTRATION.format(reps=10, t=5, n=50)
+     + "q = 7\n", "`q`"),
+    ("rate-study", RATE2.format(extra="[dgp]\nerror = student_t\n"
+                                      "sigma = 5\n"), "`sigma`"),
+    ("rate-study", RATE2.format(extra="[dgp]\nerror = heteroskedastic\n"
+                                      "sigma = 4\n"), "`sigma`"),
+    ("rate-study", RATE2.format(extra="[dgp]\ndf = 7\n"), "`df`"),
+    ("rate-study", RATE2.format(extra="[dgp]\nerror = gaussian\n"
+                                      "scale = 9\n"), "`scale`"),
+    ("rate-study", RATE2.format(extra="krule_p = 2.0\n[dgp]\n"
+                                      "h0 = smooth_trig\np = 7.5\n"), "`p`"),
+    ("coverage-study", COVERAGE.format(reps=5, n=400)
+     .replace("n = 400\n", "n = 400\nkrule_p = 1.0\n") + "[dgp]\np = 7.5\n",
+     "`p`"),
 ], ids=["dgp-regressor", "dgp-rho", "dgp-df", "dgp-h0", "dgp-dim",
         "basis-dim", "coverage-x0", "coverage-level", "gram-density",
         "gram-amplitude", "gram-amplitude-without-sine", "concentration-regressor", "concentration-t_max",
@@ -428,7 +452,11 @@ STABILITY_D2_D3 = ("[study]\nreps = 2\nk_grid = 16\nn_grid = 2000\n"
         "dgp-p-neg", "coverage-dgp-p-0", "gram-seed-without-n",
         "stability-lebesgue-threshold-without-lebesgue",
         "coverage-x0-on-integral", "coverage-weight-key", "dgp-rho-on-iid",
-        "generator-rho-on-iid"])
+        "generator-rho-on-iid", "stability-dgp-error-law",
+        "stability-dgp-target", "concentration-basis-without-gram",
+        "concentration-q-without-mixing", "dgp-sigma-on-student_t",
+        "dgp-sigma-on-heteroskedastic", "dgp-df-on-gaussian",
+        "dgp-scale-on-gaussian", "rate-p-unread", "coverage-p-unread"])
 def test_rejected_config_values_exit_2(tmp_path, capsys, command, text,
                                        named):
     # values that the library specs and study configs reject
@@ -442,7 +470,6 @@ def test_rejected_config_values_exit_2(tmp_path, capsys, command, text,
 
 
 RATE0 = RATE.format(extra="")
-STABILITY = f"[study]\nreps = 2\nk_grid = 8\nn_grid = 400\n{BASIS_BLOCK}"
 
 
 @pytest.mark.parametrize("command,text,named", [

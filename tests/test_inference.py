@@ -37,11 +37,18 @@ def test_representer_orthonormal_case(haar2):
 
 def test_representer_integral_weight_is_constant_one(haar2):
     basis, gram = haar2
-    spec = FunctionalSpec.integral(lambda pts: np.ones(pts.shape[0]))
+    spec = FunctionalSpec.integral()
     coeffs, norm_sq, _ = riesz_representer(gram, spec.derivative(basis))
     grid = np.linspace(0, 1, 201).reshape(-1, 1)
     assert np.max(np.abs(basis.evaluate(grid) @ coeffs - 1.0)) < 1e-10
     assert norm_sq == pytest.approx(1.0, abs=1e-10)
+
+
+def test_integral_refuses_x0_and_points_need_it():
+    with pytest.raises(ValueError, match="`x0`"):
+        FunctionalSpec("integral", x0=np.array([0.5]))
+    with pytest.raises(ValueError, match="`x0`"):
+        FunctionalSpec("point_eval")
 
 
 def test_representer_property_random_directions(haar2):
@@ -51,7 +58,7 @@ def test_representer_property_random_directions(haar2):
     vals_q = basis.evaluate(quad.nodes)
     rng = np.random.default_rng(12)
     for spec in (FunctionalSpec.point_eval(0.41),
-                 FunctionalSpec.integral(lambda pts: pts[:, 0])):
+                 FunctionalSpec.integral()):
         deriv = spec.derivative(basis, quad=quad)
         coeffs, _, _ = riesz_representer(gram, deriv)
         vstar_q = vals_q @ coeffs
@@ -258,7 +265,7 @@ def test_plugin_consistent_for_oracle_variance():
 
 @pytest.mark.parametrize("spec", [
     FunctionalSpec.point_eval(0.37), FunctionalSpec.nonlinear_exp_eval(0.37),
-    FunctionalSpec.integral(lambda pts: 1.0 + pts[:, 0])],
+    FunctionalSpec.integral()],
     ids=["point_eval", "nonlinear_exp_eval", "integral"])
 def test_report_linear_part_bitwise(spec):
     # one linear part on the basis' rule for many fits gives the bits of

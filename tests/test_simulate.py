@@ -111,6 +111,13 @@ def test_invalid_specs():
         ErrorSpec(kind="student_t", df=2.0)
     with pytest.raises(ValueError):
         ErrorSpec(kind="cauchy")
+    # a field that only another error law reads is refused, not dropped
+    for kind, key, value in (("student_t", "sigma", 2.0),
+                             ("heteroskedastic", "sigma", 4.0),
+                             ("gaussian", "df", 7.0),
+                             ("gaussian", "scale", 9.0)):
+        with pytest.raises(ValueError, match=f"`{key}`"):
+            ErrorSpec(kind, **{key: value})
 
 
 def test_k_rule_and_slope_fitter():
