@@ -390,13 +390,13 @@ def _cmd_gram_report(cfg, out_dir, args):
                                  "only with `n`: without it no sample is drawn")
     _check_at_least(0, seed=block.get("seed", 0))
     with _config_values():
-        density = density_by_name(block.get("density", "uniform"), spec.dim)
+        density = density_by_name(block.get("density", "uniform"))
         if "amplitude" in block:
             if density.name != "sine":
                 raise ConfigurationError(
                     f"config key `amplitude` applies only to density = "
                     f"sine, not {density.name!r}")
-            density = sine_density(block["amplitude"], dim=spec.dim)
+            density = sine_density(block["amplitude"])
     _check_out(out_dir)
     gram_th = theoretical_gram(basis, density)
     os.makedirs(out_dir, exist_ok=True)

@@ -16,7 +16,9 @@ the theoretical Gram's ``GramFactor``, which whitens them and takes all
 their spectral norms at once.
 
 ``concentration_study`` compares one generator's exceedance frequencies
-with the independent bound, or the blocked bound at t/6 under mixing.
+with the independent bound, or the blocked bound at t/6 under mixing; only
+the Gram-deviation generator draws from the regressor process, so only it
+takes a mixing regressor.
 """
 
 from dataclasses import dataclass, replace
@@ -108,9 +110,6 @@ class ZeroGenerator:
     def sum_norms(self, reps, seed):
         return np.zeros(reps)
 
-    def beta_envelope(self, q):
-        return 0.0
-
 
 class RademacherGenerator:
     """Scalar sum of n independent signs; r_bound = 1, sigma2 = n."""
@@ -118,15 +117,12 @@ class RademacherGenerator:
     def __init__(self, n):
         self.n = n
         self.input = TailBoundInput(d1=1, d2=1, n=n, r_bound=1.0,
-                                    sigma2=float(n), s2=1.0)
+                                    sigma2=float(n))
 
     def sum_norms(self, reps, seed):
         rng = np.random.default_rng([int(seed), 101])
         signs = rng.integers(0, 2, size=(reps, self.n)) * 2 - 1
         return np.abs(signs.sum(axis=1)).astype(float)
-
-    def beta_envelope(self, q):
-        return 0.0
 
 
 class GramDeviationGenerator:
@@ -208,8 +204,9 @@ def empirical_tail(generator, t_grid, reps, seed):
 @dataclass(frozen=True)
 class ConcentrationStudyConfig:
     """Tail study of one generator, "gram_deviation" (which alone takes,
-    and needs, basis_spec), "rademacher" or "zero"; q is the block length
-    of the mixing bound, 1 under a non-mixing regressor."""
+    and needs, basis_spec and a regressor other than iid_uniform),
+    "rademacher" or "zero" (i.i.d. summands whatever the regressor); q is
+    the block length of the mixing bound, 1 under a non-mixing regressor."""
 
     kind: str
     n: int
@@ -236,6 +233,10 @@ class ConcentrationStudyConfig:
             raise ConfigurationError(
                 f"`t_max` must be a finite number >= 0, got {self.t_max}")
         mixing = RegressorSpec(self.regressor, self.rho).mixing
+        if self.kind != "gram_deviation" and self.regressor != "iid_uniform":
+            raise ConfigurationError(
+                f"`regressor` applies only to generator kind gram_deviation;"
+                f" {self.kind} draws i.i.d. summands, got {self.regressor!r}")
         # the study's mixing bound has no incomplete-final-block term
         if mixing and not (1 <= self.q <= self.n // 2 and self.n % self.q == 0):
             raise ConfigurationError(
@@ -252,7 +253,7 @@ def concentration_study(config):
     reg = RegressorSpec(config.regressor, config.rho)
     if config.kind == "gram_deviation":
         basis = build_basis(config.basis_spec)
-        gram_th = theoretical_gram(basis, uniform_density(basis.spec.dim))
+        gram_th = theoretical_gram(basis, uniform_density())
         generator = GramDeviationGenerator(basis, gram_th, config.n,
                                            regressor=reg)
     elif config.kind == "rademacher":

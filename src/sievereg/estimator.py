@@ -113,19 +113,15 @@ def project_oracle(basis, x, h0):
     return fit(basis, x, h0(x))
 
 
-def sup_error(f, g, grid):
-    """max_x |f(x) - g(x)| over the grid (callables or arrays)."""
-    fv = f(grid) if callable(f) else np.asarray(f)
-    gv = g(grid) if callable(g) else np.asarray(g)
-    return float(np.max(np.abs(fv - gv)))
+def sup_error(f, g):
+    """max |f - g| over the values of f and g at the same grid points."""
+    return float(np.max(np.abs(f - g)))
 
 
 def l2_error(f, g, density, quad):
-    """L2(X) distance of f and g under the closed-form density, by the
-    quadrature rule `quad`."""
-    fv = f(quad.nodes) if callable(f) else np.asarray(f)
-    gv = g(quad.nodes) if callable(g) else np.asarray(g)
-    diff = fv - gv
+    """L2(X) distance of f and g under the closed-form density, from their
+    values at the nodes of the quadrature rule `quad`."""
+    diff = f - g
     val = float(np.sum(quad.weights * density(quad.nodes) * diff * diff))
     return float(np.sqrt(max(val, 0.0)))
 
@@ -162,12 +158,14 @@ def holder_kink(p):
 
 
 NAMED_TARGETS = {
-    "smooth_trig": lambda p=None: smooth_trig,
-    "holder": lambda p=None: holder_kink(p if p is not None else 1.5),
+    "smooth_trig": lambda p: smooth_trig,
+    "holder": holder_kink,
 }
 
 
-def named_target(name, p=None):
+def named_target(name, p):
+    """The target `name`; `p` is the holder smoothness (smooth_trig has
+    none and ignores it)."""
     if name not in NAMED_TARGETS:
         raise ValueError(f"unknown target {name!r}; expected one of "
                          f"{sorted(NAMED_TARGETS)}")

@@ -9,7 +9,8 @@ series.  Theoretical Grams need only the 1-D rule (see
 :func:`sievereg.gram.theoretical_gram`); the d-fold product rule serves the
 integrals of functions that are not tensor products: `l2_error`, the
 integral functional, `lebesgue_constant_theoretical` and
-`sieve_variance_oracle`.
+`sieve_variance_oracle`.  The closed-form densities are products of one
+per-coordinate factor, so they take no dimension.
 """
 
 from dataclasses import dataclass
@@ -26,20 +27,17 @@ def points_2d(x):
 
 @dataclass(frozen=True)
 class Density:
-    """Closed-form density on [0, 1]^d with known bounds.
+    """Closed-form density on [0, 1]^d.
 
     A density is a product of identical per-coordinate factors: `sample`
     draws each coordinate alone, and `theoretical_gram` integrates one 1-D
     Gram under the factor.  `pdf` maps an (n, d) array of points to (n,)
-    values, so on one-column points it is the factor; `inf`/`sup` bound it
-    on the cube (only the Gram eigenvalue sandwich test reads them;
-    `dms_bound` takes no density).  `cdf_1d` is the factor's CDF, for i.i.d. sampling by CDF
-    inversion; without it the factor is uniform.
+    values, so on one-column points it is the factor.  `cdf_1d` is the
+    factor's CDF, for i.i.d. sampling by CDF inversion; without it the
+    factor is uniform.
     """
 
     pdf: object
-    inf: float
-    sup: float
     name: str = "custom"
     cdf_1d: object = None
 
@@ -61,13 +59,13 @@ class Density:
         return 0.5 * (lo + hi)
 
 
-def uniform_density(dim=1):
-    return Density(pdf=lambda pts: np.ones(pts.shape[0]), inf=1.0, sup=1.0,
-                   name="uniform")
+def uniform_density():
+    return Density(pdf=lambda pts: np.ones(pts.shape[0]), name="uniform")
 
 
-def sine_density(amplitude=0.5, dim=1):
-    """Product density prod_a (1 + amplitude * sin(2 pi x_a)); integrates to 1."""
+def sine_density(amplitude=0.5):
+    """Product density prod_a (1 + amplitude * sin(2 pi x_a)) in any
+    dimension; integrates to 1."""
     if not 0.0 <= amplitude < 1.0:
         raise ValueError("amplitude must be in [0, 1)")
 
@@ -77,18 +75,17 @@ def sine_density(amplitude=0.5, dim=1):
     def cdf_1d(x):
         return x + amplitude * (1.0 - np.cos(2.0 * np.pi * x)) / (2.0 * np.pi)
 
-    return Density(pdf=pdf, inf=(1.0 - amplitude) ** dim,
-                   sup=(1.0 + amplitude) ** dim, name="sine", cdf_1d=cdf_1d)
+    return Density(pdf=pdf, name="sine", cdf_1d=cdf_1d)
 
 
 _DENSITIES = {"uniform": uniform_density, "sine": sine_density}
 
 
-def density_by_name(name, dim=1):
+def density_by_name(name):
     if name not in _DENSITIES:
         raise ValueError(f"unknown density {name!r}; expected one of "
                          f"{sorted(_DENSITIES)}")
-    return _DENSITIES[name](dim=dim)
+    return _DENSITIES[name]()
 
 
 @dataclass(frozen=True)
@@ -182,14 +179,12 @@ def sup_grid(basis):
 _GRAM_CHUNK = 65536     # quadrature nodes per LocalDesign
 
 
-def weighted_basis_gram(basis, quad, point_weight=None):
+def weighted_basis_gram(basis, quad, point_weight):
     """sum_q w_q g(y_q) b(y_q) b(y_q)' by `LocalDesign.gram` over node
     chunks: O(Q w^2d) for Q nodes where a dense product is O(Q K^2)."""
     gram = np.zeros((basis.size,) * 2)
     for start in range(0, quad.nodes.shape[0], _GRAM_CHUNK):
         pts = quad.nodes[start:start + _GRAM_CHUNK]
-        w = quad.weights[start:start + _GRAM_CHUNK]
-        if point_weight is not None:
-            w = w * point_weight(pts)
+        w = quad.weights[start:start + _GRAM_CHUNK] * point_weight(pts)
         gram += basis.local(pts).gram(weights=w)
     return 0.5 * (gram + gram.T)

@@ -72,8 +72,9 @@ class ErrorSpec:
 
     "gaussian": N(0, sigma^2); "student_t": scale * t(df) (df = 3 has a
     finite (2+delta)-th moment for delta < 1 but infinite kurtosis);
-    "heteroskedastic": bump_sigma(X_i) times a N(0, 1) innovation.  A law
-    refuses a field that only another law reads, unless it is the default.
+    "heteroskedastic": bump_sigma(X_i) times a N(0, 1) innovation.  Every
+    field is finite and > 0, and a law refuses a field that only another
+    law reads, unless it is the default.
     """
 
     kind: str = "gaussian"
@@ -84,11 +85,10 @@ class ErrorSpec:
     def __post_init__(self):
         if self.kind not in ("gaussian", "student_t", "heteroskedastic"):
             raise ValueError(f"unknown error kind {self.kind!r}")
+        _check_positive(sigma=self.sigma, df=self.df, scale=self.scale)
         for name, law in (("sigma", "gaussian"), ("df", "student_t"),
                           ("scale", "student_t")):
             value = getattr(self, name)
-            if not np.isfinite(value):
-                raise ValueError(f"`{name}` must be finite, got {value}")
             if self.kind != law and value != getattr(ErrorSpec, name):
                 raise ValueError(f"`{name}` applies only to the {law} "
                                  f"error law, not {self.kind}, got {value}")
@@ -129,9 +129,13 @@ class DgpSpec:
 
 
 def derived_rng(master_seed, study, n_index, rep):
-    """Deterministic per-replication generator stream."""
-    tag = _STUDY_TAGS.get(study, 0)
-    return np.random.default_rng([int(master_seed), tag, int(n_index), int(rep)])
+    """Deterministic per-replication generator stream of the study "rate",
+    "coverage" or "stability"."""
+    if study not in _STUDY_TAGS:
+        raise ValueError(f"unknown study {study!r}; expected one of "
+                         f"{sorted(_STUDY_TAGS)}")
+    return np.random.default_rng(
+        [int(master_seed), _STUDY_TAGS[study], int(n_index), int(rep)])
 
 
 def regressor_paths(spec, n, dim, rng, reps=1):
@@ -272,7 +276,7 @@ def rate_study(config):
     """
     dgp = config.dgp
     n_grid = tuple(int(n) for n in config.n_grid)
-    density = uniform_density(dgp.dim)  # both shipped designs have uniform marginals
+    density = uniform_density()  # both shipped designs have uniform marginals
     rows = []
     med_sup, med_l2 = [], []
     health = []     # (rank_deficient, cond) of every fit
@@ -296,7 +300,7 @@ def rate_study(config):
                 rng = derived_rng(config.seed, "rate", i_n, rep)
                 x, y = gen_sample(dgp, n, rng=rng)
                 fr = fit(basis, x, y)
-                return (sup_error(fr.predict(at_grid), h0_grid, grid),
+                return (sup_error(fr.predict(at_grid), h0_grid),
                         l2_error(fr.predict(at_quad), h0_quad, density,
                                  quad=quad),
                         fr.rank_deficient, fr.cond)
@@ -452,7 +456,7 @@ def _stream_key(i_n, k_target):
 def stability_study(config):
     """Gram deviation and empirical Lebesgue constant over (basis, K, n)."""
     dgp = config.dgp
-    density = uniform_density(dgp.dim)  # both shipped designs have uniform marginals
+    density = uniform_density()  # both shipped designs have uniform marginals
     rows = []
     med = {}
     slopes = []     # per-(family, K) deviation slope in log n

@@ -378,9 +378,10 @@ STABILITY_D2_D3 = ("[study]\nreps = 2\nk_grid = 16\nn_grid = 2000\n"
                                                     regressor="foo"), "'foo'"),
     ("concentration-study", CONCENTRATION.format(reps=10, t=5, n=50)
      .replace("t_max = 1.0", "t_max = -1.0"), "`t_max`"),
-    ("concentration-study", CONCENTRATION_AR.format(kind="rademacher",
+    ("concentration-study", CONCENTRATION_AR.format(kind="gram_deviation",
                                                     regressor="ar_copula")
-     .replace("n = 50", "n = 400").replace("q = 2", "q = 7"), "`q`"),
+     .replace("n = 50", "n = 400").replace("q = 2", "q = 7")
+     + "[basis]\nfamily = wavelet\nn_moments = 1\nlevel = 2\n", "`q`"),
     ("stability-study", STABILITY_D2_D3, "`k_grid`"),
     ("rate-study", RATE.format(extra="").replace("n_interior", "n_interor"),
      "`n_interor`"),
@@ -440,6 +441,15 @@ STABILITY_D2_D3 = ("[study]\nreps = 2\nk_grid = 16\nn_grid = 2000\n"
     ("coverage-study", COVERAGE.format(reps=5, n=400)
      .replace("n = 400\n", "n = 400\nkrule_p = 1.0\n") + "[dgp]\np = 7.5\n",
      "`p`"),
+    ("concentration-study", CONCENTRATION_AR.format(kind="zero",
+                                                    regressor="ar_copula"),
+     "`regressor`"),
+    ("concentration-study", CONCENTRATION_AR.format(kind="rademacher",
+                                                    regressor="ar_copula"),
+     "`regressor`"),
+    ("rate-study", RATE.format(extra="[dgp]\nsigma = -1.0\n"), "`sigma`"),
+    ("rate-study", RATE.format(extra="[dgp]\nerror = student_t\n"
+                                     "scale = 0.0\n"), "`scale`"),
 ], ids=["dgp-regressor", "dgp-rho", "dgp-df", "dgp-h0", "dgp-dim",
         "basis-dim", "coverage-x0", "coverage-level", "gram-density",
         "gram-amplitude", "gram-amplitude-without-sine", "concentration-regressor", "concentration-t_max",
@@ -456,7 +466,10 @@ STABILITY_D2_D3 = ("[study]\nreps = 2\nk_grid = 16\nn_grid = 2000\n"
         "stability-dgp-target", "concentration-basis-without-gram",
         "concentration-q-without-mixing", "dgp-sigma-on-student_t",
         "dgp-sigma-on-heteroskedastic", "dgp-df-on-gaussian",
-        "dgp-scale-on-gaussian", "rate-p-unread", "coverage-p-unread"])
+        "dgp-scale-on-gaussian", "rate-p-unread", "coverage-p-unread",
+        "concentration-zero-under-ar_copula",
+        "concentration-rademacher-under-ar_copula", "dgp-sigma-neg",
+        "dgp-scale-0"])
 def test_rejected_config_values_exit_2(tmp_path, capsys, command, text,
                                        named):
     # values that the library specs and study configs reject
@@ -604,18 +617,6 @@ def test_fit_grid_key_on_2d_fit_exits_2(tmp_path, capsys):
     _write(cfg, text.format(grid=""))
     assert run(["fit", "--config", str(cfg), "--out", str(out)]) == 0
     assert not (out / "curve.csv").exists()
-
-
-def test_zero_generator_runs_under_mixing_regressor(tmp_path):
-    # the mixing bound asks every generator for its beta envelope
-    cfg = tmp_path / "zero.ini"
-    _write(cfg, CONCENTRATION_AR.format(kind="zero", regressor="ar_copula"))
-    out = tmp_path / "o"
-    assert run(["concentration-study", "--config", str(cfg), "--out",
-                str(out)]) == 0
-    import json
-    summary = json.loads((out / "summary.json").read_text())["summary"]
-    assert summary["mixing"] is True and summary["violations"] == 0
 
 
 DEMO_CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "demos",

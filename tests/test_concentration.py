@@ -200,16 +200,33 @@ def test_concentration_study_compares_each_threshold_with_its_bound():
     assert report.summary["mixing"] is False
     assert report.summary["violations"] == 0
     assert report.config == {"seed": 3}
-    # an AR-copula regressor switches to the blocked bound at t / 6
+    # an AR-copula regressor switches the Gram-deviation study to the
+    # blocked bound at t / 6
+    haar = BasisSpec.wavelet(1, 2)
     mixed = concentration_study(ConcentrationStudyConfig(
-        kind="rademacher", n=50, reps=400, t_max=25.0, t_count=6, seed=3,
-        regressor="ar_copula", rho=0.5, q=5))
-    inp = TailBoundInput(d1=1, d2=1, n=50, r_bound=1.0, s2=1.0, q=5)
+        kind="gram_deviation", n=50, reps=400, t_max=2.0, t_count=6, seed=3,
+        regressor="ar_copula", rho=0.5, q=5, basis_spec=haar))
+    basis = build_basis(haar)
+    gen = GramDeviationGenerator(basis, theoretical_gram(basis, UNIFORM), 50,
+                                 regressor=RegressorSpec("ar_copula", 0.5))
+    inp = TailBoundInput(d1=4, d2=4, n=50, r_bound=gen.input.r_bound,
+                         s2=gen.input.s2, q=5, beta_q=4.0 * 0.5 ** 5)
+    assert mixed.summary["mixing"] is True
     assert [row[1] for row in mixed.rows] == [
-        mixing_bound(inp, t / 6.0) for t in tail.t_grid]
+        mixing_bound(inp, t / 6.0) for t in np.linspace(0.0, 2.0, 6)]
     with pytest.raises(ConfigurationError, match="`q`"):
-        ConcentrationStudyConfig(kind="rademacher", n=50, reps=10, t_max=1.0,
-                                 regressor="ar_copula", rho=0.5, q=26)
+        ConcentrationStudyConfig(kind="gram_deviation", n=50, reps=10,
+                                 t_max=1.0, regressor="ar_copula", rho=0.5,
+                                 q=26, basis_spec=haar)
+    # the plumbing generators draw i.i.d. summands: no regressor, so no
+    # `rho` and no `q` either
+    for kind in ("rademacher", "zero"):
+        with pytest.raises(ConfigurationError, match="`regressor`"):
+            ConcentrationStudyConfig(kind=kind, n=50, reps=10, t_max=1.0,
+                                     regressor="ar_copula", rho=0.5, q=5)
+        with pytest.raises(ConfigurationError, match="`regressor`"):
+            ConcentrationStudyConfig(kind=kind, n=50, reps=10, t_max=1.0,
+                                     regressor="ar_copula")
     with pytest.raises(ConfigurationError, match="`kind`"):
         ConcentrationStudyConfig(kind="gaussian", n=50, reps=10, t_max=1.0)
     with pytest.raises(ConfigurationError, match="basis"):

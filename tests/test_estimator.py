@@ -250,14 +250,15 @@ def test_projection_bounded_by_lebesgue_times_best_approx():
 def test_sup_and_l2_error_examples():
     basis = build_basis(BasisSpec.bspline(2, 6))
     grid = sup_grid(basis)
-    f = lambda pts: np.sin(2 * np.pi * pts[:, 0])
-    zero = lambda pts: np.zeros(pts.shape[0])
-    assert sup_error(f, f, grid) == 0.0
-    const = lambda pts: np.full(pts.shape[0], 0.7)
-    assert sup_error(const, zero, grid) == pytest.approx(0.7)
     quad = basis_quadrature(basis)
-    assert l2_error(const, zero, UNIFORM, quad=quad) == pytest.approx(0.7)
-    assert l2_error(f, zero, UNIFORM, quad=quad) == pytest.approx(
+    f = lambda pts: np.sin(2 * np.pi * pts[:, 0])
+    assert sup_error(f(grid), f(grid)) == 0.0
+    assert sup_error(np.full(grid.shape[0], 0.7),
+                     np.zeros(grid.shape[0])) == pytest.approx(0.7)
+    zero = np.zeros(quad.nodes.shape[0])
+    assert l2_error(np.full_like(zero, 0.7), zero, UNIFORM,
+                    quad=quad) == pytest.approx(0.7)
+    assert l2_error(f(quad.nodes), zero, UNIFORM, quad=quad) == pytest.approx(
         1 / np.sqrt(2), abs=1e-10)
 
 
@@ -278,12 +279,14 @@ def test_norm_equivalence_bounded_by_dev():
 
 
 def test_named_target_registry():
-    assert named_target("smooth_trig") is smooth_trig
+    assert named_target("smooth_trig", p=2.0) is smooth_trig
     hp = named_target("holder", p=1.5)
     pts = np.array([[0.2], [0.5], [0.9]])
-    assert np.isfinite(hp(pts)).all()
+    assert np.array_equal(hp(pts), holder_kink(1.5)(pts))
     with pytest.raises(ValueError):
-        named_target("mystery")
+        named_target("mystery", p=2.0)
+    with pytest.raises(ValueError, match="positive"):
+        named_target("holder", p=0.0)
     with pytest.raises(ValueError):
         holder_kink(0.0)
 

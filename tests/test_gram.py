@@ -280,8 +280,7 @@ def test_lebesgue_theoretical_power_vs_indicator_spline():
 @pytest.mark.parametrize("value", [-1.0, np.inf, np.nan])
 def test_lebesgue_theoretical_refuses_bad_density_value(value):
     # the kernel folds w_q f(y_q) into |.|, which needs it finite and >= 0
-    density = Density(pdf=lambda pts: np.where(pts[:, 0] < 0.5, 1.0, value),
-                      inf=0.0, sup=1.0)
+    density = Density(pdf=lambda pts: np.where(pts[:, 0] < 0.5, 1.0, value))
     with pytest.raises(ValueError, match="finite and >= 0"):
         lebesgue_constant_theoretical(build_basis(BasisSpec.bspline(2, 3)),
                                       density)
@@ -420,12 +419,15 @@ def test_dms_errors():
 
 
 def test_eigenvalue_sandwich_wavelets():
-    density = sine_density(0.5)
+    # an orthonormal basis' Gram under a density lies between the
+    # density's bounds on the cube, (1 -+ a)^d for the sine density
+    a = 0.5
+    density = sine_density(a)
     for spec in (BasisSpec.wavelet(1, 4), BasisSpec.wavelet(2, 4)):
         basis = build_basis(spec)
         evals = np.linalg.eigvalsh(theoretical_gram(basis, density))
-        assert evals[0] >= density.inf - 1e-8
-        assert evals[-1] <= density.sup + 1e-8
+        assert evals[0] >= (1.0 - a) ** spec.dim - 1e-8
+        assert evals[-1] <= (1.0 + a) ** spec.dim + 1e-8
 
 
 def test_dev_scaling_with_n():
@@ -447,7 +449,7 @@ def test_dev_scaling_with_n():
 
 def test_two_dimensional_haar_gram_identity():
     basis = build_basis(BasisSpec.wavelet(1, 2, dim=2))
-    gram = theoretical_gram(basis, uniform_density(dim=2))
+    gram = theoretical_gram(basis, uniform_density())
     assert gram.shape == (16, 16)
     assert np.max(np.abs(gram - np.eye(16))) < 1e-12
 
@@ -469,7 +471,7 @@ def test_kron_1d_gram_is_the_basis_rule_gram(spec, density):
 @pytest.mark.parametrize("spec", [BasisSpec.bspline(3, 4, dim=2),
                                   BasisSpec.wavelet(1, 3, dim=2)],
                          ids=["spline", "haar"])
-@pytest.mark.parametrize("density", [uniform_density(2), sine_density(0.4, 2)],
+@pytest.mark.parametrize("density", [UNIFORM, sine_density(0.4)],
                          ids=["uniform", "sine"])
 def test_kron_2d_gram_matches_product_rule(spec, density):
     # spline and Haar product rules are exact: both forms give the same Gram
@@ -486,7 +488,7 @@ def test_kron_2d_daubechies_gram_is_exact():
     # the default 1-D D2 rule at J = 3 already refines to the tabulation
     # step, so the 2-D Gram is the Kronecker square of the exact 1-D Gram
     uni = build_basis(BasisSpec.wavelet(2, 3))
-    density = sine_density(0.4, 2)
+    density = sine_density(0.4)
     exact = weighted_basis_gram(uni, basis_quadrature(uni, max_nodes_1d=2 ** 30),
                                 point_weight=density)
     assert np.array_equal(theoretical_gram(uni, density), exact)
@@ -594,7 +596,7 @@ def test_pruned_lebesgue_equals_exhaustive_bitwise(family, sample):
     dim = basis.spec.dim
     grid = _test_grid(basis)
     if sample == "theoretical":
-        density = sine_density(0.4, dim=dim)
+        density = sine_density(0.4)
         quad = basis_quadrature(basis, max_nodes_1d=2 ** 12 if dim == 1
                                 else 2 ** 6)
         half = _theoretical_half(basis, density, quad)
@@ -866,7 +868,7 @@ def test_grouped_gram_matches_dense_accumulation(spec, monkeypatch):
     basis = build_basis(spec)
     quad = basis_quadrature(basis, max_nodes_1d=2 ** 12 if spec.dim == 1
                             else 2 ** 7)
-    density = sine_density(0.4, dim=spec.dim)
+    density = sine_density(0.4)
     vals = basis.evaluate(quad.nodes)
     dense = vals.T @ (vals * (quad.weights * density(quad.nodes))[:, None])
     grouped = weighted_basis_gram(basis, quad, point_weight=density)

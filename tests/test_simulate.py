@@ -51,9 +51,15 @@ def test_copula_autocorrelation_present():
 
 
 def test_noiseless_sample_is_exact():
-    dgp = DgpSpec(error=ErrorSpec(kind="gaussian", sigma=0.0))
+    # sigma = 0 is refused, so take the noise out of a sample instead: it is
+    # h0 at the regressors plus the error draws of the same stream, exactly
+    dgp = DgpSpec(error=ErrorSpec(kind="gaussian", sigma=0.5))
     x, y = gen_sample(dgp, 200, seed=3)
-    assert np.array_equal(y, dgp.h0(x))
+    rng = np.random.default_rng(3)
+    x_ref = regressor_paths(dgp.regressor, 200, 1, rng)[0]
+    eps = error_draws(dgp.error, x_ref, rng)
+    assert np.array_equal(x, x_ref)
+    assert np.array_equal(y, dgp.h0(x) + eps)
 
 
 def test_sample_deterministic_given_seed():
@@ -117,6 +123,15 @@ def test_invalid_specs():
                              ("gaussian", "df", 7.0),
                              ("gaussian", "scale", 9.0)):
         with pytest.raises(ValueError, match=f"`{key}`"):
+            ErrorSpec(kind, **{key: value})
+    # a zero or negative deviation is refused, not drawn as a sign flip or
+    # as noise-free data
+    for kind, key, value in (("gaussian", "sigma", -1.0),
+                             ("gaussian", "sigma", 0.0),
+                             ("student_t", "scale", 0.0),
+                             ("student_t", "scale", -2.0)):
+        with pytest.raises(ConfigurationError, match=f"`{key}` must be a "
+                                                     "finite number > 0"):
             ErrorSpec(kind, **{key: value})
 
 
@@ -193,7 +208,7 @@ def test_rate_study_fixed_designs_bitwise():
             rng = derived_rng(config.seed, "rate", i_n, rep)
             fr = fit(basis, *gen_sample(dgp, n, rng=rng))
             want.append((n, spec.size, rep,
-                         sup_error(fr.predict(grid), dgp.h0(grid), grid),
+                         sup_error(fr.predict(grid), dgp.h0(grid)),
                          l2_error(fr.predict(quad.nodes), dgp.h0(quad.nodes),
                                   uniform_density(), quad=quad)))
     assert rate_study(config).rows == want
@@ -245,14 +260,15 @@ def test_coverage_counts_clamped_and_rank_deficient_reps(monkeypatch):
 
 
 def test_coverage_noiseless_reported_not_asserted():
-    # with sigma = 0 the only residual is approximation error, so intervals
-    # collapse toward points at the projected value; coverage is whatever
-    # the bias makes it and is reported rather than asserted
+    # with sigma near 0 (0 itself is refused) the residual is almost all
+    # approximation error, so intervals collapse toward points at the
+    # projected value; coverage is whatever the bias makes it and is
+    # reported rather than asserted
     base = dict(basis_spec=BasisSpec.wavelet(1, 3), n=200,
                 functional=FunctionalSpec.point_eval(0.37), reps=10,
                 krule_p=1.0, krule_c=4.0, seed=23)
     noiseless = coverage_study(CoverageStudyConfig(
-        dgp=DgpSpec(error=ErrorSpec(sigma=0.0)), **base))
+        dgp=DgpSpec(error=ErrorSpec(sigma=1e-9)), **base))
     noisy = coverage_study(CoverageStudyConfig(
         dgp=DgpSpec(error=ErrorSpec(sigma=1.0)), **base))
     assert 0.0 <= noiseless.summary["coverage"] <= 1.0
@@ -326,6 +342,11 @@ def test_derived_rng_streams_differ():
     c = derived_rng(1, "coverage", 0, 0).random(4)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_derived_rng_refuses_an_unknown_study():
+    with pytest.raises(ValueError, match="'rates'"):
+        derived_rng(1, "rates", 0, 0)
 
 
 def test_iid_uniform_matches_probit_of_normals():
