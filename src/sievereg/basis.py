@@ -45,7 +45,8 @@ _FAMILIES = {"bspline": {"order": 1, "n_interior": 0},
 
 
 class ConfigurationError(ValueError):
-    """A basis or study specification violates one of its constraints."""
+    """A spec, study config or name lookup refuses a value: every one of
+    them raises this type, a ValueError."""
 
 
 def _check_at_least(low, **fields):

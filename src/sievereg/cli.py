@@ -3,9 +3,10 @@
 Commands read a flat INI config (sections mirror the library modules) and
 write ``summary.json`` plus ``detail.csv`` (and matrix CSVs where relevant)
 into the output directory.  Unknown config keys are hard errors.  The
-schema here only parses types; the library's specs and study configs hold
-the defaults and check the values, and a value they reject is a config
-error.  Exit codes: 0 success, 2 config error, 3 embedded acceptance
+schema here only parses types; the library's specs, study configs and name
+lookups hold the defaults and check the values, and every one of them
+refuses with ``ConfigurationError`` (a ``ValueError``), which is a config
+error here.  Exit codes: 0 success, 2 config error, 3 embedded acceptance
 threshold violated, 4 numeric failure.
 """
 
@@ -14,7 +15,6 @@ import configparser
 import ctypes
 import os
 import sys
-from contextlib import contextmanager
 from operator import ge, gt, itemgetter, le
 
 import numpy as np
@@ -57,32 +57,6 @@ _DGP_FIELDS = {"regressor": (str, "regressor", "kind"),
                "h0": (str, "dgp", "h0_name"), "p": (float, "dgp", "smoothness"),
                "dim": (int, "dgp", "dim")}
 _DGP_KEYS = {key: (False, parse) for key, (parse, _, _) in _DGP_FIELDS.items()}
-
-# command -> [acceptance] key -> (parser, summary value, passes(value, threshold))
-_ACCEPTANCE = {
-    "rate-study": {
-        "slope_sup_min": (float, itemgetter("slope_sup"), ge),
-        "slope_sup_max": (float, itemgetter("slope_sup"), le),
-        "slope_l2_min": (float, itemgetter("slope_l2"), ge),
-        "slope_l2_max": (float, itemgetter("slope_l2"), le),
-    },
-    "coverage-study": {
-        "coverage_min": (float, itemgetter("coverage"), ge),
-        "coverage_max": (float, itemgetter("coverage"), le),
-        "ks_alpha": (float, itemgetter("ks_pvalue"), gt),
-    },
-    "stability-study": {
-        "max_median_lebesgue": (
-            float,
-            lambda summary: max(m["lebesgue_empirical"]
-                                for m in summary["medians"]),
-            le),
-    },
-    "concentration-study": {
-        "max_violations": (int, itemgetter("violations"), le),
-    },
-}
-
 
 _SCHEMAS = {
     "fit": {
@@ -131,12 +105,6 @@ _SCHEMAS = {
         "basis": (_BASIS_KEYS, True),
     },
 }
-
-
-# every study takes an optional [acceptance] section of its table's keys
-for _command, _table in _ACCEPTANCE.items():
-    _SCHEMAS[_command]["acceptance"] = (
-        {key: (False, parse) for key, (parse, _, _) in _table.items()}, False)
 
 
 def _read_config(args):
@@ -193,15 +161,6 @@ def _read_config(args):
     return out
 
 
-@contextmanager
-def _config_values():
-    """A value that a library spec or config rejects is a config error."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ConfigurationError(str(exc)) from exc
-
-
 def _dgp_spec(block):
     kwargs = {"regressor": {}, "error": {}, "dgp": {}}
     for key, value in block.items():
@@ -209,12 +168,6 @@ def _dgp_spec(block):
         kwargs[spec][name] = value
     return DgpSpec(regressor=RegressorSpec(**kwargs["regressor"]),
                    error=ErrorSpec(**kwargs["error"]), **kwargs["dgp"])
-
-
-def _functional_spec(block):
-    x0 = block.get("x0")
-    return FunctionalSpec(block["kind"],
-                          x0=None if x0 is None else np.array(x0))
 
 
 def _check_out(out_dir):
@@ -303,7 +256,7 @@ def _rate_config(cfg, args):
 def _coverage_config(cfg, args):
     return CoverageStudyConfig(dgp=_dgp_spec(cfg.get("dgp", {})),
                                basis_spec=BasisSpec(**cfg["basis"]),
-                               functional=_functional_spec(cfg["functional"]),
+                               functional=FunctionalSpec(**cfg["functional"]),
                                **cfg["study"])
 
 
@@ -322,7 +275,8 @@ def _concentration_config(cfg, args):
 
 
 # command -> (config builder, study function name, stdout rows of the
-# summary).  The study is looked up by name when it runs, so a wrapper
+# summary, [acceptance] key -> (parser, summary value, passes(value,
+# threshold))).  The study is looked up by name when it runs, so a wrapper
 # installed on this module's attribute sees the call.
 _STUDIES = {
     "rate-study": (_rate_config, "rate_study", lambda s: [
@@ -332,7 +286,12 @@ _STUDIES = {
         ("sup slope R2", fmt(s["slope_sup_r2"])),
         ("rank-deficient fits", s["rank_deficient"]),
         ("max cond", fmt(s["max_cond"])),
-    ]),
+    ], {
+        "slope_sup_min": (float, itemgetter("slope_sup"), ge),
+        "slope_sup_max": (float, itemgetter("slope_sup"), le),
+        "slope_l2_min": (float, itemgetter("slope_l2"), ge),
+        "slope_l2_max": (float, itemgetter("slope_l2"), le),
+    }),
     "coverage-study": (_coverage_config, "coverage_study", lambda s: [
         ("n / K", f"{s['n']} / {s['k']}"),
         ("coverage", fmt(s["coverage"])),
@@ -341,34 +300,42 @@ _STUDIES = {
         ("degenerate reps", s["degenerate"]),
         ("clamped reps", s["clamped"]),
         ("rank-deficient", s["rank_deficient"]),
-    ]),
+    ], {
+        "coverage_min": (float, itemgetter("coverage"), ge),
+        "coverage_max": (float, itemgetter("coverage"), le),
+        "ks_alpha": (float, itemgetter("ks_pvalue"), gt),
+    }),
     "stability-study": (_stability_config, "stability_study", lambda s: [
         (f"{m['family']} K={m['k']} n={m['n']}",
          f"dev={fmt(m['dev'])} leb={fmt(m['lebesgue_empirical'])}")
-        for m in s["medians"][:12]] or [("rows", "0")]),
+        for m in s["medians"][:12]] or [("rows", "0")], {
+        "max_median_lebesgue": (
+            float, lambda s: max(m["lebesgue_empirical"]
+                                 for m in s["medians"]), le),
+    }),
     "concentration-study": (
         _concentration_config, "concentration_study", lambda s: [
             ("generator", s["generator"]),
             ("n / reps", f"{s['n']} / {s['reps']}"),
             ("bound violations", s["violations"]),
-        ]),
+        ], {"max_violations": (int, itemgetter("violations"), le)}),
 }
 
-
-def _study_config(cfg, args):
-    with _config_values():
-        return _STUDIES[args.command][0](cfg, args)
+# every study takes an optional [acceptance] section of its row's keys
+for _command, (*_, _checks) in _STUDIES.items():
+    _SCHEMAS[_command]["acceptance"] = (
+        {key: (False, parse) for key, (parse, _, _) in _checks.items()}, False)
 
 
 def _cmd_study(cfg, out_dir, args):
     """Run the study and write its report with its [acceptance] checks."""
-    _, study, rows = _STUDIES[args.command]
-    config = _study_config(cfg, args)
+    build, study, rows, acceptance = _STUDIES[args.command]
+    config = build(cfg, args)
     _check_out(out_dir)
     report = globals()[study](config)
     checks = {}
     for key, threshold in cfg.get("acceptance", {}).items():
-        _, value, passes = _ACCEPTANCE[args.command][key]
+        _, value, passes = acceptance[key]
         checks[key] = bool(passes(value(report.summary), threshold))
     report.summary["acceptance"] = checks
     write_report(report, out_dir)
@@ -389,14 +356,13 @@ def _cmd_gram_report(cfg, out_dir, args):
         raise ConfigurationError("config key `seed` (or `--seed`) applies "
                                  "only with `n`: without it no sample is drawn")
     _check_at_least(0, seed=block.get("seed", 0))
-    with _config_values():
-        density = density_by_name(block.get("density", "uniform"))
-        if "amplitude" in block:
-            if density.name != "sine":
-                raise ConfigurationError(
-                    f"config key `amplitude` applies only to density = "
-                    f"sine, not {density.name!r}")
-            density = sine_density(block["amplitude"])
+    density = density_by_name(block.get("density", "uniform"))
+    if "amplitude" in block:
+        if density.name != "sine":
+            raise ConfigurationError(f"config key `amplitude` applies only "
+                                     f"to density = sine, not "
+                                     f"{density.name!r}")
+        density = sine_density(block["amplitude"])
     _check_out(out_dir)
     gram_th = theoretical_gram(basis, density)
     os.makedirs(out_dir, exist_ok=True)
@@ -461,7 +427,7 @@ def run(argv):
     try:
         cfg = _read_config(args)
         return _HANDLERS[args.command](cfg, args.out, args)
-    except (ConfigurationError,) as exc:
+    except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except AcceptanceFailure as exc:

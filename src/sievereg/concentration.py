@@ -76,18 +76,14 @@ def tropp_bound(inp, t):
     return float(dims * np.exp(-(t * t / 2.0) / denom))
 
 
-def mixing_bound(inp, t, remainder_tail=0.0):
+def mixing_bound(inp, t):
     """Blocked tail bound for beta-mixing summands; bounds
     P(||sum|| >= 6 t).
 
-    (n/q) beta(q) + remainder_tail + 2 (d1+d2) exp(-(t^2/2) /
-    (n q s2 + q r_bound t / 3)).  remainder_tail covers the incomplete
-    final block and is exactly 0 when q divides n.
+    (n/q) beta(q) + 2 (d1+d2) exp(-(t^2/2) / (n q s2 + q r_bound t / 3)).
     """
     if t < 0:
         raise ValueError("threshold t must be nonnegative")
-    if not 0.0 <= remainder_tail <= 1.0:
-        raise ValueError("remainder_tail must be a probability")
     if not 1 <= inp.q <= inp.n // 2:
         raise ValueError(f"block length q must be in [1, n/2], got {inp.q}")
     coupling = inp.n / inp.q * inp.beta_q
@@ -97,7 +93,7 @@ def mixing_bound(inp, t, remainder_tail=0.0):
     else:
         denom = inp.n * inp.q * inp.s2 + inp.q * inp.r_bound * t / 3.0
         expo = 0.0 if denom <= 0.0 else 2.0 * dims * np.exp(-(t * t / 2.0) / denom)
-    return float(coupling + remainder_tail + expo)
+    return float(coupling + expo)
 
 
 class ZeroGenerator:

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_CASCADE_STEPS = 60     # refinement steps before the cascade gives up
+
 
 class CascadeError(RuntimeError):
     """Fixed-grid refinement iteration failed to converge."""
@@ -44,12 +46,12 @@ def scaling_filter(n_moments):
     raise ValueError(f"vanishing-moment count must be in {{1, 2, 3}}, got {n_moments}")
 
 
-def cascade(filt, depth, max_iter=60):
+def cascade(filt, depth):
     """Tabulate the scaling function on [0, 2N-1] at step 2**-depth.
 
     Starts from the unit box and applies the two-scale map on the fixed grid
     until the sup change falls to 1e-8.  Raises CascadeError when the
-    iteration has not converged after `max_iter` steps.
+    iteration has not converged after `_CASCADE_STEPS` steps.
 
     At node 0 the map reads phi(0) = sqrt(2) h_0 phi(0), so phi(0) = 0
     unless sqrt(2) h_0 = 1 (Haar); the iteration only shrinks it (to 7.7e-9
@@ -64,7 +66,7 @@ def cascade(filt, depth, max_iter=60):
 
     sqrt2 = np.sqrt(2.0)
     idx = np.arange(n_pts)
-    for _ in range(max_iter):
+    for _ in range(_CASCADE_STEPS):
         nxt = np.zeros(n_pts)
         for k in range(n_taps):
             src = 2 * idx - k * steps_per_unit
@@ -79,7 +81,7 @@ def cascade(filt, depth, max_iter=60):
             return phi
     raise CascadeError(
         f"refinement iteration still changing by {delta:.2e} (> 1e-08) "
-        f"after {max_iter} iterations"
+        f"after {_CASCADE_STEPS} iterations"
     )
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import LocalDesign
+from .basis import ConfigurationError, LocalDesign
 from .gram import GramFactor
 from .quadrature import points_2d
 
@@ -143,8 +143,8 @@ def holder_kink(p):
     function is not even); for integer p the signed variant
     sign(x - 1/2) |x - 1/2|^p keeps the p-th derivative discontinuous.
     """
-    if p <= 0:
-        raise ValueError("smoothness p must be positive")
+    if not p > 0:       # NaN too
+        raise ConfigurationError("smoothness p must be positive")
 
     def target(pts):
         pts = points_2d(pts)
@@ -167,6 +167,6 @@ def named_target(name, p):
     """The target `name`; `p` is the holder smoothness (smooth_trig has
     none and ignores it)."""
     if name not in NAMED_TARGETS:
-        raise ValueError(f"unknown target {name!r}; expected one of "
-                         f"{sorted(NAMED_TARGETS)}")
+        raise ConfigurationError(f"unknown target {name!r}; expected one of "
+                                 f"{sorted(NAMED_TARGETS)}")
     return NAMED_TARGETS[name](p)

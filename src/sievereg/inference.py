@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
+from .basis import ConfigurationError
 from .gram import GramFactor, NumericError
 from .quadrature import basis_quadrature
 
@@ -26,7 +27,7 @@ class FunctionalSpec:
     kind is one of "point_eval" (h -> h(x0)), "integral"
     (h -> int over [0, 1]^d of h, Lebesgue), "nonlinear_exp_eval"
     (h -> exp(h(x0))).  The first two are linear: their derivative vector
-    does not depend on h.
+    does not depend on h.  A given x0 is kept as a float array.
     """
 
     kind: str
@@ -34,10 +35,12 @@ class FunctionalSpec:
 
     def __post_init__(self):
         if self.kind not in ("point_eval", "integral", "nonlinear_exp_eval"):
-            raise ValueError(f"unknown functional kind {self.kind!r}")
+            raise ConfigurationError(f"unknown functional kind {self.kind!r}")
         if (self.kind == "integral") != (self.x0 is None):
             need = "takes no" if self.x0 is not None else "needs the"
-            raise ValueError(f"{self.kind} {need} evaluation point `x0`")
+            raise ConfigurationError(f"{self.kind} {need} evaluation point `x0`")
+        if self.x0 is not None:
+            object.__setattr__(self, "x0", np.array(self.x0, float, ndmin=1))
 
     @property
     def linear(self):
@@ -45,7 +48,7 @@ class FunctionalSpec:
 
     @staticmethod
     def point_eval(x0):
-        return FunctionalSpec(kind="point_eval", x0=np.atleast_1d(np.asarray(x0, float)))
+        return FunctionalSpec(kind="point_eval", x0=x0)
 
     @staticmethod
     def integral():
@@ -53,8 +56,7 @@ class FunctionalSpec:
 
     @staticmethod
     def nonlinear_exp_eval(x0):
-        return FunctionalSpec(kind="nonlinear_exp_eval",
-                              x0=np.atleast_1d(np.asarray(x0, float)))
+        return FunctionalSpec(kind="nonlinear_exp_eval", x0=x0)
 
     def _points(self, basis, quad):
         """Where the linear part looks and how it weighs: x0 as one row and
@@ -63,6 +65,9 @@ class FunctionalSpec:
         if self.kind != "integral":
             return self.x0.reshape(1, -1), None
         if quad is None:
+            if basis is None:
+                raise ValueError("integral needs a quadrature rule: `quad` "
+                                 "or the `basis` whose rule it takes")
             quad = basis_quadrature(basis)
         return quad.nodes, quad.weights
 

@@ -18,6 +18,8 @@ from functools import reduce
 
 import numpy as np
 
+from .basis import ConfigurationError
+
 
 def points_2d(x):
     """Float (n, d) view of points; a 1-D array is n points in one dimension."""
@@ -67,7 +69,7 @@ def sine_density(amplitude=0.5):
     """Product density prod_a (1 + amplitude * sin(2 pi x_a)) in any
     dimension; integrates to 1."""
     if not 0.0 <= amplitude < 1.0:
-        raise ValueError("amplitude must be in [0, 1)")
+        raise ConfigurationError("amplitude must be in [0, 1)")
 
     def pdf(pts):
         return np.prod(1.0 + amplitude * np.sin(2.0 * np.pi * pts), axis=1)
@@ -83,8 +85,8 @@ _DENSITIES = {"uniform": uniform_density, "sine": sine_density}
 
 def density_by_name(name):
     if name not in _DENSITIES:
-        raise ValueError(f"unknown density {name!r}; expected one of "
-                         f"{sorted(_DENSITIES)}")
+        raise ConfigurationError(f"unknown density {name!r}; expected one of "
+                                 f"{sorted(_DENSITIES)}")
     return _DENSITIES[name]()
 
 

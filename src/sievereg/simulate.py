@@ -53,12 +53,13 @@ class RegressorSpec:
 
     def __post_init__(self):
         if self.kind not in ("iid_uniform", "ar_copula"):
-            raise ValueError(f"unknown regressor kind {self.kind!r}")
+            raise ConfigurationError(f"unknown regressor kind {self.kind!r}")
         if self.kind == "iid_uniform" and self.rho != 0.0:
-            raise ValueError(f"`rho` applies only to ar_copula regressors, "
-                             f"not iid_uniform, got {self.rho}")
+            raise ConfigurationError(f"`rho` applies only to ar_copula regressors, "
+                                     f"not iid_uniform, got {self.rho}")
         if self.kind == "ar_copula" and not -1.0 < self.rho < 1.0:
-            raise ValueError(f"ar_copula rho must be in (-1, 1), got {self.rho}")
+            raise ConfigurationError(f"ar_copula rho must be in (-1, 1), "
+                                     f"got {self.rho}")
 
     @property
     def mixing(self):
@@ -84,16 +85,17 @@ class ErrorSpec:
 
     def __post_init__(self):
         if self.kind not in ("gaussian", "student_t", "heteroskedastic"):
-            raise ValueError(f"unknown error kind {self.kind!r}")
+            raise ConfigurationError(f"unknown error kind {self.kind!r}")
         _check_positive(sigma=self.sigma, df=self.df, scale=self.scale)
         for name, law in (("sigma", "gaussian"), ("df", "student_t"),
                           ("scale", "student_t")):
             value = getattr(self, name)
             if self.kind != law and value != getattr(ErrorSpec, name):
-                raise ValueError(f"`{name}` applies only to the {law} "
-                                 f"error law, not {self.kind}, got {value}")
+                raise ConfigurationError(f"`{name}` applies only to the {law} "
+                                         f"error law, not {self.kind}, got {value}")
         if self.kind == "student_t" and self.df <= 2.0:
-            raise ValueError(f"student_t needs df > 2 for a finite variance, got {self.df}")
+            raise ConfigurationError(f"student_t needs df > 2 for a finite "
+                                     f"variance, got {self.df}")
 
 
 def bump_sigma(pts):
@@ -429,6 +431,9 @@ class StabilityStudyConfig:
                         n_grid=self.n_grid, threads=self.threads)
         _check_at_least(0, seed=self.seed)
         _check_dims(self.dgp, *self.basis_specs)
+        if self.dgp != DgpSpec(regressor=self.dgp.regressor, dim=self.dgp.dim):
+            raise ConfigurationError(f"the stability study reads only the DGP "
+                                     f"regressor and `dim`, got {self.dgp}")
         cells = [(spec.family, _spec_for_size(spec, k, self.dgp.dim).size, n)
                  for spec in self.basis_specs for k in self.k_grid
                  for n in self.n_grid]

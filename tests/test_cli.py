@@ -643,6 +643,7 @@ def test_demo_configs_build_their_library_configs(name):
                 "stability-study": StabilityStudyConfig,
                 "concentration-study": ConcentrationStudyConfig}
     if command in expected:
-        assert isinstance(cli._study_config(cfg, args), expected[command])
+        assert isinstance(cli._STUDIES[command][0](cfg, args),
+                          expected[command])
     else:
         assert isinstance(BasisSpec(**cfg["basis"]), BasisSpec)

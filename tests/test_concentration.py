@@ -32,9 +32,8 @@ def test_mixing_values():
     expected = 0.02 + 4.0 * np.exp(-50.0 / (5.0 + 50.0 / 3.0))
     assert mixing_bound(inp, 10.0) == pytest.approx(expected, rel=1e-15)
     assert mixing_bound(inp, 10.0) == pytest.approx(0.41796232197943384)
-    # t = 0: coupling + remainder + 2 (d1 + d2)
-    assert mixing_bound(inp, 0.0, remainder_tail=0.25) == pytest.approx(
-        0.02 + 0.25 + 4.0)
+    # t = 0: coupling + 2 (d1 + d2)
+    assert mixing_bound(inp, 0.0) == pytest.approx(0.02 + 4.0)
 
 
 def test_mixing_beta_zero_divisible_blocks():

@@ -58,8 +58,9 @@ def test_partition_of_unity_on_grid():
 
 
 def test_cascade_nonconvergence_raises():
-    with pytest.raises(CascadeError):
-        cascade(scaling_filter(2), DEPTH, max_iter=3)
+    # twice an orthonormal filter doubles the map's gain: the iterates grow
+    with pytest.raises(CascadeError, match="after 60 iterations"):
+        cascade(2 * scaling_filter(2), DEPTH)
 
 
 def test_boundary_counts_and_supports():

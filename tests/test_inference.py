@@ -51,6 +51,22 @@ def test_integral_refuses_x0_and_points_need_it():
         FunctionalSpec("point_eval")
 
 
+def test_x0_is_kept_as_a_float_array():
+    spec = FunctionalSpec("point_eval", x0=1)
+    assert spec.x0.dtype == float and spec.x0.tolist() == [1.0]
+    assert np.array_equal(FunctionalSpec.point_eval(1).x0, spec.x0)
+
+
+def test_integral_value_needs_a_rule(haar2):
+    # without `quad` or `basis` there is no rule to integrate h on
+    basis, _ = haar2
+    spec = FunctionalSpec.integral()
+    with pytest.raises(ValueError, match="`quad`"):
+        spec.value(smooth_trig)
+    one = spec.value(lambda pts: np.ones(len(pts)), basis)[0]
+    assert one == pytest.approx(1.0, abs=1e-12)
+
+
 def test_representer_property_random_directions(haar2):
     # E_quad[v* v] recovers the functional derivative for span elements
     basis, gram = haar2

@@ -6,9 +6,10 @@ from scipy.special import ndtr
 from sievereg.basis import (BasisSpec, BasisSystem, ConfigurationError,
                             build_basis)
 from sievereg.concentration import ConcentrationStudyConfig
-from sievereg.estimator import fit, l2_error, sup_error
+from sievereg.estimator import fit, l2_error, named_target, sup_error
 from sievereg.gram import GramFactor
-from sievereg.quadrature import basis_quadrature, sup_grid, uniform_density
+from sievereg.quadrature import (basis_quadrature, density_by_name,
+                                 sine_density, sup_grid, uniform_density)
 from sievereg.simulate import (CoverageStudyConfig, DgpSpec, ErrorSpec,
                                RateStudyConfig, RegressorSpec,
                                StabilityStudyConfig, _spec_for_size,
@@ -421,3 +422,40 @@ def test_study_configs_reject_non_positive_counts(study, field, value):
     _STUDY_CONFIGS[study]()          # the valid baseline builds
     with pytest.raises(ConfigurationError, match=f"`{field}`"):
         _STUDY_CONFIGS[study](**{field: value})
+
+
+@pytest.mark.parametrize("dgp", [
+    DgpSpec(error=ErrorSpec("student_t")), DgpSpec(error=ErrorSpec(sigma=2.0)),
+    DgpSpec(h0_name="holder"), DgpSpec(smoothness=1.5),
+], ids=["student_t", "sigma", "holder", "p"])
+def test_stability_refuses_dgp_fields_it_never_reads(dgp):
+    # the study draws regressors only: an error law or target would be
+    # dropped without a word
+    _STUDY_CONFIGS["stability"](
+        dgp=DgpSpec(regressor=RegressorSpec("ar_copula", 0.5)))
+    with pytest.raises(ConfigurationError, match="regressor and `dim`"):
+        _STUDY_CONFIGS["stability"](dgp=dgp)
+
+
+@pytest.mark.parametrize("refuse", [
+    lambda: RegressorSpec("mystery"),
+    lambda: RegressorSpec("iid_uniform", 0.5),
+    lambda: RegressorSpec("ar_copula", 1.0),
+    lambda: ErrorSpec("mystery"),
+    lambda: ErrorSpec("student_t", sigma=2.0),
+    lambda: ErrorSpec("student_t", df=2.0),
+    lambda: FunctionalSpec("mystery"),
+    lambda: FunctionalSpec("integral", x0=0.5),
+    lambda: named_target("mystery", 2.0),
+    lambda: named_target("holder", 0.0),
+    lambda: named_target("holder", float("nan")),
+    lambda: sine_density(1.0),
+    lambda: density_by_name("mystery"),
+], ids=["regressor-kind", "iid-rho", "copula-rho", "error-kind",
+        "foreign-field", "student-df", "functional-kind", "functional-x0",
+        "target", "holder-p", "holder-nan", "amplitude", "density"])
+def test_spec_refusals_are_configuration_errors(refuse):
+    # every spec and name lookup refuses with the one type the CLI maps to
+    # exit 2 (a ValueError, so library callers may catch either)
+    with pytest.raises(ConfigurationError):
+        refuse()
