@@ -29,6 +29,7 @@ gradient's axis), 1 for Haar, K0 for trig and power).
 
 from dataclasses import dataclass, replace
 from functools import cache
+from numbers import Real
 
 import numpy as np
 
@@ -62,11 +63,23 @@ def _check_at_least(low, **fields):
                 f"got {value!r}")
 
 
+def _check_real(**fields):
+    """ConfigurationError unless each value is a real number or a non-empty
+    array of them."""
+    for name, value in fields.items():
+        items = np.ravel(value).tolist()
+        if not items or not all(isinstance(v, Real) for v in items):
+            raise ConfigurationError(
+                f"`{name}` must be a real number (or a non-empty array of "
+                f"them), got {value!r}")
+
+
 def _check_positive(**fields):
     """ConfigurationError unless each value other than None is a finite
-    number > 0."""
+    real number > 0."""
     for name, value in fields.items():
-        if value is not None and not (np.isfinite(value) and value > 0.0):
+        if value is not None and not (isinstance(value, Real)
+                                      and np.isfinite(value) and value > 0.0):
             raise ConfigurationError(
                 f"`{name}` must be a finite number > 0, got {value}")
 
@@ -397,6 +410,9 @@ class BasisSystem:
         self.spec = spec
         self._uni = univariate
         self.size = spec.size
+        # the 1-D basis whose d-fold tensor power this is; both share `_uni`
+        self.factor = (self if spec.dim == 1 else
+                       BasisSystem(replace(spec, dim=1), univariate))
         k0 = spec.size_1d
         idx = np.indices((k0,) * spec.dim).reshape(spec.dim, -1)
         # (K, dim, 2): per-coordinate support interval of each tensor function
@@ -467,22 +483,21 @@ def build_basis(spec):
     return BasisSystem(spec, _Univariate(spec))
 
 
-def spec_with_size(spec, size_1d):
-    """Nearest valid spec of the same family with per-dimension size target.
+def spec_with_size(spec, k_target):
+    """Nearest valid spec of the same family to k_target functions in all.
 
-    Used by the K rules: splines keep their order and adjust the knot count,
-    wavelets round the level to log2 of the target (respecting the level
-    constraint), trig/power adjust the degree.
+    Each axis takes round(k_target ** (1 / dim)), at least 2: splines adjust
+    the knot count, wavelets round the level to log2 of it (respecting the
+    level constraint), trig/power adjust the degree.
     """
+    size_1d = max(2, int(round(k_target ** (1 / spec.dim))))
     if spec.family == "bspline":
-        m = max(0, int(round(size_1d)) - spec.order)
-        return replace(spec, n_interior=m)
+        return replace(spec, n_interior=max(0, size_1d - spec.order))
     if spec.family == "wavelet":
-        level = max(1, int(round(np.log2(max(2, size_1d)))))
-        if spec.n_moments >= 2:
-            while 2 ** level <= 2 * spec.n_moments:
-                level += 1
+        level = int(round(np.log2(size_1d)))
+        while spec.n_moments >= 2 and 2 ** level <= 2 * spec.n_moments:
+            level += 1
         return replace(spec, level=level)
     if spec.family == "trig":
-        return replace(spec, degree=max(0, int(round((size_1d - 1) / 2))))
-    return replace(spec, degree=max(0, int(round(size_1d)) - 1))
+        return replace(spec, degree=round((size_1d - 1) / 2))
+    return replace(spec, degree=size_1d - 1)

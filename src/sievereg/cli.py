@@ -30,7 +30,8 @@ from .reporting import (fmt, write_detail_csv, write_matrix_csv,
                         write_report, write_summary_json)
 from .simulate import (CoverageStudyConfig, DgpSpec, ErrorSpec,
                        RateStudyConfig, RegressorSpec, StabilityStudyConfig,
-                       coverage_study, rate_study, stability_study)
+                       coverage_study, derived_rng, rate_study,
+                       stability_study)
 
 
 class AcceptanceFailure(RuntimeError):
@@ -84,9 +85,7 @@ _SCHEMAS = {
         "study": ({"reps": (True, int), "k_grid": (True, _list_of(int)),
                    "n_grid": (True, _list_of(int)), "seed": (False, int),
                    "threads": (False, int)}, True),
-        # the study draws regressors only: no error law or target
-        "dgp": ({key: _DGP_KEYS[key] for key in ("regressor", "rho", "dim")},
-                False),
+        "dgp": (_DGP_KEYS, False),
         "basis": (_BASIS_KEYS, True),
         "basis2": (_BASIS_KEYS, False),
         "basis3": (_BASIS_KEYS, False),
@@ -371,7 +370,7 @@ def _cmd_gram_report(cfg, out_dir, args):
                "density": density.name,
                "matrices": {"gram": "gram.csv"}}
     if "n" in block:
-        rng = np.random.default_rng([int(block.get("seed", 0)), 7])
+        rng = derived_rng(block.get("seed", 0), "gram-report")
         x = density.sample(rng, block["n"], spec.dim)
         gram_emp, report = empirical_gram(basis, x, gram_th)
         write_matrix_csv(os.path.join(out_dir, "gram_emp.csv"), gram_emp)

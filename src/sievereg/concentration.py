@@ -25,10 +25,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basis import ConfigurationError, _check_at_least, build_basis
+from .basis import (ConfigurationError, _check_at_least, _check_real,
+                    build_basis)
 from .gram import GramFactor, theoretical_gram, zeta_constant
 from .quadrature import uniform_density
-from .simulate import RegressorSpec, StudyReport, regressor_paths
+from .simulate import RegressorSpec, StudyReport, derived_rng, regressor_paths
 
 
 # Replications per chunk in `GramDeviationGenerator.sum_norms`; each chunk
@@ -116,7 +117,7 @@ class RademacherGenerator:
                                     sigma2=float(n))
 
     def sum_norms(self, reps, seed):
-        rng = np.random.default_rng([int(seed), 101])
+        rng = derived_rng(seed, "rademacher")
         signs = rng.integers(0, 2, size=(reps, self.n)) * 2 - 1
         return np.abs(signs.sum(axis=1)).astype(float)
 
@@ -168,7 +169,7 @@ class GramDeviationGenerator:
         out = np.empty(reps)
         for c, done in enumerate(range(0, reps, _CHUNK)):
             m = min(_CHUNK, reps - done)
-            rng = np.random.default_rng([int(seed), 202, c])
+            rng = derived_rng(seed, "gram_deviation", c)
             x = regressor_paths(self.regressor, self.n, self.basis.spec.dim,
                                 rng, reps=m)
             local = self.basis.local(x.reshape(m * self.n, -1))
@@ -225,6 +226,7 @@ class ConcentrationStudyConfig:
                 f"generator kind {self.kind} " + (
                     "needs a basis spec ([basis])" if self.basis_spec is None
                     else "reads no basis spec ([basis])"))
+        _check_real(t_max=self.t_max)
         if not (np.isfinite(self.t_max) and self.t_max >= 0.0):
             raise ConfigurationError(
                 f"`t_max` must be a finite number >= 0, got {self.t_max}")

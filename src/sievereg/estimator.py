@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import ConfigurationError, LocalDesign
+from .basis import ConfigurationError, LocalDesign, _check_real
 from .gram import GramFactor
 from .quadrature import points_2d
 
@@ -143,6 +143,7 @@ def holder_kink(p):
     function is not even); for integer p the signed variant
     sign(x - 1/2) |x - 1/2|^p keeps the p-th derivative discontinuous.
     """
+    _check_real(p=p)
     if not p > 0:       # NaN too
         raise ConfigurationError("smoothness p must be positive")
 

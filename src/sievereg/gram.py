@@ -13,12 +13,11 @@ theoretical and empirical L2 projections onto the sieve, and the
 banded-inverse bound with its exponential off-diagonal decay envelope.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
-from .basis import build_basis
 from .quadrature import (basis_quadrature, points_2d, sup_grid,
                          weighted_basis_gram)
 
@@ -112,14 +111,12 @@ def theoretical_gram(basis, density):
 
     The basis is a tensor product of one univariate basis and the density
     a product of one identical factor per coordinate (see `Density`), so
-    the Gram is the d-fold Kronecker power of the univariate basis' Gram
-    under that factor, integrated by its 1-D `basis_quadrature` rule.
+    the Gram is the d-fold Kronecker power of the Gram of `basis.factor`
+    under the density's factor, integrated by its 1-D `basis_quadrature` rule.
     """
-    d = basis.spec.dim
-    basis_1d = basis if d == 1 else build_basis(replace(basis.spec, dim=1))
-    gram_1d = weighted_basis_gram(basis_1d, basis_quadrature(basis_1d),
+    gram_1d = weighted_basis_gram(basis.factor, basis_quadrature(basis.factor),
                                   point_weight=density)
-    return reduce(np.kron, [gram_1d] * d)
+    return reduce(np.kron, [gram_1d] * basis.spec.dim)
 
 
 def empirical_gram_matrix(basis, x):

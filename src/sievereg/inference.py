@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .basis import ConfigurationError
+from .basis import ConfigurationError, _check_real
 from .gram import GramFactor, NumericError
 from .quadrature import basis_quadrature
 
@@ -40,6 +40,7 @@ class FunctionalSpec:
             need = "takes no" if self.x0 is not None else "needs the"
             raise ConfigurationError(f"{self.kind} {need} evaluation point `x0`")
         if self.x0 is not None:
+            _check_real(x0=self.x0)
             object.__setattr__(self, "x0", np.array(self.x0, float, ndmin=1))
 
     @property

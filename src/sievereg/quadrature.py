@@ -18,7 +18,7 @@ from functools import reduce
 
 import numpy as np
 
-from .basis import ConfigurationError
+from .basis import ConfigurationError, _check_real
 
 
 def points_2d(x):
@@ -68,6 +68,7 @@ def uniform_density():
 def sine_density(amplitude=0.5):
     """Product density prod_a (1 + amplitude * sin(2 pi x_a)) in any
     dimension; integrates to 1."""
+    _check_real(amplitude=amplitude)
     if not 0.0 <= amplitude < 1.0:
         raise ConfigurationError("amplitude must be in [0, 1)")
 

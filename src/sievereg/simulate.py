@@ -9,14 +9,14 @@ conditional deviation `bump_sigma` of the current regressor.  Both uniform
 variants draw through the normal CDF so the rho -> 0 copula reproduces the
 i.i.d. stream exactly.
 
-The rate and coverage studies derive one RNG per (study, n-index,
-replication) from the master seed (coverage's one n has index 0).  The
-stability study keys its stream by (study, 1000 * n-index + K target,
-replication) instead, one stream per (K target, n); every family at a K
-target reads the same regressor draws.  The tail study in
-`concentration` seeds each chunk of replications itself, from (seed,
-generator tag, chunk).  So reports are bit-identical across reruns and
-worker counts; replications may execute on a thread pool, results are
+The studies, the tail generators and the CLI's gram-report sample draw
+from `derived_rng(seed, stream, *keys)`, default_rng([seed, tag, *keys])
+with the tag from one table, `_STREAMS`.  The rate and coverage studies key a stream by (n-index,
+replication) (coverage's one n has index 0); the stability study by
+(1000 * n-index + K target, replication), so every family at a K target
+reads the same regressor draws; the Gram-deviation tail generator by chunk
+of replications.  So reports are bit-identical across reruns and worker
+counts; replications may execute on a thread pool, results are
 aggregated in replication order.
 """
 
@@ -29,7 +29,7 @@ from scipy.special import ndtr
 
 from ._kolmogorov import ks_normal
 from .basis import (ConfigurationError, _check_at_least, _check_positive,
-                    build_basis, spec_with_size)
+                    _check_real, build_basis, spec_with_size)
 from .estimator import fit, fixed_design, l2_error, named_target, sup_error
 from .gram import (GramFactor, NumericError, empirical_gram_matrix,
                    gram_deviation, lebesgue_constant_empirical,
@@ -38,7 +38,9 @@ from .inference import FunctionalSpec, functional_report
 from .quadrature import (basis_quadrature, points_2d, sup_grid,
                          uniform_density)
 
-_STUDY_TAGS = {"rate": 1, "coverage": 2, "stability": 3}
+# stream -> its tag in the seed sequence [seed, tag, *keys]
+_STREAMS = {"rate": 1, "coverage": 2, "stability": 3, "gram-report": 7,
+            "rademacher": 101, "gram_deviation": 202}
 
 # error rate (n / log n)^slope of the synthetic-oracle rate study
 _SYNTHETIC_SLOPE = -0.4
@@ -54,6 +56,7 @@ class RegressorSpec:
     def __post_init__(self):
         if self.kind not in ("iid_uniform", "ar_copula"):
             raise ConfigurationError(f"unknown regressor kind {self.kind!r}")
+        _check_real(rho=self.rho)
         if self.kind == "iid_uniform" and self.rho != 0.0:
             raise ConfigurationError(f"`rho` applies only to ar_copula regressors, "
                                      f"not iid_uniform, got {self.rho}")
@@ -130,14 +133,14 @@ class DgpSpec:
                            named_target(self.h0_name, p=self.smoothness))
 
 
-def derived_rng(master_seed, study, n_index, rep):
-    """Deterministic per-replication generator stream of the study "rate",
-    "coverage" or "stability"."""
-    if study not in _STUDY_TAGS:
-        raise ValueError(f"unknown study {study!r}; expected one of "
-                         f"{sorted(_STUDY_TAGS)}")
+def derived_rng(master_seed, stream, *keys):
+    """Deterministic generator of one stream of `_STREAMS` at the integer
+    keys (a study's n-index and replication, a tail chunk)."""
+    if stream not in _STREAMS:
+        raise ValueError(f"unknown stream {stream!r}; expected one of "
+                         f"{sorted(_STREAMS)}")
     return np.random.default_rng(
-        [int(master_seed), _STUDY_TAGS[study], int(n_index), int(rep)])
+        [int(master_seed), _STREAMS[stream], *(int(key) for key in keys)])
 
 
 def regressor_paths(spec, n, dim, rng, reps=1):
@@ -220,11 +223,6 @@ def k_rule(n, p, d, c=1.0):
     return max(1, int(round(c * (n / np.log(n)) ** (d / (2.0 * p + d)))))
 
 
-def _spec_for_size(spec, k_target, dim):
-    """The spec of spec's family nearest to k_target functions in dim dims."""
-    return spec_with_size(spec, max(2, int(round(k_target ** (1.0 / dim)))))
-
-
 def _check_p_read(config):
     """Refuse a DGP `p` that neither h0 nor the K rule reads: smooth_trig
     has no smoothness, and a given `krule_p` replaces `p` in the K rule."""
@@ -239,7 +237,7 @@ def _sieve_spec(config, n):
     """The spec that the K rule gives a rate or coverage study at size n."""
     p = config.dgp.smoothness if config.krule_p is None else config.krule_p
     k = k_rule(n, p, config.dgp.dim, config.krule_c)
-    return _spec_for_size(config.basis_spec, k, config.dgp.dim)
+    return spec_with_size(config.basis_spec, k)
 
 
 @dataclass(frozen=True)
@@ -353,6 +351,7 @@ class CoverageStudyConfig:
         _check_positive(krule_c=self.krule_c, krule_p=self.krule_p)
         _check_dims(self.dgp, self.basis_spec)
         _check_p_read(self)
+        _check_real(level=self.level)
         if not 0.0 < self.level < 1.0:
             raise ConfigurationError(f"`level` must be in (0, 1), got {self.level}")
         if self.functional.x0 is not None:
@@ -434,7 +433,7 @@ class StabilityStudyConfig:
         if self.dgp != DgpSpec(regressor=self.dgp.regressor, dim=self.dgp.dim):
             raise ConfigurationError(f"the stability study reads only the DGP "
                                      f"regressor and `dim`, got {self.dgp}")
-        cells = [(spec.family, _spec_for_size(spec, k, self.dgp.dim).size, n)
+        cells = [(spec.family, spec_with_size(spec, k).size, n)
                  for spec in self.basis_specs for k in self.k_grid
                  for n in self.n_grid]
         if len(set(cells)) < len(cells):
@@ -467,7 +466,7 @@ def stability_study(config):
     slopes = []     # per-(family, K) deviation slope in log n
     for spec_t in config.basis_specs:
         for k_target in config.k_grid:
-            spec_k = _spec_for_size(spec_t, k_target, dgp.dim)
+            spec_k = spec_with_size(spec_t, k_target)
             basis = build_basis(spec_k)
             factor_th = GramFactor(theoretical_gram(basis, density))
             grid = basis.local(sup_grid(basis))

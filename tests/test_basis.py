@@ -240,6 +240,8 @@ def test_spec_with_size_families():
     assert spec_with_size(BasisSpec.wavelet(2, 3), 5).level == 3
     assert spec_with_size(BasisSpec.trig(1), 9).degree == 4
     assert spec_with_size(BasisSpec.power(1), 8).degree == 7
+    # the target is the total K: 8 functions per axis in 2-D
+    assert spec_with_size(BasisSpec.bspline(3, 0, dim=2), 64).size == 64
 
 
 def test_trig_norm_constant():

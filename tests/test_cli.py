@@ -422,9 +422,9 @@ STABILITY_D2_D3 = ("[study]\nreps = 2\nk_grid = 16\nn_grid = 2000\n"
                                                     regressor="iid_uniform"),
      "`rho`"),
     ("stability-study", STABILITY + "[dgp]\nerror = student_t\ndf = 3\n"
-     "h0 = holder\n", "`error`"),
+     "h0 = holder\n", "regressor and `dim`"),
     ("stability-study", STABILITY + "[dgp]\nregressor = ar_copula\n"
-     "rho = 0.5\nh0 = holder\n", "`h0`"),
+     "rho = 0.5\nh0 = holder\n", "regressor and `dim`"),
     ("concentration-study", CONCENTRATION.format(reps=10, t=5, n=50)
      + "[basis]\nfamily = wavelet\nn_moments = 1\nlevel = 2\n", "[basis]"),
     ("concentration-study", CONCENTRATION.format(reps=10, t=5, n=50)
@@ -617,6 +617,15 @@ def test_fit_grid_key_on_2d_fit_exits_2(tmp_path, capsys):
     _write(cfg, text.format(grid=""))
     assert run(["fit", "--config", str(cfg), "--out", str(out)]) == 0
     assert not (out / "curve.csv").exists()
+
+
+def test_stability_dgp_key_at_its_default_runs(tmp_path):
+    # the study reads only the regressor and `dim`; like every rule inside
+    # a spec, its refusal of the other DGP fields spares a default value
+    cfg, out = tmp_path / "stab.ini", tmp_path / "o"
+    _write(cfg, STABILITY + "[dgp]\nerror = gaussian\nh0 = smooth_trig\n")
+    assert run(["stability-study", "--config", str(cfg),
+                "--out", str(out)]) == 0
 
 
 DEMO_CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "demos",

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -482,6 +484,12 @@ def test_kron_2d_gram_matches_product_rule(spec, density):
     assert gram.shape == (basis.size, basis.size)
     assert (np.max(np.abs(gram - rule_gram))
             <= 1e-14 * np.max(np.abs(rule_gram)))
+    # the Kronecker square of the Gram of the basis' 1-D factor, whose own
+    # factor is itself
+    assert basis.factor.spec == replace(spec, dim=1)
+    assert basis.factor.factor is basis.factor
+    gram_1d = theoretical_gram(basis.factor, density)
+    assert np.array_equal(gram, np.kron(gram_1d, gram_1d))
 
 
 def test_kron_2d_daubechies_gram_is_exact():

@@ -4,7 +4,7 @@ from scipy import stats
 from scipy.special import ndtr
 
 from sievereg.basis import (BasisSpec, BasisSystem, ConfigurationError,
-                            build_basis)
+                            build_basis, spec_with_size)
 from sievereg.concentration import ConcentrationStudyConfig
 from sievereg.estimator import fit, l2_error, named_target, sup_error
 from sievereg.gram import GramFactor
@@ -12,11 +12,10 @@ from sievereg.quadrature import (basis_quadrature, density_by_name,
                                  sine_density, sup_grid, uniform_density)
 from sievereg.simulate import (CoverageStudyConfig, DgpSpec, ErrorSpec,
                                RateStudyConfig, RegressorSpec,
-                               StabilityStudyConfig, _spec_for_size,
-                               bump_sigma, coverage_study, derived_rng,
-                               error_draws, fit_loglog_slope, gen_sample,
-                               k_rule, rate_study, regressor_paths,
-                               stability_study)
+                               StabilityStudyConfig, bump_sigma,
+                               coverage_study, derived_rng, error_draws,
+                               fit_loglog_slope, gen_sample, k_rule,
+                               rate_study, regressor_paths, stability_study)
 from sievereg import inference, simulate
 from sievereg.inference import FunctionalSpec
 
@@ -202,7 +201,7 @@ def test_rate_study_fixed_designs_bitwise():
                              seed=5)
     want = []
     for i_n, n in enumerate(config.n_grid):
-        spec = _spec_for_size(config.basis_spec, k_rule(n, 1.5, 1, 3.0), 1)
+        spec = spec_with_size(config.basis_spec, k_rule(n, 1.5, 1, 3.0))
         basis = build_basis(spec)
         grid, quad = sup_grid(basis), basis_quadrature(basis)
         for rep in range(config.reps):
@@ -350,6 +349,48 @@ def test_derived_rng_refuses_an_unknown_study():
         derived_rng(1, "rates", 0, 0)
 
 
+def test_tail_and_gram_report_draws_are_derived_rng_streams(tmp_path,
+                                                            monkeypatch):
+    # the tail chunks, the Rademacher signs and the gram-report sample
+    # draw from derived_rng's table like the studies
+    from sievereg import cli, concentration
+
+    reg = RegressorSpec("ar_copula", 0.5)
+    basis = build_basis(BasisSpec.wavelet(1, 3))
+    gen = concentration.GramDeviationGenerator(
+        basis, np.eye(basis.size), n=40, regressor=reg)
+    chunks = []
+
+    def paths(spec, n, dim, rng, reps=1):
+        chunks.append(regressor_paths(spec, n, dim, rng, reps))
+        return chunks[-1]
+
+    monkeypatch.setattr(concentration, "regressor_paths", paths)
+    gen.sum_norms(70, seed=5)           # chunks of 64 and 6
+    assert [len(x) for x in chunks] == [64, 6]
+    for c, x in enumerate(chunks):
+        want = regressor_paths(reg, 40, 1, derived_rng(5, "gram_deviation", c),
+                               reps=len(x))
+        assert np.array_equal(x, want)
+    signs = derived_rng(5, "rademacher").integers(0, 2, size=(30, 50)) * 2 - 1
+    assert np.array_equal(concentration.RademacherGenerator(50).sum_norms(30, 5),
+                          np.abs(signs.sum(axis=1)).astype(float))
+    samples, empirical_gram = [], cli.empirical_gram
+
+    def empirical(basis, x, gram):
+        samples.append(x)
+        return empirical_gram(basis, x, gram)
+
+    monkeypatch.setattr(cli, "empirical_gram", empirical)
+    cfg = tmp_path / "gram.ini"
+    cfg.write_text("[gram]\nn = 50\nseed = 3\n[basis]\nfamily = wavelet\n"
+                   "n_moments = 1\nlevel = 2\n")
+    assert cli.run(["gram-report", "--config", str(cfg),
+                    "--out", str(tmp_path / "o")]) == 0
+    want = uniform_density().sample(derived_rng(3, "gram-report"), 50, 1)
+    assert np.array_equal(samples[0], want)
+
+
 def test_iid_uniform_matches_probit_of_normals():
     rng = np.random.default_rng(31)
     x = regressor_paths(RegressorSpec("iid_uniform"), 50, 2, rng)
@@ -451,9 +492,21 @@ def test_stability_refuses_dgp_fields_it_never_reads(dgp):
     lambda: named_target("holder", float("nan")),
     lambda: sine_density(1.0),
     lambda: density_by_name("mystery"),
+    # a value that is not a real number
+    lambda: ErrorSpec(sigma="x"),
+    lambda: DgpSpec(smoothness="x"),
+    lambda: _STUDY_CONFIGS["rate"](krule_c="x"),
+    lambda: RegressorSpec("ar_copula", "x"),
+    lambda: _STUDY_CONFIGS["coverage"](level="x"),
+    lambda: FunctionalSpec("point_eval", x0="a"),
+    lambda: _STUDY_CONFIGS["concentration"](t_max="x"),
+    lambda: named_target("holder", "x"),
+    lambda: sine_density("x"),
 ], ids=["regressor-kind", "iid-rho", "copula-rho", "error-kind",
         "foreign-field", "student-df", "functional-kind", "functional-x0",
-        "target", "holder-p", "holder-nan", "amplitude", "density"])
+        "target", "holder-p", "holder-nan", "amplitude", "density",
+        "str-sigma", "str-p", "str-krule_c", "str-rho", "str-level",
+        "str-x0", "str-t_max", "str-holder-p", "str-amplitude"])
 def test_spec_refusals_are_configuration_errors(refuse):
     # every spec and name lookup refuses with the one type the CLI maps to
     # exit 2 (a ValueError, so library callers may catch either)
