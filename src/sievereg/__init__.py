@@ -14,8 +14,7 @@ from .concentration import (ConcentrationStudyConfig, GramDeviationGenerator,
                             RademacherGenerator, TailBoundInput,
                             ZeroGenerator, concentration_study,
                             empirical_tail, mixing_bound, tropp_bound)
-from .daubechies import (CascadeError, ScalingFamily, scaling_filter,
-                         tabulate_daubechies)
+from .daubechies import ScalingFamily, scaling_filter, tabulate_daubechies
 from .estimator import (FitResult, fit, fixed_design, holder_kink, l2_error,
                         project_oracle, smooth_trig, sup_error, named_target)
 from .gram import (DmsBound, EmpiricalLebesgue, GramFactor, NumericError,

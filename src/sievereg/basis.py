@@ -36,8 +36,6 @@ import numpy as np
 from . import bsplines
 from .daubechies import tabulate_daubechies
 
-TAB_DEPTH = 12
-
 # family -> the per-dimension fields it reads, each with its smallest
 # value; the other fields must stay 0
 _FAMILIES = {"bspline": {"order": 1, "n_interior": 0},
@@ -50,28 +48,33 @@ class ConfigurationError(ValueError):
     them raises this type, a ValueError."""
 
 
+def _check_entries(kind, ok, fields):
+    """ConfigurationError naming the field unless each value's entries are
+    all `ok` and there is one at least; a ragged nesting, which numpy
+    cannot flatten, has none."""
+    for name, value in fields.items():
+        try:
+            items = np.ravel(value).tolist()
+        except ValueError:
+            items = []
+        if not items or not all(map(ok, items)):
+            raise ConfigurationError(f"`{name}` must be {kind}, got {value!r}")
+
+
 def _check_at_least(low, **fields):
     """ConfigurationError unless each value is an integer >= low or a
     non-empty grid of them."""
     kind = ("a non-negative integer" if low == 0 else
             "a positive integer" + (f" >= {low}" if low > 1 else ""))
-    for name, value in fields.items():
-        items = np.ravel(value).tolist()
-        if not items or not all(isinstance(v, int) and v >= low for v in items):
-            raise ConfigurationError(
-                f"`{name}` must be {kind} (or a non-empty grid of them), "
-                f"got {value!r}")
+    _check_entries(f"{kind} (or a non-empty grid of them)",
+                   lambda v: isinstance(v, int) and v >= low, fields)
 
 
 def _check_real(**fields):
     """ConfigurationError unless each value is a real number or a non-empty
     array of them."""
-    for name, value in fields.items():
-        items = np.ravel(value).tolist()
-        if not items or not all(isinstance(v, Real) for v in items):
-            raise ConfigurationError(
-                f"`{name}` must be a real number (or a non-empty array of "
-                f"them), got {value!r}")
+    _check_entries("a real number (or a non-empty array of them)",
+                   lambda v: isinstance(v, Real), fields)
 
 
 def _check_positive(**fields):
@@ -220,7 +223,7 @@ class BasisSpec:
 
 @cache
 def _scaling_family(n_moments):
-    return tabulate_daubechies(n_moments, TAB_DEPTH)
+    return tabulate_daubechies(n_moments)
 
 
 @cache

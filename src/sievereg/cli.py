@@ -2,12 +2,15 @@
 
 Commands read a flat INI config (sections mirror the library modules) and
 write ``summary.json`` plus ``detail.csv`` (and matrix CSVs where relevant)
-into the output directory.  Unknown config keys are hard errors.  The
-schema here only parses types; the library's specs, study configs and name
-lookups hold the defaults and check the values, and every one of them
-refuses with ``ConfigurationError`` (a ``ValueError``), which is a config
-error here.  Exit codes: 0 success, 2 config error, 3 embedded acceptance
-threshold violated, 4 numeric failure.
+into the output directory.  Unknown config keys are hard errors.  For the
+three studies and the concentration study the schema here only parses
+types; the library's specs, study configs and name lookups hold the
+defaults and check the values, and every one of them refuses with
+``ConfigurationError`` (a ``ValueError``), which is a config error here.
+`fit` and `gram-report` have no study config: their handlers default
+and check their `grid`, `n`, `seed`, `density` and `amplitude` keys
+through the same checks.  Exit codes: 0 success, 2 config error, 3
+embedded acceptance threshold violated, 4 numeric failure.
 """
 
 import argparse
@@ -21,7 +24,6 @@ import numpy as np
 
 from .basis import BasisSpec, ConfigurationError, _check_at_least, build_basis
 from .concentration import ConcentrationStudyConfig, concentration_study
-from .daubechies import CascadeError
 from .estimator import fit as fit_ls
 from .gram import NumericError, empirical_gram, theoretical_gram
 from .inference import FunctionalSpec
@@ -432,7 +434,7 @@ def run(argv):
     except AcceptanceFailure as exc:
         print(f"acceptance failure: {exc}", file=sys.stderr)
         return 3
-    except (NumericError, CascadeError, np.linalg.LinAlgError) as exc:
+    except (NumericError, np.linalg.LinAlgError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 4
 

@@ -1,27 +1,25 @@
 """Tabulated Daubechies scaling functions and boundary families on [0, 1].
 
 The interior scaling function with ``n_moments`` vanishing moments is
-tabulated on a dyadic grid of step ``2**-depth`` by iterating the two-scale
-refinement relation on the fixed grid until the values converge.  Boundary
-families for the unit interval are obtained by truncating the shifted
-generators at 0 and orthonormalizing them (Gram-Schmidt, in shift order)
-under the discrete inner product of the tabulation grid; they are fixed once
-per (n_moments, depth) and reused at every resolution level.
+tabulated exactly (up to rounding) on the dyadic grid of step
+``2**-TAB_DEPTH``: its integer values solve the two-scale refinement
+relation, and one pass of the relation per dyadic level fills in the rest.
+Boundary families for the unit interval are obtained by truncating the
+shifted generators at 0 and orthonormalizing them (Gram-Schmidt in shift
+order, through the Cholesky factor of their Gram) under the discrete inner
+product of the tabulation grid; they are fixed once per ``n_moments`` and
+reused at every resolution level.
 
-Only ``n_moments`` in {1, 2, 3} is supported.  The tabulation uses the
-support convention [0, 2N-1]; consumers shift by N-1 when they want the
-centered convention.
+Filters exist for ``n_moments`` in {1, 2, 3}, tables for 2 and 3.  The
+tabulation uses the support convention [0, 2N-1]; consumers shift by N-1
+when they want the centered convention.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-_CASCADE_STEPS = 60     # refinement steps before the cascade gives up
-
-
-class CascadeError(RuntimeError):
-    """Fixed-grid refinement iteration failed to converge."""
+TAB_DEPTH = 12      # tabulation grid step 2**-12
 
 
 def scaling_filter(n_moments):
@@ -46,43 +44,30 @@ def scaling_filter(n_moments):
     raise ValueError(f"vanishing-moment count must be in {{1, 2, 3}}, got {n_moments}")
 
 
-def cascade(filt, depth):
-    """Tabulate the scaling function on [0, 2N-1] at step 2**-depth.
+def _refine(filt):
+    """The scaling function on [0, 2N-1] at step 2**-TAB_DEPTH, exact up to
+    rounding (Daubechies, Ten Lectures on Wavelets, section 6.5).
 
-    Starts from the unit box and applies the two-scale map on the fixed grid
-    until the sup change falls to 1e-8.  Raises CascadeError when the
-    iteration has not converged after `_CASCADE_STEPS` steps.
-
-    At node 0 the map reads phi(0) = sqrt(2) h_0 phi(0), so phi(0) = 0
-    unless sqrt(2) h_0 = 1 (Haar); the iteration only shrinks it (to 7.7e-9
-    for N = 2), so it is set to 0 on return.
+    Its values at the integers solve the two-scale relation
+    phi(m) = sqrt(2) sum_k h_k phi(2m - k) with phi(1) + ... + phi(2N-2) = 1
+    (phi(0) = phi(2N-1) = 0).  Each level then fills the odd points of a
+    grid twice as fine from the coarser ones through the same relation.
     """
-    n_taps = filt.size
-    width = n_taps - 1
-    steps_per_unit = 2 ** depth
-    n_pts = width * steps_per_unit + 1
-    phi = np.zeros(n_pts)
-    phi[:steps_per_unit] = 1.0  # box on [0, 1)
-
-    sqrt2 = np.sqrt(2.0)
-    idx = np.arange(n_pts)
-    for _ in range(_CASCADE_STEPS):
-        nxt = np.zeros(n_pts)
-        for k in range(n_taps):
-            src = 2 * idx - k * steps_per_unit
-            valid = (src >= 0) & (src < n_pts)
-            nxt[valid] += filt[k] * phi[src[valid]]
-        nxt *= sqrt2
-        delta = np.max(np.abs(nxt - phi))
-        phi = nxt
-        if delta <= 1e-8:
-            if not np.isclose(sqrt2 * filt[0], 1.0):
-                phi[0] = 0.0
-            return phi
-    raise CascadeError(
-        f"refinement iteration still changing by {delta:.2e} (> 1e-08) "
-        f"after {_CASCADE_STEPS} iterations"
-    )
+    width, steps = filt.size - 1, 2 ** TAB_DEPTH
+    taps = np.sqrt(2.0) * filt
+    m = np.arange(1, width)
+    k = 2 * m[:, None] - m      # tap of phi(m) on phi(j), j = 1..2N-2
+    system = np.pad(taps, width)[k + width] - np.eye(width - 1)
+    system[-1] = 1.0            # one equation is redundant: fix the sum
+    n_pts = width * steps + 1
+    padded = np.zeros(3 * n_pts)    # 0 beyond the support, where 2x - k falls
+    phi = padded[n_pts:2 * n_pts]
+    phi[steps:-1:steps] = np.linalg.solve(system, np.eye(width - 1)[-1])
+    for gap in 2 ** np.arange(TAB_DEPTH)[::-1]:
+        odd = np.arange(gap, n_pts, 2 * gap)
+        src = n_pts + 2 * odd[:, None] - np.arange(filt.size) * steps
+        phi[odd] = np.sum(taps * padded[src], axis=1)
+    return phi.copy()
 
 
 def grid_inner(f, g, step):
@@ -96,17 +81,16 @@ def grid_inner(f, g, step):
     return step / 6.0 * np.sum(2.0 * f0 * g0 + f0 * g1 + f1 * g0 + 2.0 * f1 * g1)
 
 
-def _gram_schmidt(rows, step):
-    """Orthonormalize the rows (in order) under the grid inner product."""
-    out = []
-    for row in rows:
-        v = row.copy()
-        for u in out:
-            v -= grid_inner(v, u, step) * u
-        norm = np.sqrt(grid_inner(v, v, step))
-        if norm <= 1e-10:
-            raise CascadeError("boundary generator became numerically dependent")
-        out.append(v / norm)
+def _orthonormalize(rows):
+    """Gram-Schmidt of the rows, in order, under the tabulation grid's inner
+    product: the rows times the inverse Cholesky factor of their Gram, by
+    forward substitution, so row i stays 0 wherever rows 0..i are all 0."""
+    step = ScalingFamily.step
+    chol = np.linalg.cholesky([[grid_inner(a, b, step) for b in rows]
+                               for a in rows])
+    out = np.empty_like(rows)
+    for i, row in enumerate(rows):
+        out[i] = (row - np.sum(chol[i, :i, None] * out[:i], axis=0)) / chol[i, i]
     return out
 
 
@@ -118,8 +102,9 @@ class ScalingFamily:
     ----------
     n_moments : int
         Daubechies vanishing-moment count N.
-    depth : int
-        Dyadic tabulation depth R; grid step is 2**-depth.
+    depth, step : int, float
+        Dyadic tabulation depth R (TAB_DEPTH, the same for every family)
+        and the grid step 2**-depth.
     phi : ndarray
         Interior scaling function on [0, 2N-1], ``(2N-1) * 2**depth + 1``
         values.
@@ -132,53 +117,36 @@ class ScalingFamily:
     """
 
     n_moments: int
-    depth: int
     phi: np.ndarray
     left: np.ndarray
     right: np.ndarray
-
-    @property
-    def step(self):
-        return 2.0 ** (-self.depth)
+    depth = TAB_DEPTH
+    step = 2.0 ** -TAB_DEPTH
 
 
-def tabulate_daubechies(n_moments, depth):
-    """Build the ScalingFamily for `n_moments` at tabulation `depth`.
+def tabulate_daubechies(n_moments):
+    """Build the ScalingFamily for `n_moments` in {2, 3} at TAB_DEPTH.
 
     The left boundary functions orthonormalize the truncations
     ``phi(. - k)|[0, inf)`` for ``k = 0..N-1`` (centered convention, support
     [0, N+k]); the right ones mirror this at the other endpoint with
     ``phi(. + k)|(-inf, 0]`` for ``k = 1..N``.  Both are orthogonal to every
     interior shift by construction, because interior shifts vanish on the
-    truncated side.
+    truncated side.  Haar (N = 1) is not tabulated: `basis` evaluates it in
+    closed form.
     """
-    if depth < 10:
-        raise ValueError(f"tabulation depth must be >= 10, got {depth}")
-    filt = scaling_filter(n_moments)
-    phi = cascade(filt, depth)
-
-    steps = 2 ** depth
-    n_pts = phi.size
-    n = n_moments
-    left_raw = []
+    if n_moments not in (2, 3):
+        raise ValueError(f"tabulated vanishing-moment counts are 2 and 3, "
+                         f"got {n_moments}")
+    phi = _refine(scaling_filter(n_moments))
+    n, steps = n_moments, 2 ** TAB_DEPTH
+    left, right = np.zeros((2, n, phi.size))
     for k in range(n):
-        # phi(y - k) on [0, 2N-1] in the centered convention equals the
-        # tabulation shifted by (N-1-k) units; support becomes [0, N+k].
-        row = np.zeros(n_pts)
+        # phi(y - k) (support [0, N+k]) and phi(y + k + 1) (support
+        # [-(N+k), 0]) in the centered convention: the table shifted by
+        # N-1-k units one way and the other
         shift = (n - 1 - k) * steps
-        row[: n_pts - shift] = phi[shift:]
-        left_raw.append(row)
-    right_raw = []
-    for k in range(1, n + 1):
-        # phi(y + k) on [-(2N-1), 0]; support [-(N+k-1), 0].
-        row = np.zeros(n_pts)
-        shift = (n - k) * steps
-        row[shift:] = phi[: n_pts - shift]
-        right_raw.append(row)
-
-    step = 2.0 ** (-depth)
-    left = np.array(_gram_schmidt(left_raw, step))
-    right = np.array(_gram_schmidt(right_raw, step))
-    return ScalingFamily(n_moments=n_moments, depth=depth, phi=phi,
-                         left=left, right=right)
-
+        left[k, : phi.size - shift] = phi[shift:]
+        right[k, shift:] = phi[: phi.size - shift]
+    return ScalingFamily(n_moments=n, phi=phi, left=_orthonormalize(left),
+                         right=_orthonormalize(right))

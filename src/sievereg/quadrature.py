@@ -122,14 +122,12 @@ def _univariate_rule(basis, max_nodes):
     if spec.family == "wavelet":
         if spec.n_moments == 1:
             return gauss_panels(edges, 4)
-        # refine each dyadic cell down to the tabulation step so the
-        # two-point rule is exact for the piecewise-linear functions
-        depth = basis.tab_family.depth
-        sub = depth
-        while 2 ** spec.level * 2 ** sub * 2 > max_nodes and sub > 0:
-            sub -= 1
-        fine = np.unique(np.concatenate(
-            [np.linspace(0.0, 1.0, 2 ** (spec.level + sub) + 1), edges]))
+        # split each dyadic cell (its edges are grid points) into 2^sub,
+        # down to the tabulation step if 2 nodes a cell fit in max_nodes:
+        # then the two-point rule is exact for the piecewise-linear tables
+        sub = max(0, min(basis.tab_family.depth,
+                         int(max_nodes).bit_length() - 2 - spec.level))
+        fine = np.linspace(0.0, 1.0, 2 ** (spec.level + sub) + 1)
         return gauss_panels(fine, 2)
     if spec.family == "trig":
         return gauss_panels(edges, 8)

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from sievereg.daubechies import (CascadeError, cascade, grid_inner,
-                                 scaling_filter, tabulate_daubechies)
+from sievereg.daubechies import grid_inner, scaling_filter, tabulate_daubechies
 
 DEPTH = 12
 STEP = 2.0 ** -DEPTH
@@ -23,48 +22,50 @@ def test_filter_rejects_unsupported_count():
         scaling_filter(4)
 
 
-def test_haar_cascade_is_box():
-    phi = cascade(scaling_filter(1), DEPTH)
-    m = 2 ** DEPTH
-    assert np.all(phi[:m] == 1.0)
-    assert phi[m] == 0.0
-
-
-@pytest.mark.parametrize("n_moments, at_zero", [(1, 1.0), (2, 0.0), (3, 0.0)])
+@pytest.mark.parametrize("n_moments, at_zero", [(2, 0.0), (3, 0.0)])
 def test_cascade_value_at_zero_is_exact(n_moments, at_zero):
-    # phi(0) = sqrt(2) h_0 phi(0): 0 unless sqrt(2) h_0 = 1 (Haar)
-    assert cascade(scaling_filter(n_moments), DEPTH)[0] == at_zero
+    # the cascade's fixed point has phi(0) = sqrt(2) h_0 phi(0) with
+    # sqrt(2) h_0 != 1, so phi(0) = 0; the table holds it exactly
+    assert tabulate_daubechies(n_moments).phi[0] == at_zero
 
 
 def test_two_moment_values_at_integers():
     # classic closed forms at the integer points of the support
-    phi = cascade(scaling_filter(2), DEPTH)
+    phi = tabulate_daubechies(2).phi
     m = 2 ** DEPTH
-    assert abs(phi[m] - (1 + np.sqrt(3)) / 2) < 1e-7
-    assert abs(phi[2 * m] - (1 - np.sqrt(3)) / 2) < 1e-7
-    assert phi[0] == pytest.approx(0.0, abs=1e-7)
+    assert abs(phi[m] - (1 + np.sqrt(3)) / 2) < 1e-15
+    assert abs(phi[2 * m] - (1 - np.sqrt(3)) / 2) < 1e-15
 
 
 def test_partition_of_unity_on_grid():
     # sum of integer shifts is 1 at every tabulation point
+    m = 2 ** DEPTH
     for n in (2, 3):
-        phi = cascade(scaling_filter(n), DEPTH)
-        m = 2 ** DEPTH
-        x_idx = np.arange(m)
-        total = np.zeros(m)
-        for k in range(2 * n - 1):
-            total += phi[x_idx + k * m]
-        assert np.max(np.abs(total - 1.0)) < 1e-6
+        phi = tabulate_daubechies(n).phi
+        total = phi[:-1].reshape(2 * n - 1, m).sum(axis=0)
+        assert np.max(np.abs(total - 1.0)) < 1e-13
 
 
-def test_cascade_nonconvergence_raises():
-    # twice an orthonormal filter doubles the map's gain: the iterates grow
-    with pytest.raises(CascadeError, match="after 60 iterations"):
-        cascade(2 * scaling_filter(2), DEPTH)
+@pytest.mark.parametrize("n_moments", [2, 3])
+def test_table_is_a_two_scale_fixed_point(n_moments):
+    # one step of phi(x) = sqrt(2) sum_k h_k phi(2x - k) on the grid
+    phi, m = tabulate_daubechies(n_moments).phi, 2 ** DEPTH
+    step = np.zeros(phi.size)
+    for k, tap in enumerate(scaling_filter(n_moments)):
+        src = 2 * np.arange(phi.size) - k * m
+        ok = (src >= 0) & (src < phi.size)
+        step[ok] += np.sqrt(2.0) * tap * phi[src[ok]]
+    assert np.max(np.abs(step - phi)) <= 1e-14
+
+
+def test_haar_is_not_tabulated():
+    # basis evaluates Haar in closed form
+    with pytest.raises(ValueError):
+        tabulate_daubechies(1)
 
 
 def test_boundary_counts_and_supports():
-    fam = tabulate_daubechies(2, DEPTH)
+    fam = tabulate_daubechies(2)
     assert fam.left.shape == (2, fam.phi.size)
     assert fam.right.shape == (2, fam.phi.size)
     m = 2 ** DEPTH
@@ -102,12 +103,6 @@ def _independent_level_gram(fam, level):
 
 @pytest.mark.parametrize("n_moments,level", [(2, 4), (3, 4)])
 def test_level_system_orthonormal(n_moments, level):
-    fam = tabulate_daubechies(n_moments, DEPTH)
+    fam = tabulate_daubechies(n_moments)
     gram = _independent_level_gram(fam, level)
     assert np.max(np.abs(gram - np.eye(2 ** level))) < 1e-6
-
-
-def test_depth_precondition():
-    with pytest.raises(ValueError):
-        tabulate_daubechies(2, 9)
-

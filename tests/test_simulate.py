@@ -502,11 +502,16 @@ def test_stability_refuses_dgp_fields_it_never_reads(dgp):
     lambda: _STUDY_CONFIGS["concentration"](t_max="x"),
     lambda: named_target("holder", "x"),
     lambda: sine_density("x"),
+    # a ragged nesting, which numpy cannot flatten
+    lambda: FunctionalSpec("point_eval", x0=[[0.1], [0.2, 0.3]]),
+    lambda: _STUDY_CONFIGS["rate"](n_grid=[[100], [200, 300]]),
+    lambda: _STUDY_CONFIGS["stability"](k_grid=[[4], [8, 9]]),
 ], ids=["regressor-kind", "iid-rho", "copula-rho", "error-kind",
         "foreign-field", "student-df", "functional-kind", "functional-x0",
         "target", "holder-p", "holder-nan", "amplitude", "density",
         "str-sigma", "str-p", "str-krule_c", "str-rho", "str-level",
-        "str-x0", "str-t_max", "str-holder-p", "str-amplitude"])
+        "str-x0", "str-t_max", "str-holder-p", "str-amplitude",
+        "ragged-x0", "ragged-n_grid", "ragged-k_grid"])
 def test_spec_refusals_are_configuration_errors(refuse):
     # every spec and name lookup refuses with the one type the CLI maps to
     # exit 2 (a ValueError, so library callers may catch either)
