@@ -11,8 +11,7 @@ bounds (independent and beta-mixing) against simulation.
 from .basis import (BasisSpec, BasisSystem, ConfigurationError, LocalDesign,
                     build_basis, spec_with_size)
 from .concentration import (ConcentrationStudyConfig, GramDeviationGenerator,
-                            RademacherGenerator, TailBoundInput,
-                            ZeroGenerator, concentration_study,
+                            TailBoundInput, concentration_study,
                             empirical_tail, mixing_bound, tropp_bound)
 from .daubechies import ScalingFamily, scaling_filter, tabulate_daubechies
 from .estimator import (FitResult, fit, fixed_design, holder_kink, l2_error,

@@ -15,7 +15,6 @@ embedded acceptance threshold violated, 4 numeric failure.
 
 import argparse
 import configparser
-import ctypes
 import os
 import sys
 from operator import ge, gt, itemgetter, le
@@ -98,7 +97,7 @@ _SCHEMAS = {
         "generator": ({"kind": (True, str), "n": (True, int),
                        "regressor": (False, str), "rho": (False, float),
                        "q": (False, int)}, True),
-        "basis": (_BASIS_KEYS, False),
+        "basis": (_BASIS_KEYS, True),
     },
     "gram-report": {
         "gram": ({"density": (False, str), "amplitude": (False, float),
@@ -269,10 +268,8 @@ def _stability_config(cfg, args):
 
 
 def _concentration_config(cfg, args):
-    basis = cfg.get("basis")
-    return ConcentrationStudyConfig(
-        basis_spec=None if basis is None else BasisSpec(**basis),
-        **cfg["study"], **cfg["generator"])
+    return ConcentrationStudyConfig(basis_spec=BasisSpec(**cfg["basis"]),
+                                    **cfg["study"], **cfg["generator"])
 
 
 # command -> (config builder, study function name, stdout rows of the
@@ -410,21 +407,8 @@ def build_parser():
     return parser
 
 
-def _set_heap_thresholds():
-    """Fix glibc's mmap and trim thresholds at 32 and 64 MB: under its
-    dynamic rule the heap of a study's per-fit arrays is trimmed and
-    faulted in again on every fit.  Setting either turns the rule off for
-    both, so both are set; a libc without `mallopt` is left as it is."""
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    if mallopt is not None:
-        mallopt.argtypes, mallopt.restype = (ctypes.c_int,) * 2, ctypes.c_int
-        mallopt(-3, 32 << 20)       # M_MMAP_THRESHOLD
-        mallopt(-1, 64 << 20)       # M_TRIM_THRESHOLD
-
-
 def run(argv):
     args = build_parser().parse_args(argv)
-    _set_heap_thresholds()
     try:
         cfg = _read_config(args)
         return _HANDLERS[args.command](cfg, args.out, args)

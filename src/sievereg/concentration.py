@@ -5,9 +5,10 @@ of a sum of independent, uniformly bounded, mean-zero random matrices.
 ``mixing_bound`` evaluates its blocking extension for absolutely regular
 sequences; note its three-term value bounds ``P(||sum|| >= 6 t)`` at the
 given ``t`` (the coupled odd/even block sums each cost a factor).  The
-generators here simulate whitened-Gram deviation sums (and simple scalar
-sums) with certified envelope constants, so empirical tail frequencies can
-be compared against the bounds.
+generator here simulates whitened-Gram deviation sums, the weakly dependent
+random matrices of the paper's exponential inequality, with certified
+envelope constants, so empirical tail frequencies can be compared against
+the bounds.
 
 ``GramDeviationGenerator`` draws replications in chunks, forms each
 replication's Gram ``B'B/n`` of the unwhitened design with one
@@ -15,10 +16,9 @@ replication's Gram ``B'B/n`` of the unwhitened design with one
 the theoretical Gram's ``GramFactor``, which whitens them and takes all
 their spectral norms at once.
 
-``concentration_study`` compares one generator's exceedance frequencies
-with the independent bound, or the blocked bound at t/6 under mixing; only
-the Gram-deviation generator draws from the regressor process, so only it
-takes a mixing regressor.
+``concentration_study`` compares the Gram-deviation generator's
+exceedance frequencies with the independent bound, or the blocked bound at
+t/6 under a mixing regressor.
 """
 
 from dataclasses import dataclass, replace
@@ -29,7 +29,8 @@ from .basis import (ConfigurationError, _check_at_least, _check_real,
                     build_basis)
 from .gram import GramFactor, theoretical_gram, zeta_constant
 from .quadrature import uniform_density
-from .simulate import RegressorSpec, StudyReport, derived_rng, regressor_paths
+from .simulate import (RegressorSpec, StudyReport, _set_heap_thresholds,
+                       derived_rng, regressor_paths)
 
 
 # Replications per chunk in `GramDeviationGenerator.sum_norms`; each chunk
@@ -95,31 +96,6 @@ def mixing_bound(inp, t):
         denom = inp.n * inp.q * inp.s2 + inp.q * inp.r_bound * t / 3.0
         expo = 0.0 if denom <= 0.0 else 2.0 * dims * np.exp(-(t * t / 2.0) / denom)
     return float(coupling + expo)
-
-
-class ZeroGenerator:
-    """All summands identically zero (plumbing check)."""
-
-    def __init__(self, n):
-        self.n = n
-        self.input = TailBoundInput(d1=1, d2=1, n=n, r_bound=0.0)
-
-    def sum_norms(self, reps, seed):
-        return np.zeros(reps)
-
-
-class RademacherGenerator:
-    """Scalar sum of n independent signs; r_bound = 1, sigma2 = n."""
-
-    def __init__(self, n):
-        self.n = n
-        self.input = TailBoundInput(d1=1, d2=1, n=n, r_bound=1.0,
-                                    sigma2=float(n))
-
-    def sum_norms(self, reps, seed):
-        rng = derived_rng(seed, "rademacher")
-        signs = rng.integers(0, 2, size=(reps, self.n)) * 2 - 1
-        return np.abs(signs.sum(axis=1)).astype(float)
 
 
 class GramDeviationGenerator:
@@ -200,41 +176,33 @@ def empirical_tail(generator, t_grid, reps, seed):
 
 @dataclass(frozen=True)
 class ConcentrationStudyConfig:
-    """Tail study of one generator, "gram_deviation" (which alone takes,
-    and needs, basis_spec and a regressor other than iid_uniform),
-    "rademacher" or "zero" (i.i.d. summands whatever the regressor); q is
-    the block length of the mixing bound, 1 under a non-mixing regressor."""
+    """Tail study of the whitened Gram deviation of `basis_spec`'s basis;
+    kind names the generator and is "gram_deviation" (it is reported as
+    the summary's `generator`); q is the block length of the mixing bound,
+    1 under a non-mixing regressor."""
 
     kind: str
     n: int
     reps: int
     t_max: float
+    basis_spec: object
     t_count: int = 20
     seed: int = 0
     regressor: str = "iid_uniform"
     rho: float = 0.0
     q: int = 1
-    basis_spec: object = None
 
     def __post_init__(self):
         _check_at_least(1, reps=self.reps, t_count=self.t_count, n=self.n)
         _check_at_least(0, seed=self.seed)
-        if self.kind not in ("gram_deviation", "rademacher", "zero"):
-            raise ConfigurationError(f"`kind`: unknown generator {self.kind!r}")
-        if (self.kind == "gram_deviation") != (self.basis_spec is not None):
-            raise ConfigurationError(
-                f"generator kind {self.kind} " + (
-                    "needs a basis spec ([basis])" if self.basis_spec is None
-                    else "reads no basis spec ([basis])"))
+        if self.kind != "gram_deviation":
+            raise ConfigurationError(f"`kind` must be gram_deviation, the "
+                                     f"only generator, got {self.kind!r}")
         _check_real(t_max=self.t_max)
         if not (np.isfinite(self.t_max) and self.t_max >= 0.0):
             raise ConfigurationError(
                 f"`t_max` must be a finite number >= 0, got {self.t_max}")
         mixing = RegressorSpec(self.regressor, self.rho).mixing
-        if self.kind != "gram_deviation" and self.regressor != "iid_uniform":
-            raise ConfigurationError(
-                f"`regressor` applies only to generator kind gram_deviation;"
-                f" {self.kind} draws i.i.d. summands, got {self.regressor!r}")
         # the study's mixing bound has no incomplete-final-block term
         if mixing and not (1 <= self.q <= self.n // 2 and self.n % self.q == 0):
             raise ConfigurationError(
@@ -248,16 +216,12 @@ class ConcentrationStudyConfig:
 def concentration_study(config):
     """Exceedance frequencies of ||sum|| >= t against the tail bound; a
     violation is a frequency above bound + 3 binomial standard errors."""
+    _set_heap_thresholds()
     reg = RegressorSpec(config.regressor, config.rho)
-    if config.kind == "gram_deviation":
-        basis = build_basis(config.basis_spec)
-        gram_th = theoretical_gram(basis, uniform_density())
-        generator = GramDeviationGenerator(basis, gram_th, config.n,
-                                           regressor=reg)
-    elif config.kind == "rademacher":
-        generator = RademacherGenerator(config.n)
-    else:
-        generator = ZeroGenerator(config.n)
+    basis = build_basis(config.basis_spec)
+    generator = GramDeviationGenerator(
+        basis, theoretical_gram(basis, uniform_density()), config.n,
+        regressor=reg)
     t_grid = np.linspace(0.0, config.t_max, config.t_count)
     tail = empirical_tail(generator, t_grid, config.reps, config.seed)
     if reg.mixing:

@@ -9,7 +9,7 @@ conditional deviation `bump_sigma` of the current regressor.  Both uniform
 variants draw through the normal CDF so the rho -> 0 copula reproduces the
 i.i.d. stream exactly.
 
-The studies, the tail generators and the CLI's gram-report sample draw
+The studies, the tail generator and the CLI's gram-report sample draw
 from `derived_rng(seed, stream, *keys)`, default_rng([seed, tag, *keys])
 with the tag from one table, `_STREAMS`.  The rate and coverage studies key a stream by (n-index,
 replication) (coverage's one n has index 0); the stability study by
@@ -20,6 +20,7 @@ counts; replications may execute on a thread pool, results are
 aggregated in replication order.
 """
 
+import ctypes
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -40,7 +41,7 @@ from .quadrature import (basis_quadrature, points_2d, sup_grid,
 
 # stream -> its tag in the seed sequence [seed, tag, *keys]
 _STREAMS = {"rate": 1, "coverage": 2, "stability": 3, "gram-report": 7,
-            "rademacher": 101, "gram_deviation": 202}
+            "gram_deviation": 202}
 
 # error rate (n / log n)^slope of the synthetic-oracle rate study
 _SYNTHETIC_SLOPE = -0.4
@@ -191,6 +192,18 @@ class StudyReport:
     config: dict = field(default_factory=dict)
 
 
+def _set_heap_thresholds():
+    """Fix glibc's mmap and trim thresholds at 32 and 64 MB: under its
+    dynamic rule the heap of a study's per-fit arrays is trimmed and
+    faulted in again on every fit.  Setting either turns the rule off for
+    both, so both are set; a libc without `mallopt` is left as it is."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int,) * 2, ctypes.c_int
+        mallopt(-3, 32 << 20)       # M_MMAP_THRESHOLD
+        mallopt(-1, 64 << 20)       # M_TRIM_THRESHOLD
+
+
 def _run_indexed(task, n_jobs, threads):
     """Evaluate task(i) for i in range(n_jobs), in order, optionally pooled."""
     if threads > 1:
@@ -274,6 +287,7 @@ def rate_study(config):
     50 or more replications; smaller runs are allowed for smoke tests and
     the synthetic-oracle plumbing check.
     """
+    _set_heap_thresholds()
     dgp = config.dgp
     n_grid = tuple(int(n) for n in config.n_grid)
     density = uniform_density()  # both shipped designs have uniform marginals
@@ -364,6 +378,7 @@ class CoverageStudyConfig:
 
 def coverage_study(config):
     """Empirical CI coverage and the replication t-statistics."""
+    _set_heap_thresholds()
     dgp = config.dgp
     spec_n = _sieve_spec(config, config.n)
     basis = build_basis(spec_n)
@@ -459,6 +474,7 @@ def _stream_key(i_n, k_target):
 
 def stability_study(config):
     """Gram deviation and empirical Lebesgue constant over (basis, K, n)."""
+    _set_heap_thresholds()
     dgp = config.dgp
     density = uniform_density()  # both shipped designs have uniform marginals
     rows = []

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from sievereg import cli
+from sievereg import cli, simulate
 from sievereg.cli import run
 
 
@@ -296,8 +296,12 @@ def test_numeric_error_exit_code(tmp_path, monkeypatch, capsys):
     assert "numeric error" in capsys.readouterr().err
 
 
+# [basis] comes before [generator], so that a key appended to the text
+# lands in [generator]
+HAAR_BLOCK = "[basis]\nfamily = wavelet\nn_moments = 1\nlevel = 2\n"
 CONCENTRATION = ("[study]\nreps = {reps}\nt_max = 1.0\nt_count = {t}\n"
-                 "[generator]\nkind = rademacher\nn = {n}\n")
+                 + HAAR_BLOCK + "[generator]\nkind = gram_deviation\n"
+                 "n = {n}\n")
 COVERAGE = ("[study]\nreps = {reps}\nn = {n}\n"
             "[functional]\nkind = point_eval\nx0 = 0.37\n"
             "[basis]\nfamily = wavelet\nn_moments = 1\nlevel = 3\n")
@@ -341,8 +345,8 @@ def test_study_counts_and_sizes_must_be_positive(tmp_path, capsys, command,
 
 
 RATE = "[study]\nreps = 2\nn_grid = 200\n{extra}" + BASIS_BLOCK
-CONCENTRATION_AR = ("[study]\nreps = 10\nt_max = 1.0\n"
-                    "[generator]\nkind = {kind}\nn = 50\n"
+CONCENTRATION_AR = ("[study]\nreps = 10\nt_max = 1.0\n" + HAAR_BLOCK
+                    + "[generator]\nkind = gram_deviation\nn = 50\n"
                     "regressor = {regressor}\nrho = 0.5\nq = 2\n")
 GRAM = "[gram]\n{extra}[basis]\nfamily = wavelet\nn_moments = 1\nlevel = 2\n"
 
@@ -374,14 +378,12 @@ STABILITY_D2_D3 = ("[study]\nreps = 2\nk_grid = 16\nn_grid = 2000\n"
     ("gram-report", GRAM.format(extra="density = sine\namplitude = 1.5\n"),
      "amplitude"),
     ("gram-report", GRAM.format(extra="amplitude = 0.3\n"), "`amplitude`"),
-    ("concentration-study", CONCENTRATION_AR.format(kind="rademacher",
-                                                    regressor="foo"), "'foo'"),
+    ("concentration-study", CONCENTRATION_AR.format(regressor="foo"),
+     "'foo'"),
     ("concentration-study", CONCENTRATION.format(reps=10, t=5, n=50)
      .replace("t_max = 1.0", "t_max = -1.0"), "`t_max`"),
-    ("concentration-study", CONCENTRATION_AR.format(kind="gram_deviation",
-                                                    regressor="ar_copula")
-     .replace("n = 50", "n = 400").replace("q = 2", "q = 7")
-     + "[basis]\nfamily = wavelet\nn_moments = 1\nlevel = 2\n", "`q`"),
+    ("concentration-study", CONCENTRATION_AR.format(regressor="ar_copula")
+     .replace("n = 50", "n = 400").replace("q = 2", "q = 7"), "`q`"),
     ("stability-study", STABILITY_D2_D3, "`k_grid`"),
     ("rate-study", RATE.format(extra="").replace("n_interior", "n_interor"),
      "`n_interor`"),
@@ -418,17 +420,16 @@ STABILITY_D2_D3 = ("[study]\nreps = 2\nk_grid = 16\nn_grid = 2000\n"
      .replace("x0 = 0.37\n", "x0 = 0.37\nweight = nonsense\n"), "`weight`"),
     ("rate-study", RATE.format(extra="[dgp]\nregressor = iid_uniform\n"
                                      "rho = 0.9\n"), "`rho`"),
-    ("concentration-study", CONCENTRATION_AR.format(kind="rademacher",
-                                                    regressor="iid_uniform"),
+    ("concentration-study", CONCENTRATION_AR.format(regressor="iid_uniform"),
      "`rho`"),
     ("stability-study", STABILITY + "[dgp]\nerror = student_t\ndf = 3\n"
      "h0 = holder\n", "regressor and `dim`"),
     ("stability-study", STABILITY + "[dgp]\nregressor = ar_copula\n"
      "rho = 0.5\nh0 = holder\n", "regressor and `dim`"),
     ("concentration-study", CONCENTRATION.format(reps=10, t=5, n=50)
-     + "[basis]\nfamily = wavelet\nn_moments = 1\nlevel = 2\n", "[basis]"),
+     .replace(HAAR_BLOCK, ""), "missing required config section [basis]"),
     ("concentration-study", CONCENTRATION.format(reps=10, t=5, n=50)
-     + "q = 7\n", "`q`"),
+     + "q = 7\n", "`q` applies only under a mixing regressor"),
     ("rate-study", RATE2.format(extra="[dgp]\nerror = student_t\n"
                                       "sigma = 5\n"), "`sigma`"),
     ("rate-study", RATE2.format(extra="[dgp]\nerror = heteroskedastic\n"
@@ -441,12 +442,10 @@ STABILITY_D2_D3 = ("[study]\nreps = 2\nk_grid = 16\nn_grid = 2000\n"
     ("coverage-study", COVERAGE.format(reps=5, n=400)
      .replace("n = 400\n", "n = 400\nkrule_p = 1.0\n") + "[dgp]\np = 7.5\n",
      "`p`"),
-    ("concentration-study", CONCENTRATION_AR.format(kind="zero",
-                                                    regressor="ar_copula"),
-     "`regressor`"),
-    ("concentration-study", CONCENTRATION_AR.format(kind="rademacher",
-                                                    regressor="ar_copula"),
-     "`regressor`"),
+    ("concentration-study", CONCENTRATION.format(reps=10, t=5, n=50)
+     .replace("gram_deviation", "zero"), "`kind`"),
+    ("concentration-study", CONCENTRATION.format(reps=10, t=5, n=50)
+     .replace("gram_deviation", "rademacher"), "`kind`"),
     ("rate-study", RATE.format(extra="[dgp]\nsigma = -1.0\n"), "`sigma`"),
     ("rate-study", RATE.format(extra="[dgp]\nerror = student_t\n"
                                      "scale = 0.0\n"), "`scale`"),
@@ -463,12 +462,12 @@ STABILITY_D2_D3 = ("[study]\nreps = 2\nk_grid = 16\nn_grid = 2000\n"
         "stability-lebesgue-threshold-without-lebesgue",
         "coverage-x0-on-integral", "coverage-weight-key", "dgp-rho-on-iid",
         "generator-rho-on-iid", "stability-dgp-error-law",
-        "stability-dgp-target", "concentration-basis-without-gram",
+        "stability-dgp-target", "concentration-without-basis",
         "concentration-q-without-mixing", "dgp-sigma-on-student_t",
         "dgp-sigma-on-heteroskedastic", "dgp-df-on-gaussian",
         "dgp-scale-on-gaussian", "rate-p-unread", "coverage-p-unread",
-        "concentration-zero-under-ar_copula",
-        "concentration-rademacher-under-ar_copula", "dgp-sigma-neg",
+        "concentration-kind-zero", "concentration-kind-rademacher",
+        "dgp-sigma-neg",
         "dgp-scale-0"])
 def test_rejected_config_values_exit_2(tmp_path, capsys, command, text,
                                        named):
@@ -565,18 +564,26 @@ def test_rate_grid_of_one_size_exits_2_before_any_work(tmp_path, capsys,
     assert not out.exists()
 
 
-def test_run_works_without_mallopt(tmp_path, monkeypatch, sample_csv):
-    # a libc without mallopt (not glibc) keeps its own heap thresholds
+def test_run_works_without_mallopt(tmp_path, monkeypatch):
+    # a libc without mallopt (not glibc) keeps its own heap thresholds; the
+    # study sets them, so the CLI run reaches the lookup through it
     class NoMallopt:
         def __getattr__(self, name):
             raise AttributeError(name)
 
-    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: NoMallopt())
-    cfg = tmp_path / "fit.ini"
-    _write(cfg, f"[fit]\ndata = {sample_csv}\n{BASIS_BLOCK}")
-    assert run(["fit", "--config", str(cfg), "--out",
-                str(tmp_path / "o")]) == 0
-    assert (tmp_path / "o" / "coeffs.csv").exists()
+    looked_up = []
+
+    def cdll(name):
+        looked_up.append(name)
+        return NoMallopt()
+
+    monkeypatch.setattr(simulate.ctypes, "CDLL", cdll)
+    cfg = tmp_path / "rate.ini"
+    _write(cfg, RATE2.format(extra=""))
+    assert run(["rate-study", "--config", str(cfg), "--out",
+                str(tmp_path / "o"), "--synthetic-oracle"]) == 0
+    assert looked_up == [None]
+    assert (tmp_path / "o" / "summary.json").exists()
 
 
 @pytest.mark.parametrize("command,flag", [

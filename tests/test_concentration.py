@@ -4,11 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from sievereg.basis import BasisSpec, ConfigurationError, build_basis
 from sievereg.concentration import (ConcentrationStudyConfig,
-                                    GramDeviationGenerator,
-                                    RademacherGenerator, TailBoundInput,
-                                    ZeroGenerator, concentration_study,
-                                    empirical_tail, mixing_bound,
-                                    tropp_bound)
+                                    GramDeviationGenerator, TailBoundInput,
+                                    concentration_study, empirical_tail,
+                                    mixing_bound, tropp_bound)
 from sievereg.gram import theoretical_gram
 from sievereg.quadrature import uniform_density
 from sievereg.simulate import RegressorSpec, regressor_paths
@@ -84,23 +82,6 @@ def test_invalid_inputs():
         mixing_bound(inp, 1.0)
     with pytest.raises(ValueError):
         tropp_bound(TailBoundInput(d1=1, d2=1, n=1, r_bound=1.0), -1.0)
-
-
-def test_zero_generator():
-    gen = ZeroGenerator(100)
-    study = empirical_tail(gen, np.array([0.0, 0.5, 1.0]), reps=50, seed=1)
-    assert study.freq[0] == 1.0        # ||0|| >= 0
-    assert np.all(study.freq[1:] == 0.0)
-
-
-def test_rademacher_generator():
-    gen = RademacherGenerator(100)
-    study = empirical_tail(gen, np.array([0.0, 5.0, 40.0]), reps=400, seed=2)
-    assert study.freq[0] == 1.0
-    assert study.freq[-1] <= tropp_bound(gen.input, 40.0) + 3 * study.se[-1]
-    # deterministic given seed
-    again = empirical_tail(gen, np.array([0.0, 5.0, 40.0]), reps=400, seed=2)
-    assert np.array_equal(study.norms, again.norms)
 
 
 @pytest.fixture(scope="module")
@@ -187,25 +168,26 @@ def test_sum_norms_deterministic_per_seed(haar_gen, seed, reps, rho):
 
 
 def test_concentration_study_compares_each_threshold_with_its_bound():
-    config = ConcentrationStudyConfig(kind="rademacher", n=50, reps=400,
-                                      t_max=25.0, t_count=6, seed=3)
+    haar = BasisSpec.wavelet(1, 2)
+    basis = build_basis(haar)
+    config = ConcentrationStudyConfig(kind="gram_deviation", n=50, reps=400,
+                                      t_max=2.0, t_count=6, seed=3,
+                                      basis_spec=haar)
     report = concentration_study(config)
-    gen = RademacherGenerator(50)
-    tail = empirical_tail(gen, np.linspace(0.0, 25.0, 6), 400, 3)
+    gen = GramDeviationGenerator(basis, theoretical_gram(basis, UNIFORM), 50)
+    tail = empirical_tail(gen, np.linspace(0.0, 2.0, 6), 400, 3)
     assert [row[0] for row in report.rows] == list(tail.t_grid)
     assert [row[2] for row in report.rows] == list(tail.freq)
     assert [row[1] for row in report.rows] == [
         tropp_bound(gen.input, t) for t in tail.t_grid]
+    assert report.summary["generator"] == "gram_deviation"
     assert report.summary["mixing"] is False
     assert report.summary["violations"] == 0
     assert report.config == {"seed": 3}
-    # an AR-copula regressor switches the Gram-deviation study to the
-    # blocked bound at t / 6
-    haar = BasisSpec.wavelet(1, 2)
+    # an AR-copula regressor switches the study to the blocked bound at t / 6
     mixed = concentration_study(ConcentrationStudyConfig(
         kind="gram_deviation", n=50, reps=400, t_max=2.0, t_count=6, seed=3,
         regressor="ar_copula", rho=0.5, q=5, basis_spec=haar))
-    basis = build_basis(haar)
     gen = GramDeviationGenerator(basis, theoretical_gram(basis, UNIFORM), 50,
                                  regressor=RegressorSpec("ar_copula", 0.5))
     inp = TailBoundInput(d1=4, d2=4, n=50, r_bound=gen.input.r_bound,
@@ -217,17 +199,8 @@ def test_concentration_study_compares_each_threshold_with_its_bound():
         ConcentrationStudyConfig(kind="gram_deviation", n=50, reps=10,
                                  t_max=1.0, regressor="ar_copula", rho=0.5,
                                  q=26, basis_spec=haar)
-    # the plumbing generators draw i.i.d. summands: no regressor, so no
-    # `rho` and no `q` either
-    for kind in ("rademacher", "zero"):
-        with pytest.raises(ConfigurationError, match="`regressor`"):
+    # gram_deviation is the only generator
+    for kind in ("rademacher", "zero", "gaussian"):
+        with pytest.raises(ConfigurationError, match="`kind`"):
             ConcentrationStudyConfig(kind=kind, n=50, reps=10, t_max=1.0,
-                                     regressor="ar_copula", rho=0.5, q=5)
-        with pytest.raises(ConfigurationError, match="`regressor`"):
-            ConcentrationStudyConfig(kind=kind, n=50, reps=10, t_max=1.0,
-                                     regressor="ar_copula")
-    with pytest.raises(ConfigurationError, match="`kind`"):
-        ConcentrationStudyConfig(kind="gaussian", n=50, reps=10, t_max=1.0)
-    with pytest.raises(ConfigurationError, match="basis"):
-        ConcentrationStudyConfig(kind="gram_deviation", n=50, reps=10,
-                                 t_max=1.0)
+                                     basis_spec=haar)

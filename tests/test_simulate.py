@@ -351,8 +351,8 @@ def test_derived_rng_refuses_an_unknown_study():
 
 def test_tail_and_gram_report_draws_are_derived_rng_streams(tmp_path,
                                                             monkeypatch):
-    # the tail chunks, the Rademacher signs and the gram-report sample
-    # draw from derived_rng's table like the studies
+    # the tail chunks and the gram-report sample draw from derived_rng's
+    # table like the studies
     from sievereg import cli, concentration
 
     reg = RegressorSpec("ar_copula", 0.5)
@@ -372,9 +372,6 @@ def test_tail_and_gram_report_draws_are_derived_rng_streams(tmp_path,
         want = regressor_paths(reg, 40, 1, derived_rng(5, "gram_deviation", c),
                                reps=len(x))
         assert np.array_equal(x, want)
-    signs = derived_rng(5, "rademacher").integers(0, 2, size=(30, 50)) * 2 - 1
-    assert np.array_equal(concentration.RademacherGenerator(50).sum_norms(30, 5),
-                          np.abs(signs.sum(axis=1)).astype(float))
     samples, empirical_gram = [], cli.empirical_gram
 
     def empirical(basis, x, gram):
@@ -447,7 +444,8 @@ _STUDY_CONFIGS = {
         "dgp": DgpSpec(), "basis_specs": (BasisSpec.wavelet(1, 3),),
         "k_grid": (8,), "n_grid": (400,), "reps": 2, **kw}),
     "concentration": lambda **kw: ConcentrationStudyConfig(**{
-        "kind": "rademacher", "n": 50, "reps": 10, "t_max": 1.0, **kw}),
+        "kind": "gram_deviation", "n": 50, "reps": 10, "t_max": 1.0,
+        "basis_spec": BasisSpec.wavelet(1, 2), **kw}),
 }
 
 
