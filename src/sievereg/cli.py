@@ -2,19 +2,19 @@
 
 Commands read a flat INI config (sections mirror the library modules) and
 write ``summary.json`` plus ``detail.csv`` (and matrix CSVs where relevant)
-into the output directory.  Unknown config keys are hard errors.  For the
-three studies and the concentration study the schema here only parses
-types; the library's specs, study configs and name lookups hold the
-defaults and check the values, and every one of them refuses with
-``ConfigurationError`` (a ``ValueError``), which is a config error here.
-`fit` and `gram-report` have no study config: their handlers default
-and check their `grid`, `n`, `seed`, `density` and `amplitude` keys
-through the same checks.  Exit codes: 0 success, 2 config error, 3
-embedded acceptance threshold violated, 4 numeric failure.
+into the output directory.  The schema is the signatures of the callables
+that the sections feed, the library's specs and study configs, `_fit` and
+`_gram_report`: their parameters of a type in `_PARSERS` are the keys,
+required when they have no default, and other keys are hard errors.  The
+callables hold every default and check and refuse with
+``ConfigurationError`` (a ``ValueError``), a config error here.  Exit
+codes: 0 success, 2 config error, 3 embedded acceptance threshold
+violated, 4 numeric failure.
 """
 
 import argparse
 import configparser
+import inspect
 import os
 import sys
 from operator import ge, gt, itemgetter, le
@@ -44,67 +44,36 @@ def _list_of(parse):
     return lambda raw: tuple(parse(v) for v in raw.split(",") if v.strip())
 
 
-# section -> key -> (required, parser); sections themselves may be optional
-_BASIS_KEYS = {"family": (True, str), "dim": (False, int),
-               "order": (False, int), "n_interior": (False, int),
-               "n_moments": (False, int), "level": (False, int),
-               "degree": (False, int)}
-# [dgp] key -> (parser, spec, field): present keys become keyword arguments
-# of RegressorSpec, ErrorSpec and DgpSpec
-_DGP_FIELDS = {"regressor": (str, "regressor", "kind"),
-               "rho": (float, "regressor", "rho"),
-               "error": (str, "error", "kind"),
-               "sigma": (float, "error", "sigma"), "df": (float, "error", "df"),
-               "scale": (float, "error", "scale"),
-               "h0": (str, "dgp", "h0_name"), "p": (float, "dgp", "smoothness"),
-               "dim": (int, "dgp", "dim")}
-_DGP_KEYS = {key: (False, parse) for key, (parse, _, _) in _DGP_FIELDS.items()}
+def _finite(raw):
+    """Parser of a finite float."""
+    if not np.isfinite(value := float(raw)):
+        raise ValueError(f"must be a finite number, got {raw}")
+    return value
 
-_SCHEMAS = {
-    "fit": {
-        "fit": ({"data": (True, str), "grid": (False, int)}, True),
-        "basis": (_BASIS_KEYS, True),
-    },
-    "rate-study": {
-        "study": ({"reps": (True, int), "n_grid": (True, _list_of(int)),
-                   "seed": (False, int), "krule_c": (False, float),
-                   "krule_p": (False, float), "threads": (False, int)}, True),
-        "dgp": (_DGP_KEYS, False),
-        "basis": (_BASIS_KEYS, True),
-    },
-    "coverage-study": {
-        "study": ({"reps": (True, int), "n": (True, int),
-                   "level": (False, float), "seed": (False, int),
-                   "krule_c": (False, float), "krule_p": (False, float),
-                   "threads": (False, int)}, True),
-        "functional": ({"kind": (True, str), "x0": (False, _list_of(float))},
-                       True),
-        "dgp": (_DGP_KEYS, False),
-        "basis": (_BASIS_KEYS, True),
-    },
-    "stability-study": {
-        "study": ({"reps": (True, int), "k_grid": (True, _list_of(int)),
-                   "n_grid": (True, _list_of(int)), "seed": (False, int),
-                   "threads": (False, int)}, True),
-        "dgp": (_DGP_KEYS, False),
-        "basis": (_BASIS_KEYS, True),
-        "basis2": (_BASIS_KEYS, False),
-        "basis3": (_BASIS_KEYS, False),
-    },
-    "concentration-study": {
-        "study": ({"reps": (True, int), "t_max": (True, float),
-                   "t_count": (False, int), "seed": (False, int)}, True),
-        "generator": ({"kind": (True, str), "n": (True, int),
-                       "regressor": (False, str), "rho": (False, float),
-                       "q": (False, int)}, True),
-        "basis": (_BASIS_KEYS, True),
-    },
-    "gram-report": {
-        "gram": ({"density": (False, str), "amplitude": (False, float),
-                  "n": (False, int), "seed": (False, int)}, True),
-        "basis": (_BASIS_KEYS, True),
-    },
-}
+
+# parameter annotation -> parser of its INI value; a parameter of any other
+# type (a spec, the bool `synthetic_oracle`) is not a config key
+_PARSERS = {int: int, float: float, str: str, tuple[int, ...]: _list_of(int),
+            np.ndarray: _list_of(float)}
+
+
+def _keys(target):
+    """key -> (required, parser) of the parameters that a config sets."""
+    return {name: (p.default is p.empty, _PARSERS[p.annotation])
+            for name, p in inspect.signature(target).parameters.items()
+            if p.annotation in _PARSERS}
+
+
+# sections that a config may leave out; every other section is required
+_OPTIONAL = ("dgp", "basis2", "basis3", "acceptance")
+# [dgp] key -> (spec, field): present keys become keyword arguments of
+# RegressorSpec, ErrorSpec and DgpSpec
+_DGP_FIELDS = {"regressor": (RegressorSpec, "kind"),
+               "rho": (RegressorSpec, "rho"),
+               "error": (ErrorSpec, "kind"), "sigma": (ErrorSpec, "sigma"),
+               "df": (ErrorSpec, "df"), "scale": (ErrorSpec, "scale"),
+               "h0": (DgpSpec, "h0_name"), "p": (DgpSpec, "smoothness"),
+               "dim": (DgpSpec, "dim")}
 
 
 def _read_config(args):
@@ -127,33 +96,30 @@ def _read_config(args):
         if section not in schema:
             raise ConfigurationError(
                 f"unknown config section [{section}] for command {command}")
-        keys, _required = schema[section]
         block = {}
         for key, raw in parser.items(section):
-            if key not in keys:
+            if key not in schema[section]:
                 raise ConfigurationError(
                     f"unknown config key `{key}` in section [{section}]")
-            _, parse = keys[key]
+            _, parse = schema[section][key]
             try:
                 block[key] = parse(raw)
             except ValueError as exc:
                 raise ConfigurationError(
                     f"config key `{key}` in [{section}]: {exc}") from exc
         out[section] = block
-    for section, (keys, required) in schema.items():
-        if section not in out:
-            if required:
-                raise ConfigurationError(
-                    f"missing required config section [{section}]")
-            continue
-        for key, (req, _) in keys.items():
-            if req and key not in out[section]:
+    for section, keys in schema.items():
+        if section not in out and section not in _OPTIONAL:
+            raise ConfigurationError(
+                f"missing required config section [{section}]")
+        for key, (required, _) in keys.items():
+            if required and section in out and key not in out[section]:
                 raise ConfigurationError(
                     f"missing required config key `{key}` in [{section}]")
     for key, flag in (("seed", args.seed), ("threads", args.threads)):
         if flag is None:
             continue
-        owners = [name for name, (keys, _) in schema.items() if key in keys]
+        owners = [name for name, keys in schema.items() if key in keys]
         if not owners:
             raise ConfigurationError(f"`--{key}` does not apply to {command}")
         for section in owners:
@@ -162,12 +128,12 @@ def _read_config(args):
 
 
 def _dgp_spec(block):
-    kwargs = {"regressor": {}, "error": {}, "dgp": {}}
+    kwargs = {RegressorSpec: {}, ErrorSpec: {}, DgpSpec: {}}
     for key, value in block.items():
-        _, spec, name = _DGP_FIELDS[key]
+        spec, name = _DGP_FIELDS[key]
         kwargs[spec][name] = value
-    return DgpSpec(regressor=RegressorSpec(**kwargs["regressor"]),
-                   error=ErrorSpec(**kwargs["error"]), **kwargs["dgp"])
+    return DgpSpec(regressor=RegressorSpec(**kwargs[RegressorSpec]),
+                   error=ErrorSpec(**kwargs[ErrorSpec]), **kwargs[DgpSpec])
 
 
 def _check_out(out_dir):
@@ -188,29 +154,27 @@ def _print_table(title, pairs):
         print(f"  {key:<{width}}  {val}")
 
 
-def _cmd_fit(cfg, out_dir, args):
-    n_grid = cfg["fit"].get("grid", 512)
-    _check_at_least(1, grid=n_grid)
-    spec = BasisSpec(**cfg["basis"])
-    if spec.dim > 1 and "grid" in cfg["fit"]:
+def _fit(out_dir, spec, data: str, grid: int = None):
+    """Fit the CSV `data`; write the coefficients and the 1-D curve."""
+    _check_at_least(1, grid=512 if grid is None else grid)
+    if spec.dim > 1 and grid is not None:
         raise ConfigurationError(f"config key `grid` applies only to dim = 1 "
                                  f"fits (the curve), not dim = {spec.dim}")
-    path = cfg["fit"]["data"]
-    if not os.path.isfile(path) or os.path.getsize(path) == 0:
+    if not os.path.isfile(data) or os.path.getsize(data) == 0:
         raise ConfigurationError(f"config key `data`: no such file, or it "
-                                 f"is empty: {path}")
+                                 f"is empty: {data}")
     try:
-        table = np.genfromtxt(path, delimiter=",", names=True, ndmin=1)
+        table = np.genfromtxt(data, delimiter=",", names=True, ndmin=1)
     except ValueError as exc:
         raise ConfigurationError(
-            f"config key `data`: unreadable CSV {path}: {exc}") from exc
+            f"config key `data`: unreadable CSV {data}: {exc}") from exc
     names = list(table.dtype.names)
     if len(names) != spec.dim + 1:
         raise ConfigurationError(
             f"config key `data`: {len(names)} columns, expected "
             f"{spec.dim} regressors + 1 response")
     if table.size == 0:
-        raise ConfigurationError(f"config key `data`: no data rows in {path}")
+        raise ConfigurationError(f"config key `data`: no data rows in {data}")
     x = np.column_stack([table[c] for c in names[:-1]])
     y = np.asarray(table[names[-1]], dtype=float)
     finite = np.all(np.isfinite(x), axis=1) & np.isfinite(y)
@@ -229,10 +193,10 @@ def _cmd_fit(cfg, out_dir, args):
     write_detail_csv(os.path.join(out_dir, "coeffs.csv"), ["k", "value"],
                      list(enumerate(result.coeffs)))
     if spec.dim == 1:
-        grid = np.linspace(0.0, 1.0, n_grid).reshape(-1, 1)
-        curve = result.predict(grid)
+        points = np.linspace(0.0, 1.0, grid or 512)
+        curve = result.predict(points.reshape(-1, 1))
         write_detail_csv(os.path.join(out_dir, "curve.csv"), ["x", "value"],
-                         list(zip(grid[:, 0], curve)))
+                         list(zip(points, curve)))
     summary = {
         "kind": "fit", "n": int(y.size), "k": basis.size,
         "rank": result.rank, "rank_deficient": result.rank_deficient,
@@ -246,38 +210,32 @@ def _cmd_fit(cfg, out_dir, args):
     return 0
 
 
-def _rate_config(cfg, args):
-    return RateStudyConfig(dgp=_dgp_spec(cfg.get("dgp", {})),
-                           basis_spec=BasisSpec(**cfg["basis"]),
-                           synthetic_oracle=args.synthetic_oracle,
-                           **cfg["study"])
+# study config parameter -> its value from the other sections or the flags
+_SPECS = {
+    "dgp": lambda cfg, args: _dgp_spec(cfg.get("dgp", {})),
+    "basis_spec": lambda cfg, args: BasisSpec(**cfg["basis"]),
+    "basis_specs": lambda cfg, args: tuple(
+        BasisSpec(**cfg[section])
+        for section in ("basis", "basis2", "basis3") if section in cfg),
+    "functional": lambda cfg, args: FunctionalSpec(**cfg["functional"]),
+    "synthetic_oracle": lambda cfg, args: args.synthetic_oracle,
+}
 
 
-def _coverage_config(cfg, args):
-    return CoverageStudyConfig(dgp=_dgp_spec(cfg.get("dgp", {})),
-                               basis_spec=BasisSpec(**cfg["basis"]),
-                               functional=FunctionalSpec(**cfg["functional"]),
-                               **cfg["study"])
+def _build(config_class):
+    """(cfg, args) -> config_class of its keys and `_SPECS` parameters."""
+    params = inspect.signature(config_class).parameters
+    return lambda cfg, args: config_class(
+        **{name: spec(cfg, args) for name, spec in _SPECS.items()
+           if name in params}, **cfg["study"], **cfg.get("generator", {}))
 
 
-def _stability_config(cfg, args):
-    specs = [BasisSpec(**cfg[section])
-             for section in ("basis", "basis2", "basis3") if section in cfg]
-    return StabilityStudyConfig(dgp=_dgp_spec(cfg.get("dgp", {})),
-                                basis_specs=tuple(specs), **cfg["study"])
-
-
-def _concentration_config(cfg, args):
-    return ConcentrationStudyConfig(basis_spec=BasisSpec(**cfg["basis"]),
-                                    **cfg["study"], **cfg["generator"])
-
-
-# command -> (config builder, study function name, stdout rows of the
-# summary, [acceptance] key -> (parser, summary value, passes(value,
-# threshold))).  The study is looked up by name when it runs, so a wrapper
-# installed on this module's attribute sees the call.
+# command -> (config builder, stdout rows of the summary, [acceptance] key
+# -> (parser, summary value, passes(value, threshold))).  The study function
+# is the command's name with underscores, looked up when it runs, so a
+# wrapper installed on this module's attribute sees the call.
 _STUDIES = {
-    "rate-study": (_rate_config, "rate_study", lambda s: [
+    "rate-study": (_build(RateStudyConfig), lambda s: [
         ("n grid", ",".join(str(n) for n in s["n_grid"])),
         ("sup slope", fmt(s["slope_sup"])),
         ("L2 slope", fmt(s["slope_l2"])),
@@ -285,12 +243,12 @@ _STUDIES = {
         ("rank-deficient fits", s["rank_deficient"]),
         ("max cond", fmt(s["max_cond"])),
     ], {
-        "slope_sup_min": (float, itemgetter("slope_sup"), ge),
-        "slope_sup_max": (float, itemgetter("slope_sup"), le),
-        "slope_l2_min": (float, itemgetter("slope_l2"), ge),
-        "slope_l2_max": (float, itemgetter("slope_l2"), le),
+        "slope_sup_min": (_finite, itemgetter("slope_sup"), ge),
+        "slope_sup_max": (_finite, itemgetter("slope_sup"), le),
+        "slope_l2_min": (_finite, itemgetter("slope_l2"), ge),
+        "slope_l2_max": (_finite, itemgetter("slope_l2"), le),
     }),
-    "coverage-study": (_coverage_config, "coverage_study", lambda s: [
+    "coverage-study": (_build(CoverageStudyConfig), lambda s: [
         ("n / K", f"{s['n']} / {s['k']}"),
         ("coverage", fmt(s["coverage"])),
         ("mean CI length", fmt(s["mean_ci_length"])),
@@ -299,38 +257,32 @@ _STUDIES = {
         ("clamped reps", s["clamped"]),
         ("rank-deficient", s["rank_deficient"]),
     ], {
-        "coverage_min": (float, itemgetter("coverage"), ge),
-        "coverage_max": (float, itemgetter("coverage"), le),
-        "ks_alpha": (float, itemgetter("ks_pvalue"), gt),
+        "coverage_min": (_finite, itemgetter("coverage"), ge),
+        "coverage_max": (_finite, itemgetter("coverage"), le),
+        "ks_alpha": (_finite, itemgetter("ks_pvalue"), gt),
     }),
-    "stability-study": (_stability_config, "stability_study", lambda s: [
+    "stability-study": (_build(StabilityStudyConfig), lambda s: [
         (f"{m['family']} K={m['k']} n={m['n']}",
          f"dev={fmt(m['dev'])} leb={fmt(m['lebesgue_empirical'])}")
         for m in s["medians"][:12]] or [("rows", "0")], {
         "max_median_lebesgue": (
-            float, lambda s: max(m["lebesgue_empirical"]
-                                 for m in s["medians"]), le),
+            _finite, lambda s: max(m["lebesgue_empirical"]
+                                   for m in s["medians"]), le),
     }),
-    "concentration-study": (
-        _concentration_config, "concentration_study", lambda s: [
-            ("generator", s["generator"]),
-            ("n / reps", f"{s['n']} / {s['reps']}"),
-            ("bound violations", s["violations"]),
-        ], {"max_violations": (int, itemgetter("violations"), le)}),
+    "concentration-study": (_build(ConcentrationStudyConfig), lambda s: [
+        ("generator", s["generator"]),
+        ("n / reps", f"{s['n']} / {s['reps']}"),
+        ("bound violations", s["violations"]),
+    ], {"max_violations": (int, itemgetter("violations"), le)}),
 }
-
-# every study takes an optional [acceptance] section of its row's keys
-for _command, (*_, _checks) in _STUDIES.items():
-    _SCHEMAS[_command]["acceptance"] = (
-        {key: (False, parse) for key, (parse, _, _) in _checks.items()}, False)
 
 
 def _cmd_study(cfg, out_dir, args):
     """Run the study and write its report with its [acceptance] checks."""
-    build, study, rows, acceptance = _STUDIES[args.command]
+    build, rows, acceptance = _STUDIES[args.command]
     config = build(cfg, args)
     _check_out(out_dir)
-    report = globals()[study](config)
+    report = globals()[args.command.replace("-", "_")](config)
     checks = {}
     for key, threshold in cfg.get("acceptance", {}).items():
         _, value, passes = acceptance[key]
@@ -345,32 +297,31 @@ def _cmd_study(cfg, out_dir, args):
     return 0
 
 
-def _cmd_gram_report(cfg, out_dir, args):
-    block = cfg["gram"]
-    _check_at_least(1, n=block.get("n", 1))
-    spec = BasisSpec(**cfg["basis"])
-    basis = build_basis(spec)
-    if "seed" in block and "n" not in block:
+def _gram_report(out_dir, spec, density: str = "uniform",
+                 amplitude: float = None, n: int = None, seed: int = None):
+    """Write the theoretical Gram, and an n-point sample's with `n`."""
+    if n is not None:
+        _check_at_least(1, n=n)
+    elif seed is not None:
         raise ConfigurationError("config key `seed` (or `--seed`) applies "
                                  "only with `n`: without it no sample is drawn")
-    _check_at_least(0, seed=block.get("seed", 0))
-    density = density_by_name(block.get("density", "uniform"))
-    if "amplitude" in block:
+    _check_at_least(0, seed=seed or 0)
+    density = density_by_name(density)
+    if amplitude is not None:
         if density.name != "sine":
-            raise ConfigurationError(f"config key `amplitude` applies only "
-                                     f"to density = sine, not "
-                                     f"{density.name!r}")
-        density = sine_density(block["amplitude"])
+            raise ConfigurationError("config key `amplitude` applies only to "
+                                     f"density = sine, not {density.name!r}")
+        density = sine_density(amplitude)
     _check_out(out_dir)
+    basis = build_basis(spec)
     gram_th = theoretical_gram(basis, density)
     os.makedirs(out_dir, exist_ok=True)
     write_matrix_csv(os.path.join(out_dir, "gram.csv"), gram_th)
     summary = {"kind": "gram-report", "k": basis.size,
                "density": density.name,
                "matrices": {"gram": "gram.csv"}}
-    if "n" in block:
-        rng = derived_rng(block.get("seed", 0), "gram-report")
-        x = density.sample(rng, block["n"], spec.dim)
+    if n is not None:
+        x = density.sample(derived_rng(seed or 0, "gram-report"), n, spec.dim)
         gram_emp, report = empirical_gram(basis, x, gram_th)
         write_matrix_csv(os.path.join(out_dir, "gram_emp.csv"), gram_emp)
         summary.update(report)
@@ -383,8 +334,38 @@ def _cmd_gram_report(cfg, out_dir, args):
     return 0
 
 
-_HANDLERS = {"fit": _cmd_fit, "gram-report": _cmd_gram_report,
-             **{command: _cmd_study for command in _STUDIES}}
+_BASIS = _keys(BasisSpec)
+_DGP = {key: _keys(spec)[name] for key, (spec, name) in _DGP_FIELDS.items()}
+# the concentration study's [generator] keys; [study] takes the others
+_CONCENTRATION = _keys(ConcentrationStudyConfig)
+_GENERATOR = {key: _CONCENTRATION.pop(key)
+              for key in ("kind", "n", "regressor", "rho", "q")}
+# command -> section -> key -> (required, parser), each section read off the
+# signature of the callable that it feeds
+_SCHEMAS = {
+    "fit": {"fit": _keys(_fit), "basis": _BASIS},
+    "rate-study": {"study": _keys(RateStudyConfig), "dgp": _DGP,
+                   "basis": _BASIS},
+    "coverage-study": {"study": _keys(CoverageStudyConfig),
+                       "functional": _keys(FunctionalSpec), "dgp": _DGP,
+                       "basis": _BASIS},
+    "stability-study": {"study": _keys(StabilityStudyConfig), "dgp": _DGP,
+                        "basis": _BASIS, "basis2": _BASIS, "basis3": _BASIS},
+    "concentration-study": {"study": _CONCENTRATION, "generator": _GENERATOR,
+                            "basis": _BASIS},
+    "gram-report": {"gram": _keys(_gram_report), "basis": _BASIS},
+}
+# every study takes an optional [acceptance] section of its row's keys
+for _command, (*_, _checks) in _STUDIES.items():
+    _SCHEMAS[_command]["acceptance"] = {
+        key: (False, parse) for key, (parse, _, _) in _checks.items()}
+
+_HANDLERS = {
+    "fit": lambda cfg, out_dir, args: _fit(
+        out_dir, BasisSpec(**cfg["basis"]), **cfg["fit"]),
+    "gram-report": lambda cfg, out_dir, args: _gram_report(
+        out_dir, BasisSpec(**cfg["basis"]), **cfg["gram"]),
+    **{command: _cmd_study for command in _STUDIES}}
 
 
 def build_parser():

@@ -25,8 +25,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basis import (ConfigurationError, _check_at_least, _check_real,
-                    build_basis)
+from .basis import (BasisSpec, ConfigurationError, _check_at_least,
+                    _check_real, build_basis)
 from .gram import GramFactor, theoretical_gram, zeta_constant
 from .quadrature import uniform_density
 from .simulate import (RegressorSpec, StudyReport, _set_heap_thresholds,
@@ -185,7 +185,7 @@ class ConcentrationStudyConfig:
     n: int
     reps: int
     t_max: float
-    basis_spec: object
+    basis_spec: BasisSpec
     t_count: int = 20
     seed: int = 0
     regressor: str = "iid_uniform"
@@ -195,6 +195,9 @@ class ConcentrationStudyConfig:
     def __post_init__(self):
         _check_at_least(1, reps=self.reps, t_count=self.t_count, n=self.n)
         _check_at_least(0, seed=self.seed)
+        if not isinstance(self.basis_spec, BasisSpec):
+            raise ConfigurationError(
+                f"`basis_spec`: {self.basis_spec!r} is not a BasisSpec")
         if self.kind != "gram_deviation":
             raise ConfigurationError(f"`kind` must be gram_deviation, the "
                                      f"only generator, got {self.kind!r}")

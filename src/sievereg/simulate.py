@@ -29,8 +29,8 @@ from scipy.linalg.lapack import dtbtrs
 from scipy.special import ndtr
 
 from ._kolmogorov import ks_normal
-from .basis import (ConfigurationError, _check_at_least, _check_positive,
-                    _check_real, build_basis, spec_with_size)
+from .basis import (BasisSpec, ConfigurationError, _check_at_least,
+                    _check_positive, _check_real, build_basis, spec_with_size)
 from .estimator import fit, fixed_design, l2_error, named_target, sup_error
 from .gram import (GramFactor, NumericError, empirical_gram_matrix,
                    gram_deviation, lebesgue_constant_empirical,
@@ -109,8 +109,11 @@ def bump_sigma(pts):
     return 0.5 + np.mean(pts * (1.0 - pts), axis=1)
 
 
-def _check_dims(dgp, *specs):
+def _check_dims(dgp, name, *specs):
+    """ConfigurationError unless each spec is a BasisSpec of the DGP's dim."""
     for spec in specs:
+        if not isinstance(spec, BasisSpec):
+            raise ConfigurationError(f"`{name}`: {spec!r} is not a BasisSpec")
         if spec.dim != dgp.dim:
             raise ConfigurationError(f"basis `dim` = {spec.dim} differs from "
                                      f"the DGP `dim` = {dgp.dim}")
@@ -256,9 +259,9 @@ def _sieve_spec(config, n):
 @dataclass(frozen=True)
 class RateStudyConfig:
     dgp: DgpSpec
-    basis_spec: object
-    n_grid: tuple
-    reps: int = 100
+    basis_spec: BasisSpec
+    n_grid: tuple[int, ...]
+    reps: int
     krule_c: float = 1.0
     krule_p: float = None       # defaults to the DGP smoothness
     seed: int = 0
@@ -270,7 +273,7 @@ class RateStudyConfig:
         _check_at_least(2, n_grid=self.n_grid)      # k_rule divides by log n
         _check_at_least(0, seed=self.seed)
         _check_positive(krule_c=self.krule_c, krule_p=self.krule_p)
-        _check_dims(self.dgp, self.basis_spec)
+        _check_dims(self.dgp, "basis_spec", self.basis_spec)
         _check_p_read(self)
         if len(set(self.n_grid)) < 2:       # no log-log slope to fit
             raise ConfigurationError("`n_grid` needs at least two distinct "
@@ -348,10 +351,10 @@ def rate_study(config):
 @dataclass(frozen=True)
 class CoverageStudyConfig:
     dgp: DgpSpec
-    basis_spec: object
+    basis_spec: BasisSpec
     n: int
     functional: FunctionalSpec
-    reps: int = 1000
+    reps: int
     level: float = 0.95
     krule_c: float = 1.0
     krule_p: float = None
@@ -363,7 +366,7 @@ class CoverageStudyConfig:
         _check_at_least(2, n=self.n)                # k_rule divides by log n
         _check_at_least(0, seed=self.seed)
         _check_positive(krule_c=self.krule_c, krule_p=self.krule_p)
-        _check_dims(self.dgp, self.basis_spec)
+        _check_dims(self.dgp, "basis_spec", self.basis_spec)
         _check_p_read(self)
         _check_real(level=self.level)
         if not 0.0 < self.level < 1.0:
@@ -433,10 +436,10 @@ def coverage_study(config):
 @dataclass(frozen=True)
 class StabilityStudyConfig:
     dgp: DgpSpec
-    basis_specs: tuple           # iterable of BasisSpec templates
-    k_grid: tuple
-    n_grid: tuple
-    reps: int = 10
+    basis_specs: tuple[BasisSpec, ...]      # templates, resized to each K
+    k_grid: tuple[int, ...]
+    n_grid: tuple[int, ...]
+    reps: int
     seed: int = 0
     threads: int = 1
 
@@ -444,7 +447,10 @@ class StabilityStudyConfig:
         _check_at_least(1, reps=self.reps, k_grid=self.k_grid,
                         n_grid=self.n_grid, threads=self.threads)
         _check_at_least(0, seed=self.seed)
-        _check_dims(self.dgp, *self.basis_specs)
+        if not isinstance(self.basis_specs, tuple) or not self.basis_specs:
+            raise ConfigurationError("`basis_specs` must be a non-empty tuple "
+                                     f"of BasisSpec, got {self.basis_specs!r}")
+        _check_dims(self.dgp, "basis_specs", *self.basis_specs)
         if self.dgp != DgpSpec(regressor=self.dgp.regressor, dim=self.dgp.dim):
             raise ConfigurationError(f"the stability study reads only the DGP "
                                      f"regressor and `dim`, got {self.dgp}")

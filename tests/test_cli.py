@@ -663,3 +663,67 @@ def test_demo_configs_build_their_library_configs(name):
                           expected[command])
     else:
         assert isinstance(BasisSpec(**cfg["basis"]), BasisSpec)
+
+
+@pytest.mark.parametrize("command,text,key", [
+    ("coverage-study", COVERAGE.format(reps=5, n=400)
+     + "[acceptance]\ncoverage_min = nan\n", "coverage_min"),
+    ("rate-study", RATE2.format(extra="")
+     + "[acceptance]\nslope_sup_max = inf\n", "slope_sup_max"),
+    ("stability-study", STABILITY
+     + "[acceptance]\nmax_median_lebesgue = -inf\n", "max_median_lebesgue"),
+], ids=["coverage-nan", "rate-inf", "stability-neg-inf"])
+def test_non_finite_acceptance_threshold_exits_2_before_any_work(
+        tmp_path, capsys, monkeypatch, command, text, key):
+    # a NaN threshold fails every comparison: the study would run to the
+    # end and report a violation that no result could avoid
+    def never(*args, **kwargs):
+        raise AssertionError("the study ran")
+
+    monkeypatch.setattr(cli, command.replace("-", "_"), never)
+    cfg, out = tmp_path / "cfg.ini", tmp_path / "o"
+    _write(cfg, text)
+    assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and f"`{key}`" in err
+    assert not out.exists()
+
+
+# every command's config keys, `*` marking a required key: the schema is
+# read off library signatures, so a renamed field must fail here instead
+# of renaming a key of every user's config
+BASIS_KEYS = "family* dim order n_interior n_moments level degree"
+DGP_KEYS = "regressor rho error sigma df scale h0 p dim"
+CONFIG_KEYS = {
+    "fit": {"fit": "data* grid", "basis": BASIS_KEYS},
+    "rate-study": {
+        "study": "reps* n_grid* seed krule_c krule_p threads",
+        "dgp": DGP_KEYS, "basis": BASIS_KEYS,
+        "acceptance": "slope_sup_min slope_sup_max slope_l2_min "
+                      "slope_l2_max"},
+    "coverage-study": {
+        "study": "reps* n* level seed krule_c krule_p threads",
+        "functional": "kind* x0", "dgp": DGP_KEYS, "basis": BASIS_KEYS,
+        "acceptance": "coverage_min coverage_max ks_alpha"},
+    "stability-study": {
+        "study": "reps* k_grid* n_grid* seed threads", "dgp": DGP_KEYS,
+        "basis": BASIS_KEYS, "basis2": BASIS_KEYS, "basis3": BASIS_KEYS,
+        "acceptance": "max_median_lebesgue"},
+    "concentration-study": {
+        "study": "reps* t_max* t_count seed",
+        "generator": "kind* n* regressor rho q", "basis": BASIS_KEYS,
+        "acceptance": "max_violations"},
+    "gram-report": {"gram": "density amplitude n seed", "basis": BASIS_KEYS},
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_KEYS))
+def test_config_keys_are_pinned(command):
+    pinned = {(section, key.rstrip("*"), key.endswith("*"))
+              for section, keys in CONFIG_KEYS[command].items()
+              for key in keys.split()}
+    accepted = {(section, key, required)
+                for section, keys in cli._SCHEMAS[command].items()
+                for key, (required, _) in keys.items()}
+    assert accepted == pinned
+    assert sorted(cli._SCHEMAS) == sorted(CONFIG_KEYS)

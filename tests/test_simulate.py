@@ -324,7 +324,7 @@ def test_stability_cells_must_be_distinct(specs, k_grid, n_grid):
     # medians are keyed by (family, K, n): a repeated cell would drop one
     with pytest.raises(ConfigurationError, match="`k_grid`"):
         StabilityStudyConfig(dgp=DgpSpec(), basis_specs=specs, k_grid=k_grid,
-                             n_grid=n_grid)
+                             n_grid=n_grid, reps=1)
 
 
 def test_stability_stream_keys_must_not_collide():
@@ -332,7 +332,7 @@ def test_stability_stream_keys_must_not_collide():
     # (n = 400, K 1): the two cells would draw the same regressor paths
     with pytest.raises(ConfigurationError) as err:
         StabilityStudyConfig(dgp=DgpSpec(), basis_specs=(BasisSpec.wavelet(1, 3),),
-                             k_grid=(1, 1001), n_grid=(200, 400))
+                             k_grid=(1, 1001), n_grid=(200, 400), reps=1)
     assert "(1, 400) and (1001, 200)" in str(err.value)
 
 
@@ -459,6 +459,25 @@ _STUDY_CONFIGS = {
 ])
 def test_study_configs_reject_non_positive_counts(study, field, value):
     _STUDY_CONFIGS[study]()          # the valid baseline builds
+    with pytest.raises(ConfigurationError, match=f"`{field}`"):
+        _STUDY_CONFIGS[study](**{field: value})
+
+
+@pytest.mark.parametrize("study,field,value", [
+    ("rate", "basis_spec", None), ("coverage", "basis_spec", None),
+    ("concentration", "basis_spec", None),
+    ("concentration", "basis_spec", (BasisSpec.wavelet(1, 2),)),
+    ("stability", "basis_specs", ()),
+    ("stability", "basis_specs", BasisSpec.wavelet(1, 3)),
+    ("stability", "basis_specs", (BasisSpec.wavelet(1, 3), None)),
+    ("stability", "basis_specs", [BasisSpec.wavelet(1, 3)]),
+], ids=["rate-none", "coverage-none", "concentration-none",
+        "concentration-tuple", "stability-empty", "stability-one-spec",
+        "stability-none-entry", "stability-list"])
+def test_study_configs_refuse_a_basis_spec_that_is_not_one(study, field,
+                                                           value):
+    # refused at construction: otherwise a wrong spec fails at run time or
+    # with another error type, and an empty template tuple runs no cells
     with pytest.raises(ConfigurationError, match=f"`{field}`"):
         _STUDY_CONFIGS[study](**{field: value})
 
