@@ -121,3 +121,48 @@ def test_knots_without_end_multiplicity_rejected():
             bsplines.design_matrix(t, order, np.linspace(0.2, 0.6, 5))
         with pytest.raises(ValueError, match="full multiplicity"):
             bsplines.design_derivative(t, order, np.linspace(0.2, 0.6, 5))
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_non_uniform_knots_match_scipy(order):
+    # full multiplicity at the ends, uneven interior spans, above order 1
+    t = np.array([0.0] * order + [0.1, 0.15, 0.7] + [1.0] * order)
+    rng = np.random.default_rng(order)
+    knots = np.unique(t)
+    x = np.concatenate([rng.uniform(0, 1, 400), knots,
+                        np.nextafter(knots[1:], -np.inf),
+                        np.nextafter(knots[:-1], np.inf)])
+    oracle = BSpline.design_matrix(x, t, order - 1).toarray()
+    assert np.max(np.abs(design_matrix(t, order, x) - oracle)) <= 1e-14
+    d_oracle = BSpline(t, np.eye(t.size - order), order - 1)(x, nu=1)
+    err = np.max(np.abs(design_derivative(t, order, x) - d_oracle))
+    assert err <= 1e-14 * np.max(np.abs(d_oracle))
+
+
+def test_table_cache_keyed_on_knot_values():
+    order, x = 3, np.linspace(0.0, 1.0, 97)
+    t = knot_vector(order, 4)
+    first, vals = bsplines.design_matrix(t, order, x)
+    # a distinct array with the same values gives the same bits
+    again_first, again = bsplines.design_matrix(t.copy(), order, x)
+    assert np.array_equal(again_first, first)
+    assert again.tobytes() == vals.tobytes()
+    # other values of the same length, in a new array and written into the
+    # array already seen, must not reuse its table
+    other = np.array([0.0] * order + [0.1, 0.15, 0.6, 0.7] + [1.0] * order)
+    oracle = BSpline.design_matrix(x, other, order - 1).toarray()
+    assert np.max(np.abs(design_matrix(other, order, x) - oracle)) <= 1e-14
+    t[:] = other
+    assert np.max(np.abs(design_matrix(t, order, x) - oracle)) <= 1e-14
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_nan_takes_last_window_and_is_zero(order):
+    # NaN is off the knot range: it takes the window of x = 1, as the
+    # binary search puts it last, and every value there is 0
+    t = knot_vector(order, 4)
+    x = np.array([np.nan, 1.0])
+    for evaluate in (bsplines.design_matrix, bsplines.design_derivative):
+        first, vals = evaluate(t, order, x)
+        assert first[0] == first[1]
+        assert np.all(vals[0] == 0.0)
