@@ -1,15 +1,17 @@
 """Command-line driver: fits, studies, and Gram diagnostics.
 
-Commands read a flat INI config (sections mirror the library modules) and
-write ``summary.json`` plus ``detail.csv`` (and matrix CSVs where relevant)
-into the output directory.  The schema is the signatures of the callables
-that the sections feed, the library's specs and study configs, `_fit` and
-`_gram_report`: their parameters of a type in `_PARSERS` are the keys,
-required when they have no default, and other keys are hard errors.  The
-callables hold every default and check and refuse with
-``ConfigurationError`` (a ``ValueError``), a config error here.  Exit
-codes: 0 success, 2 config error, 3 embedded acceptance threshold
-violated, 4 numeric failure.
+Commands read a flat INI config (sections mirror the library modules).
+Each command is one `_COMMANDS` row: its sections, each read off the
+signature of the callable that it feeds (the library's specs and study
+configs, `_fit` and `_gram_report`: parameters of a type in `_PARSERS`
+are keys, required without a default, and other keys are hard errors),
+and a prepare that checks all that the command reads and returns its
+work.  The callables hold every default and check and refuse with
+``ConfigurationError`` (a ``ValueError``), a config error here.
+`_run_command` prepares, checks ``--out``, works, writes through
+`reporting.write_report`, prints, and then fails on a violated
+``[acceptance]`` threshold.  Exit codes: 0 success, 2 config error, 3
+embedded acceptance threshold violated, 4 numeric failure.
 """
 
 import argparse
@@ -27,8 +29,7 @@ from .estimator import fit as fit_ls
 from .gram import NumericError, empirical_gram, theoretical_gram
 from .inference import FunctionalSpec
 from .quadrature import density_by_name, sine_density
-from .reporting import (fmt, write_detail_csv, write_matrix_csv,
-                        write_report, write_summary_json)
+from .reporting import fmt, matrix_table, write_report
 from .simulate import (CoverageStudyConfig, DgpSpec, ErrorSpec,
                        RateStudyConfig, RegressorSpec, StabilityStudyConfig,
                        coverage_study, derived_rng, rate_study,
@@ -83,14 +84,16 @@ def _read_config(args):
     path, command = args.config, args.command
     if not os.path.isfile(path):
         raise ConfigurationError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(interpolation=None)
+    # no INI header names the empty section, so [DEFAULT] is an unknown
+    # section instead of keys copied into every section
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     parser.optionxform = str
     try:
         parser.read(path, encoding="utf-8")
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigurationError(
             f"unreadable config file {path}: {exc}") from exc
-    schema = _SCHEMAS[command]
+    schema = _COMMANDS[command][0]
     out = {}
     for section in parser.sections():
         if section not in schema:
@@ -154,8 +157,9 @@ def _print_table(title, pairs):
         print(f"  {key:<{width}}  {val}")
 
 
-def _fit(out_dir, spec, data: str, grid: int = None):
-    """Fit the CSV `data`; write the coefficients and the 1-D curve."""
+def _fit(spec, data: str, grid: int = None):
+    """Check the CSV `data`; the work fits it and gives the coefficients
+    and the 1-D curve."""
     _check_at_least(1, grid=512 if grid is None else grid)
     if spec.dim > 1 and grid is not None:
         raise ConfigurationError(f"config key `grid` applies only to dim = 1 "
@@ -186,28 +190,63 @@ def _fit(out_dir, spec, data: str, grid: int = None):
                    else "a regressor outside [0, 1]")
         raise ConfigurationError(
             f"config key `data`: data row {row + 1} has {problem}")
-    _check_out(out_dir)
-    basis = build_basis(spec)
-    result = fit_ls(basis, x, y)
-    os.makedirs(out_dir, exist_ok=True)
-    write_detail_csv(os.path.join(out_dir, "coeffs.csv"), ["k", "value"],
-                     list(enumerate(result.coeffs)))
-    if spec.dim == 1:
-        points = np.linspace(0.0, 1.0, grid or 512)
-        curve = result.predict(points.reshape(-1, 1))
-        write_detail_csv(os.path.join(out_dir, "curve.csv"), ["x", "value"],
-                         list(zip(points, curve)))
-    summary = {
-        "kind": "fit", "n": int(y.size), "k": basis.size,
-        "rank": result.rank, "rank_deficient": result.rank_deficient,
-        "cond": result.cond,
-        "residual_rms": float(np.sqrt(np.mean(result.residuals ** 2))),
-    }
-    write_summary_json(os.path.join(out_dir, "summary.json"), summary)
-    _print_table("fit", [("n", y.size), ("K", basis.size),
-                         ("rank", result.rank),
-                         ("residual rms", fmt(summary["residual_rms"]))])
-    return 0
+
+    def work():
+        basis = build_basis(spec)
+        result = fit_ls(basis, x, y)
+        tables = {"coeffs.csv": (["k", "value"], enumerate(result.coeffs))}
+        if spec.dim == 1:
+            points = np.linspace(0.0, 1.0, grid or 512)
+            curve = result.predict(points.reshape(-1, 1))
+            tables["curve.csv"] = (["x", "value"], zip(points, curve))
+        summary = {
+            "kind": "fit", "n": int(y.size), "k": basis.size,
+            "rank": result.rank, "rank_deficient": result.rank_deficient,
+            "cond": result.cond,
+            "residual_rms": float(np.sqrt(np.mean(result.residuals ** 2))),
+        }
+        return summary, tables, [
+            ("n", y.size), ("K", basis.size), ("rank", result.rank),
+            ("residual rms", fmt(summary["residual_rms"]))], {}
+    return work
+
+
+def _gram_report(spec, density: str = "uniform", amplitude: float = None,
+                 n: int = None, seed: int = None):
+    """Check the density; the work gives the theoretical Gram, and an
+    n-point sample's with `n`."""
+    if n is not None:
+        _check_at_least(1, n=n)
+    elif seed is not None:
+        raise ConfigurationError("config key `seed` (or `--seed`) applies "
+                                 "only with `n`: without it no sample is drawn")
+    _check_at_least(0, seed=seed or 0)
+    density = density_by_name(density)
+    if amplitude is not None:
+        if density.name != "sine":
+            raise ConfigurationError("config key `amplitude` applies only to "
+                                     f"density = sine, not {density.name!r}")
+        density = sine_density(amplitude)
+
+    def work():
+        basis = build_basis(spec)
+        gram_th = theoretical_gram(basis, density)
+        tables = {"gram.csv": matrix_table(gram_th)}
+        summary = {"kind": "gram-report", "k": basis.size,
+                   "density": density.name,
+                   "matrices": {"gram": "gram.csv"}}
+        rows = [("K", basis.size), ("density", density.name)]
+        if n is not None:
+            x = density.sample(derived_rng(seed or 0, "gram-report"), n,
+                               spec.dim)
+            gram_emp, report = empirical_gram(basis, x, gram_th)
+            tables["gram_emp.csv"] = matrix_table(gram_emp)
+            summary.update(report)
+            summary["matrices"]["gram_emp"] = "gram_emp.csv"
+            rows += [("dev", fmt(summary["dev"])),
+                     ("zeta", fmt(summary["zeta"]))]
+        return summary, tables, rows, {}
+    return work
 
 
 # study config parameter -> its value from the other sections or the flags
@@ -222,20 +261,51 @@ _SPECS = {
 }
 
 
-def _build(config_class):
-    """(cfg, args) -> config_class of its keys and `_SPECS` parameters."""
+def _study(config_class, sections, rows, acceptance):
+    """A study's row: `sections`, an optional [acceptance] of the keys of
+    `acceptance`, key -> (parser, summary value, passes(value, threshold)),
+    and a prepare that builds config_class.  Its work runs the study of the
+    command's name, looked up when it runs so that a wrapper installed on
+    this module's attribute sees the call; `rows` gives its stdout rows."""
     params = inspect.signature(config_class).parameters
-    return lambda cfg, args: config_class(
-        **{name: spec(cfg, args) for name, spec in _SPECS.items()
-           if name in params}, **cfg["study"], **cfg.get("generator", {}))
+
+    def prepare(cfg, args):
+        config = config_class(
+            **{name: spec(cfg, args) for name, spec in _SPECS.items()
+               if name in params}, **cfg["study"], **cfg.get("generator", {}))
+
+        def work():
+            report = globals()[args.command.replace("-", "_")](config)
+            checks = {}
+            for key, threshold in cfg.get("acceptance", {}).items():
+                _, value, passes = acceptance[key]
+                checks[key] = bool(passes(value(report.summary), threshold))
+            report.summary["acceptance"] = checks
+            return ({"kind": report.kind, "summary": report.summary,
+                     "config": report.config},
+                    {"detail.csv": (report.columns, report.rows)},
+                    rows(report.summary), checks)
+        return work
+    return ({**sections, "acceptance": {key: (False, parse) for key, (
+        parse, _, _) in acceptance.items()}}, prepare)
 
 
-# command -> (config builder, stdout rows of the summary, [acceptance] key
-# -> (parser, summary value, passes(value, threshold))).  The study function
-# is the command's name with underscores, looked up when it runs, so a
-# wrapper installed on this module's attribute sees the call.
-_STUDIES = {
-    "rate-study": (_build(RateStudyConfig), lambda s: [
+_BASIS = _keys(BasisSpec)
+_DGP = {key: _keys(spec)[name] for key, (spec, name) in _DGP_FIELDS.items()}
+# the concentration study's [generator] keys; [study] takes the others
+_CONCENTRATION = _keys(ConcentrationStudyConfig)
+_GENERATOR = {key: _CONCENTRATION.pop(key)
+              for key in ("kind", "n", "regressor", "rho", "q")}
+# command -> (section -> key -> (required, parser), prepare(cfg, args) ->
+# work() -> (summary.json payload, CSV name -> (columns, rows), stdout
+# rows, [acceptance] key -> passed)); each section is read off the
+# signature of the callable that it feeds
+_COMMANDS = {
+    "fit": ({"fit": _keys(_fit), "basis": _BASIS}, lambda cfg, args: _fit(
+        BasisSpec(**cfg["basis"]), **cfg["fit"])),
+    "rate-study": _study(RateStudyConfig, {
+        "study": _keys(RateStudyConfig), "dgp": _DGP, "basis": _BASIS,
+    }, lambda s: [
         ("n grid", ",".join(str(n) for n in s["n_grid"])),
         ("sup slope", fmt(s["slope_sup"])),
         ("L2 slope", fmt(s["slope_l2"])),
@@ -248,7 +318,10 @@ _STUDIES = {
         "slope_l2_min": (_finite, itemgetter("slope_l2"), ge),
         "slope_l2_max": (_finite, itemgetter("slope_l2"), le),
     }),
-    "coverage-study": (_build(CoverageStudyConfig), lambda s: [
+    "coverage-study": _study(CoverageStudyConfig, {
+        "study": _keys(CoverageStudyConfig),
+        "functional": _keys(FunctionalSpec), "dgp": _DGP, "basis": _BASIS,
+    }, lambda s: [
         ("n / K", f"{s['n']} / {s['k']}"),
         ("coverage", fmt(s["coverage"])),
         ("mean CI length", fmt(s["mean_ci_length"])),
@@ -261,7 +334,10 @@ _STUDIES = {
         "coverage_max": (_finite, itemgetter("coverage"), le),
         "ks_alpha": (_finite, itemgetter("ks_pvalue"), gt),
     }),
-    "stability-study": (_build(StabilityStudyConfig), lambda s: [
+    "stability-study": _study(StabilityStudyConfig, {
+        "study": _keys(StabilityStudyConfig), "dgp": _DGP, "basis": _BASIS,
+        "basis2": _BASIS, "basis3": _BASIS,
+    }, lambda s: [
         (f"{m['family']} K={m['k']} n={m['n']}",
          f"dev={fmt(m['dev'])} leb={fmt(m['lebesgue_empirical'])}")
         for m in s["medians"][:12]] or [("rows", "0")], {
@@ -269,103 +345,32 @@ _STUDIES = {
             _finite, lambda s: max(m["lebesgue_empirical"]
                                    for m in s["medians"]), le),
     }),
-    "concentration-study": (_build(ConcentrationStudyConfig), lambda s: [
+    "concentration-study": _study(ConcentrationStudyConfig, {
+        "study": _CONCENTRATION, "generator": _GENERATOR, "basis": _BASIS,
+    }, lambda s: [
         ("generator", s["generator"]),
         ("n / reps", f"{s['n']} / {s['reps']}"),
         ("bound violations", s["violations"]),
     ], {"max_violations": (int, itemgetter("violations"), le)}),
+    "gram-report": ({"gram": _keys(_gram_report), "basis": _BASIS},
+                    lambda cfg, args: _gram_report(
+                        BasisSpec(**cfg["basis"]), **cfg["gram"])),
 }
 
 
-def _cmd_study(cfg, out_dir, args):
-    """Run the study and write its report with its [acceptance] checks."""
-    build, rows, acceptance = _STUDIES[args.command]
-    config = build(cfg, args)
-    _check_out(out_dir)
-    report = globals()[args.command.replace("-", "_")](config)
-    checks = {}
-    for key, threshold in cfg.get("acceptance", {}).items():
-        _, value, passes = acceptance[key]
-        checks[key] = bool(passes(value(report.summary), threshold))
-    report.summary["acceptance"] = checks
-    write_report(report, out_dir)
-    _print_table(args.command, rows(report.summary))
+def _run_command(cfg, args):
+    """Prepare the command, check --out, do the work, write its files and
+    print its table; a violated [acceptance] threshold fails only then."""
+    work = _COMMANDS[args.command][1](cfg, args)
+    _check_out(args.out)
+    summary, tables, rows, checks = work()
+    write_report(args.out, summary, tables)
+    _print_table(args.command, rows)
     failed = sorted(name for name, ok in checks.items() if not ok)
     if failed:
         raise AcceptanceFailure(
             "acceptance threshold violated: " + ", ".join(failed))
     return 0
-
-
-def _gram_report(out_dir, spec, density: str = "uniform",
-                 amplitude: float = None, n: int = None, seed: int = None):
-    """Write the theoretical Gram, and an n-point sample's with `n`."""
-    if n is not None:
-        _check_at_least(1, n=n)
-    elif seed is not None:
-        raise ConfigurationError("config key `seed` (or `--seed`) applies "
-                                 "only with `n`: without it no sample is drawn")
-    _check_at_least(0, seed=seed or 0)
-    density = density_by_name(density)
-    if amplitude is not None:
-        if density.name != "sine":
-            raise ConfigurationError("config key `amplitude` applies only to "
-                                     f"density = sine, not {density.name!r}")
-        density = sine_density(amplitude)
-    _check_out(out_dir)
-    basis = build_basis(spec)
-    gram_th = theoretical_gram(basis, density)
-    os.makedirs(out_dir, exist_ok=True)
-    write_matrix_csv(os.path.join(out_dir, "gram.csv"), gram_th)
-    summary = {"kind": "gram-report", "k": basis.size,
-               "density": density.name,
-               "matrices": {"gram": "gram.csv"}}
-    if n is not None:
-        x = density.sample(derived_rng(seed or 0, "gram-report"), n, spec.dim)
-        gram_emp, report = empirical_gram(basis, x, gram_th)
-        write_matrix_csv(os.path.join(out_dir, "gram_emp.csv"), gram_emp)
-        summary.update(report)
-        summary["matrices"]["gram_emp"] = "gram_emp.csv"
-    write_summary_json(os.path.join(out_dir, "summary.json"), summary)
-    pairs = [("K", basis.size), ("density", density.name)]
-    if "dev" in summary:
-        pairs += [("dev", fmt(summary["dev"])), ("zeta", fmt(summary["zeta"]))]
-    _print_table("gram-report", pairs)
-    return 0
-
-
-_BASIS = _keys(BasisSpec)
-_DGP = {key: _keys(spec)[name] for key, (spec, name) in _DGP_FIELDS.items()}
-# the concentration study's [generator] keys; [study] takes the others
-_CONCENTRATION = _keys(ConcentrationStudyConfig)
-_GENERATOR = {key: _CONCENTRATION.pop(key)
-              for key in ("kind", "n", "regressor", "rho", "q")}
-# command -> section -> key -> (required, parser), each section read off the
-# signature of the callable that it feeds
-_SCHEMAS = {
-    "fit": {"fit": _keys(_fit), "basis": _BASIS},
-    "rate-study": {"study": _keys(RateStudyConfig), "dgp": _DGP,
-                   "basis": _BASIS},
-    "coverage-study": {"study": _keys(CoverageStudyConfig),
-                       "functional": _keys(FunctionalSpec), "dgp": _DGP,
-                       "basis": _BASIS},
-    "stability-study": {"study": _keys(StabilityStudyConfig), "dgp": _DGP,
-                        "basis": _BASIS, "basis2": _BASIS, "basis3": _BASIS},
-    "concentration-study": {"study": _CONCENTRATION, "generator": _GENERATOR,
-                            "basis": _BASIS},
-    "gram-report": {"gram": _keys(_gram_report), "basis": _BASIS},
-}
-# every study takes an optional [acceptance] section of its row's keys
-for _command, (*_, _checks) in _STUDIES.items():
-    _SCHEMAS[_command]["acceptance"] = {
-        key: (False, parse) for key, (parse, _, _) in _checks.items()}
-
-_HANDLERS = {
-    "fit": lambda cfg, out_dir, args: _fit(
-        out_dir, BasisSpec(**cfg["basis"]), **cfg["fit"]),
-    "gram-report": lambda cfg, out_dir, args: _gram_report(
-        out_dir, BasisSpec(**cfg["basis"]), **cfg["gram"]),
-    **{command: _cmd_study for command in _STUDIES}}
 
 
 def build_parser():
@@ -374,7 +379,7 @@ def build_parser():
         description="series least-squares fits, Monte Carlo studies, and "
                     "Gram diagnostics")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _SCHEMAS:
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="INI config path")
         p.add_argument("--out", required=True, help="output directory")
@@ -391,8 +396,7 @@ def build_parser():
 def run(argv):
     args = build_parser().parse_args(argv)
     try:
-        cfg = _read_config(args)
-        return _HANDLERS[args.command](cfg, args.out, args)
+        return _run_command(_read_config(args), args)
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

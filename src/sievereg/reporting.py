@@ -1,5 +1,7 @@
-"""Deterministic writers for study outputs.
+"""The one writer of a command's output files.
 
+`write_report` writes all that a CLI command leaves in its output
+directory: ``summary.json`` and one CSV per table of the command's work.
 All floats are rendered with %.17g so repeated runs with the same config
 and seed produce byte-identical files; JSON keys are sorted.  JSON has no
 NaN or infinity (RFC 8259), so non-finite floats are written as null.
@@ -34,30 +36,23 @@ def fmt(value):
     return str(value)
 
 
-def write_summary_json(path, summary):
+def matrix_table(mat):
+    """(columns, rows) of a dense row-major matrix dump, header k0,k1,value."""
+    return ["k0", "k1", "value"], (
+        (i, j, v) for (i, j), v in np.ndenumerate(mat))
+
+
+def write_report(out_dir, summary, tables):
+    """Write `summary` to out_dir/summary.json and, for each name ->
+    (columns, rows) of `tables`, the CSV out_dir/name; rows may be an
+    iterator, read once."""
+    os.makedirs(out_dir, exist_ok=True)
     payload = json.dumps(_jsonable(summary), sort_keys=True, indent=2,
                          allow_nan=False)
-    with open(path, "w", newline="\n") as fh:
+    with open(os.path.join(out_dir, "summary.json"), "w", newline="\n") as fh:
         fh.write(payload + "\n")
-
-
-def write_detail_csv(path, columns, rows):
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
-
-
-def write_matrix_csv(path, mat):
-    """Dense row-major matrix dump with header k0,k1,value."""
-    write_detail_csv(path, ["k0", "k1", "value"],
-                     [(i, j, v) for (i, j), v in np.ndenumerate(mat)])
-
-
-def write_report(report, out_dir):
-    os.makedirs(out_dir, exist_ok=True)
-    write_summary_json(os.path.join(out_dir, "summary.json"),
-                       {"kind": report.kind, "summary": report.summary,
-                        "config": report.config})
-    write_detail_csv(os.path.join(out_dir, "detail.csv"),
-                     report.columns, report.rows)
+    for name, (columns, rows) in tables.items():
+        with open(os.path.join(out_dir, name), "w", newline="\n") as fh:
+            fh.write(",".join(columns) + "\n")
+            for row in rows:
+                fh.write(",".join(fmt(v) for v in row) + "\n")

@@ -239,10 +239,17 @@ def k_rule(n, p, d, c=1.0):
     return max(1, int(round(c * (n / np.log(n)) ** (d / (2.0 * p + d)))))
 
 
-def _check_p_read(config):
-    """Refuse a DGP `p` that neither h0 nor the K rule reads: smooth_trig
-    has no smoothness, and a given `krule_p` replaces `p` in the K rule."""
+def _check_sieve_config(config, **sizes):
+    """The checks that the rate and coverage configs share, `sizes` being
+    their sample sizes (k_rule divides by log n).  A DGP `p` that neither
+    h0 nor the K rule reads is refused: smooth_trig has no smoothness, and
+    a given `krule_p` replaces `p` in the K rule."""
+    _check_at_least(1, reps=config.reps, threads=config.threads)
+    _check_at_least(2, **sizes)
+    _check_at_least(0, seed=config.seed)
+    _check_positive(krule_c=config.krule_c, krule_p=config.krule_p)
     dgp = config.dgp
+    _check_dims(dgp, "basis_spec", config.basis_spec)
     if (dgp.h0_name == "smooth_trig" and config.krule_p is not None
             and dgp.smoothness != DgpSpec.smoothness):
         raise ConfigurationError(f"`p` = {dgp.smoothness} is read by neither "
@@ -269,12 +276,7 @@ class RateStudyConfig:
     synthetic_oracle: bool = False
 
     def __post_init__(self):
-        _check_at_least(1, reps=self.reps, threads=self.threads)
-        _check_at_least(2, n_grid=self.n_grid)      # k_rule divides by log n
-        _check_at_least(0, seed=self.seed)
-        _check_positive(krule_c=self.krule_c, krule_p=self.krule_p)
-        _check_dims(self.dgp, "basis_spec", self.basis_spec)
-        _check_p_read(self)
+        _check_sieve_config(self, n_grid=self.n_grid)
         if len(set(self.n_grid)) < 2:       # no log-log slope to fit
             raise ConfigurationError("`n_grid` needs at least two distinct "
                                      f"sizes, got {self.n_grid!r}")
@@ -362,12 +364,7 @@ class CoverageStudyConfig:
     threads: int = 1
 
     def __post_init__(self):
-        _check_at_least(1, reps=self.reps, threads=self.threads)
-        _check_at_least(2, n=self.n)                # k_rule divides by log n
-        _check_at_least(0, seed=self.seed)
-        _check_positive(krule_c=self.krule_c, krule_p=self.krule_p)
-        _check_dims(self.dgp, "basis_spec", self.basis_spec)
-        _check_p_read(self)
+        _check_sieve_config(self, n=self.n)
         _check_real(level=self.level)
         if not 0.0 < self.level < 1.0:
             raise ConfigurationError(f"`level` must be in (0, 1), got {self.level}")

@@ -67,6 +67,16 @@ def test_unknown_section_rejected(tmp_path, capsys):
     code = run(["rate-study", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "mystery" in capsys.readouterr().err
+    # [DEFAULT] is a section like any other: configparser would otherwise
+    # drop it when empty and copy its keys into every section
+    for default in ("[DEFAULT]\n", "[DEFAULT]\nseed = 3\n"):
+        _write(cfg, default + GRAM.format(extra=""))
+        out = tmp_path / "o"
+        assert run(["gram-report", "--config", str(cfg), "--out",
+                    str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown config section [DEFAULT]" in err
+        assert not out.exists()
 
 
 def test_synthetic_oracle_rate_study(tmp_path, capsys):
@@ -84,10 +94,19 @@ def test_acceptance_threshold_violation_exits_3(tmp_path, capsys):
     cfg = tmp_path / "rate.ini"
     _write(cfg, "[study]\nreps = 3\nn_grid = 500,1000,2000,4000\n" + BASIS_BLOCK
                 + "\n[acceptance]\nslope_sup_max = -0.9\n")
-    code = run(["rate-study", "--config", str(cfg), "--out",
-                str(tmp_path / "o"), "--synthetic-oracle"])
+    out = tmp_path / "o"
+    code = run(["rate-study", "--config", str(cfg), "--out", str(out),
+                "--synthetic-oracle"])
     assert code == 3
-    assert "slope_sup_max" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "slope_sup_max" in captured.err
+    # the outputs and the stdout table come before the failure
+    import json
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["summary"]["acceptance"] == {"slope_sup_max": False}
+    assert (out / "detail.csv").exists()
+    assert captured.out.startswith("rate-study\n")
+    assert "sup slope" in captured.out
 
 
 def test_idempotent_and_thread_invariant_outputs(tmp_path):
@@ -285,12 +304,12 @@ def test_numeric_error_exit_code(tmp_path, monkeypatch, capsys):
     from sievereg import cli
     from sievereg.gram import NumericError
 
-    def boom(cfg, out, args):
+    def boom(*args, **kwargs):
         raise NumericError("synthetic failure")
 
     cfg = tmp_path / "gram.ini"
     _write(cfg, "[gram]\n\n[basis]\nfamily = wavelet\nn_moments = 1\nlevel = 2\n")
-    monkeypatch.setitem(cli._HANDLERS, "gram-report", boom)
+    monkeypatch.setattr(cli, "theoretical_gram", boom)
     code = run(["gram-report", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 4
     assert "numeric error" in capsys.readouterr().err
@@ -641,9 +660,9 @@ DEMO_CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
 
 @pytest.mark.parametrize("name", sorted(
     f for f in os.listdir(DEMO_CONFIGS) if f.endswith(".ini")))
-def test_demo_configs_build_their_library_configs(name):
+def test_demo_configs_build_their_library_configs(name, monkeypatch):
     # every key of a shipped config must be a field of its library config;
-    # the study itself is not run
+    # the study itself is not run: a recorder stands in for it
     from sievereg import cli
     from sievereg.basis import BasisSpec
     from sievereg.concentration import ConcentrationStudyConfig
@@ -659,8 +678,16 @@ def test_demo_configs_build_their_library_configs(name):
                 "stability-study": StabilityStudyConfig,
                 "concentration-study": ConcentrationStudyConfig}
     if command in expected:
-        assert isinstance(cli._STUDIES[command][0](cfg, args),
-                          expected[command])
+        class Recorded(Exception):
+            pass
+
+        def record(config):
+            raise Recorded(config)
+
+        monkeypatch.setattr(cli, command.replace("-", "_"), record)
+        with pytest.raises(Recorded) as seen:
+            cli._COMMANDS[command][1](cfg, args)()
+        assert isinstance(seen.value.args[0], expected[command])
     else:
         assert isinstance(BasisSpec(**cfg["basis"]), BasisSpec)
 
@@ -723,7 +750,15 @@ def test_config_keys_are_pinned(command):
               for section, keys in CONFIG_KEYS[command].items()
               for key in keys.split()}
     accepted = {(section, key, required)
-                for section, keys in cli._SCHEMAS[command].items()
+                for section, keys in cli._COMMANDS[command][0].items()
                 for key, (required, _) in keys.items()}
     assert accepted == pinned
-    assert sorted(cli._SCHEMAS) == sorted(CONFIG_KEYS)
+    assert sorted(cli._COMMANDS) == sorted(CONFIG_KEYS)
+
+
+def test_commands_match_demo_configs():
+    # one demo config per command, so that running every demo config (as
+    # CI does) runs every command's work and writer
+    stems = {f[:-len(".ini")].replace("_", "-")
+             for f in os.listdir(DEMO_CONFIGS) if f.endswith(".ini")}
+    assert set(cli._COMMANDS) == stems
